@@ -19,6 +19,22 @@ def profile(groups):
     return [(g.betti, tuple(g.torsion)) for g in groups]
 
 
+def counts_of(datum):
+    return {(f.source, f.target): f.count for f in datum.flows}
+
+
+# signed counts of the stabilized epsilon sphere, the same across the
+# epsilon range: the maximum's lines into each new saddle cancel, and each
+# new saddle joins the old minimum and one former pole
+EPSILON_COUNTS = {
+    ("max0", "saddle0"): 0, ("max0", "saddle1"): 0,
+    ("saddle0", "min0"): -1, ("saddle0", "south_pole"): 1,
+    ("saddle0", "north_pole"): 0,
+    ("saddle1", "min0"): -1, ("saddle1", "south_pole"): 0,
+    ("saddle1", "north_pole"): 1,
+}
+
+
 class TestGroups:
     def test_closure(self):
         group = fn.group_from_generators(("rotation_pi_z",))
@@ -159,6 +175,36 @@ class TestTorus(object):
         datum = fn.quotient_to_datum(surface, orbits)
         assert datum == torus_run.datum
 
+    def test_saddle_connection_detected(self):
+        # f = x on the torus of revolution: the saddles at (+-1, 0, 0) are
+        # joined by both arcs of the inner equator, so the pair is not
+        # Morse-Smale
+        import dataclasses
+
+        from orbimorse.errors import BrokenFlowDetected
+
+        def morse(x):
+            x = np.asarray(x, dtype=float)
+            return x[..., 0].copy()
+
+        def morse_grad(x):
+            x = np.asarray(x, dtype=float)
+            g = np.zeros_like(x)
+            g[..., 0] = 1.0
+            return g
+
+        def morse_hess(x):
+            x = np.asarray(x, dtype=float)
+            return np.zeros(x.shape[:-1] + (3, 3))
+
+        surface = dataclasses.replace(
+            fn.torus_surface(), morse=morse, morse_grad=morse_grad,
+            morse_hess=morse_hess)
+        orbits = fn.find_critical_orbits(surface)
+        assert [o.index for o in orbits] == [2, 1, 1, 0]
+        with pytest.raises(BrokenFlowDetected):
+            fn.quotient_to_datum(surface, orbits)
+
 
 class TestEpsilonSphere:
     def test_four_orbits_two_unstable_poles(self, epsilon_run):
@@ -221,6 +267,7 @@ class TestEpsilonSphere:
 
     def test_quotient_homology(self, epsilon_run):
         datum = epsilon_run.datum
+        assert counts_of(datum) == EPSILON_COUNTS
         assert profile(homology(coinvariant_complex(datum))) == [
             (1, ()), (0, ()), (1, ())]
         groups = homology(invariant_complex(datum))
@@ -374,7 +421,7 @@ class TestAntipodalQuotient:
         assert all(o.stable for o in orbits)
         datum = fn.quotient_to_datum(surface, orbits)
         counts = {(f.source, f.target): f.count for f in datum.flows}
-        assert abs(counts[("max0", "saddle0")]) == 2
+        assert counts[("max0", "saddle0")] == 2
         assert counts[("saddle0", "min0")] == 0
         co = homology(coinvariant_complex(datum))
         assert profile(co) == [(1, ()), (0, (2,)), (0, ())]
@@ -389,6 +436,7 @@ class TestParameterRobustness:
         orbits = fn.find_critical_orbits(surface)
         stabilized, orbits = fn.stabilize_all(surface, orbits)
         datum = fn.quotient_to_datum(stabilized, orbits)
+        assert counts_of(datum) == EPSILON_COUNTS
         assert profile(homology(coinvariant_complex(datum))) == [
             (1, ()), (0, ()), (1, ())]
         groups = homology(invariant_complex(datum))
