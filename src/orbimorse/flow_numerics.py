@@ -4,14 +4,14 @@ a finite orthogonal symmetry group.
 The pipeline finds critical points by Newton iteration on the Lagrange
 system, groups them into group orbits, classifies index / stabilizer /
 stability, counts signed flow lines of the projected negative gradient by
-shooting from descending directions, and descends everything to a Morse
-datum for the quotient.
+following the descending and ascending branches of every saddle, and
+descends everything to a Morse datum for the quotient.
 
 All field callables are vectorized over a leading batch axis (positions of
-shape (n, 3)); trajectories are integrated as one batch and merged in
-initial-direction order, so parallel-style and serial runs produce
-identical output.  The metric is the induced Euclidean metric, which is
-automatically equivariant for an orthogonal group action.
+shape (n, 3)); the saddle branches are integrated as one batch in a fixed
+order, so runs produce identical output.  The metric is the induced
+Euclidean metric, which is automatically equivariant for an orthogonal
+group action.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ class Tolerances:
     seed_radii: tuple = (0.6, 1.0, 1.8, 2.6, 3.2)
     degeneracy_tol: float = 1e-7
     shoot_offset: float = 1e-5
-    shoot_directions: int = 720
-    bisect_width: float = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,20 +368,6 @@ def _velocity(surface, x):
     return -(gf - np.einsum("ij,ij->i", n, gf)[:, None] * n)
 
 
-def _flow_jacobian(surface, x):
-    """Derivative of the projected negative-gradient field at one point."""
-    x = x[None]
-    g = surface.level_grad(x)[0]
-    norm_g = np.linalg.norm(g)
-    n = g / norm_g
-    hf = surface.morse_hess(x)[0]
-    hF = surface.level_hess(x)[0]
-    gf = surface.morse_grad(x)[0]
-    projector = np.eye(3) - np.outer(n, n)
-    dn = projector @ hF / norm_g
-    return (-hf + np.outer(n, dn @ gf + hf @ n) + (n @ gf) * dn)
-
-
 def _tangent_basis(n):
     k = int(np.argmin(np.abs(n)))
     e = np.zeros(3)
@@ -646,55 +630,29 @@ def find_critical_orbits(surface, extra_seeds=None):
 # --------------------------------------------------------------------------
 # flow-line counting
 
-@dataclass
-class _TransportResult:
-    lift: int | None
-    frames: np.ndarray
-    velocity: np.ndarray
-    best_saddle: tuple | None  # (distance, lift, position, frames, velocity)
-
-
 class FlowLineCounter:
     """Counts signed flow lines between stable critical orbits.
 
-    Shooting starts from one representative per source orbit: every group
-    orbit of flow lines meets the chosen lift exactly once because
-    stabilizers are constant along flows and fix the descending directions
-    of a stable point.  Results are cached per source orbit.
+    On a surface every flow line between orbits of adjacent index is a
+    branch of a saddle's one-dimensional descending or ascending manifold,
+    so one census of 2 + 2 trajectories per saddle decides every count.
+    Counts start at one representative per source orbit: every group orbit
+    of flow lines meets the chosen lift exactly once because stabilizers
+    are constant along flows and fix the descending directions of a stable
+    point.  Signs are local because the linearized flow preserves the
+    orientation of the tangent plane.  The census is integrated as one
+    batch on the first count and cached.
     """
 
     def __init__(self, surface, orbits):
         self.surface = surface
         self.orbits = list(orbits)
         self.tols = surface.tolerances
-        positions = []
-        self.lift_orbit = []
-        self.lift_frame = []
-        self.lift_index = []
-        for oi, orbit in enumerate(self.orbits):
-            for p in orbit.points:
-                positions.append(p.position)
-                self.lift_orbit.append(oi)
-                self.lift_frame.append(p.negative_frame)
-                self.lift_index.append(p.index)
-        self.lift_positions = np.array(positions)
-        self.lift_orbit = np.array(self.lift_orbit)
-        self.lift_index = np.array(self.lift_index)
-        self.saddle_lifts = np.nonzero(self.lift_index == 1)[0]
-        if len(self.lift_positions) > 1:
-            diffs = self.lift_positions[:, None, :] - self.lift_positions[None, :, :]
-            dists = np.linalg.norm(diffs, axis=2)
-            np.fill_diagonal(dists, np.inf)
-            self._min_separation = float(dists.min())
-        else:
-            self._min_separation = np.inf
-        self.passage_radius = min(0.1, 0.3 * self._min_separation)
-        # a genuine separatrix evaluation approaches its saddle much closer
-        # than any grazing artifact, which by construction sits at the
-        # passage-ball boundary
-        self._approach_tol = 0.5 * self.passage_radius
-        # keep integration steps inside the stability region of the stiffest
-        # critical point (frame transport uses a midpoint rule, bound ~2)
+        self.lifts = [(oi, p) for oi, orbit in enumerate(self.orbits)
+                      for p in orbit.points]
+        self.lift_positions = np.array([p.position for _, p in self.lifts])
+        # RK4 damps a mode of decay rate k only for steps h with h k below
+        # ~2.8; keep every step inside that at the stiffest critical point
         stiffest = 0.0
         for orbit in self.orbits:
             _, eigvals, _, _, _ = _tangent_spectrum(
@@ -704,7 +662,7 @@ class FlowLineCounter:
         if stiffest > 0.0:
             dt_max = min(dt_max, 1.5 / stiffest)
         self._dt_max = dt_max
-        self._hits_cache = {}
+        self._census = None
 
     # -- public API --------------------------------------------------------
 
@@ -717,13 +675,15 @@ class FlowLineCounter:
                 f"cannot count flows between {source.label!r} and "
                 f"{target.label!r}: both orbits must be stable")
         if source.index - target.index != 1:
-            raise ValueError(
+            raise BadParams(
                 f"flow counting needs an index gap of exactly 1, got "
                 f"{source.index} -> {target.index}")
+        if self._census is None:
+            self._census = self._saddle_census()
         flag = (source.representative.orientation
                 * target.representative.orientation)
-        return flag * sum(sign for lift, sign in self._hits(fi)
-                          if self.lift_orbit[lift] == ti)
+        return flag * sum(sign for lift, sign in self._census[fi]
+                          if self.lifts[lift][0] == ti)
 
     def _orbit_index(self, orbit):
         for i, o in enumerate(self.orbits):
@@ -731,268 +691,107 @@ class FlowLineCounter:
                 return i
         raise KeyError(f"orbit {orbit!r} is not part of this counter")
 
-    # -- integration helpers ------------------------------------------------
+    # -- the census of saddle branches ---------------------------------------
 
-    def _step_sizes(self, speed):
-        return np.minimum(self.tols.integrate_step / np.maximum(speed, 1e-300),
-                          self._dt_max)
+    def _saddle_census(self):
+        """Per source orbit, the (target lift, sign) of every flow line
+        leaving its representative.
 
-    def _rk4(self, x, dt):
-        s = self.surface
-        k1 = _velocity(s, x)
-        k2 = _velocity(s, x + 0.5 * dt[:, None] * k1)
-        k3 = _velocity(s, x + 0.5 * dt[:, None] * k2)
-        k4 = _velocity(s, x + dt[:, None] * k3)
-        xn = x + dt[:, None] / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return _project_batch(s, xn, iters=2), k1
-
-    def _classify_batch(self, starts):
-        """Integrate a batch to its limiting critical lifts.
-
-        Returns one label per row: (lift, passages) where passages records,
-        in order, each saddle lift whose neighborhood the trajectory
-        crossed together with the sign of the unstable branch it left on.
-        The label is a locally constant function of the start within one
-        basin sector, so label changes bracket separatrices even when both
-        sectors drain to the same minimum.
+        Descending: both branches of each saddle representative along its
+        unstable vector u; a hit on the captured minimum lift carries the
+        branch sign.  Ascending: both branches of every saddle lift along
+        a = n x u; a branch ending on a maximum's representative is a line
+        from it into that saddle lift.  Its sign compares the maximum's
+        frame orientation sign((f0 x f1) . n) with sign((-+a) x u . n),
+        the arrival direction against u, which is +1 on the +a branch.
         """
+        s = self.surface
+        offset = self.tols.shoot_offset
+        starts, ascending, branches = [], [], []
+        for lift, (oi, p) in enumerate(self.lifts):
+            if p.index != 1:
+                continue
+            u = p.negative_frame[0]
+            g = s.level_grad(p.position)
+            a = np.cross(g / np.linalg.norm(g), u)
+            for sign in (1, -1):
+                if p is self.orbits[oi].representative:
+                    starts.append(p.position + sign * offset * u)
+                    ascending.append(False)
+                    branches.append((oi, lift, sign))
+                starts.append(p.position + sign * offset * a)
+                ascending.append(True)
+                branches.append((oi, lift, sign))
+        census = {oi: [] for oi in range(len(self.orbits))}
+        ascending = np.array(ascending)
+        ends = self._endpoints(_project_batch(s, np.array(starts), iters=10),
+                               np.where(ascending, -1.0, 1.0))
+        for (oi, lift, sign), up, end in zip(branches, ascending, ends):
+            ti, hit = self.lifts[end]
+            label = self.orbits[oi].label
+            if not up:
+                if hit.index >= 1:
+                    raise BrokenFlowDetected(
+                        f"descending trajectory of {label!r} limits to an"
+                        f" index-{hit.index} point: the pair is not"
+                        " Morse-Smale")
+                census[oi].append((int(end), sign))
+                continue
+            if hit.index <= 1:
+                raise BrokenFlowDetected(
+                    f"ascending trajectory of {label!r} limits to an"
+                    f" index-{hit.index} point: the pair is not Morse-Smale")
+            if hit is self.orbits[ti].representative:
+                f0, f1 = hit.negative_frame
+                g = s.level_grad(hit.position)
+                frame = 1 if np.cross(f0, f1) @ g > 0 else -1
+                census[ti].append((lift, frame * sign))
+        return census
+
+    def _endpoints(self, starts, direction):
+        """Follow each start along ``direction`` times the projected
+        negative gradient (+1 descends, -1 ascends) until it settles at a
+        critical lift, all rows as one RK4 batch; returns the lift per
+        start."""
+        s = self.surface
         x = np.array(starts, dtype=float)
-        b = x.shape[0]
-        finished = np.zeros(b, dtype=bool)
-        final_lift = np.full(b, -1, dtype=int)
-        passages = [[] for _ in range(b)]
-        saddles = self.saddle_lifts
-        inside = np.zeros((b, len(saddles)), dtype=bool)
+        ends = np.full(len(x), -1)
+        live = np.arange(len(x))
         escape = self.tols.escape_radius
-
         for _ in range(_MAX_STEPS):
-            speed_vec = _velocity(self.surface, x)
-            speed = np.linalg.norm(speed_vec, axis=1)
-            dt = self._step_sizes(speed)
-            dt[finished] = 0.0
-            xn, _ = self._rk4(x, dt)
-            x = np.where(finished[:, None], x, xn)
-
+            xl = x[live]
             dists = np.linalg.norm(
-                x[:, None, :] - self.lift_positions[None, :, :], axis=2)
+                xl[:, None, :] - self.lift_positions[None, :, :], axis=2)
             nearest = np.argmin(dists, axis=1)
-            dmin = dists[np.arange(b), nearest]
+            dmin = dists[np.arange(len(live)), nearest]
+            sign = direction[live, None]
+            k1 = sign * _velocity(s, xl)
+            speed = np.linalg.norm(k1, axis=1)
 
-            if len(saddles):
-                now_inside = dists[:, saddles] < self.passage_radius
-                exited = inside & ~now_inside & ~finished[:, None]
-                for row, col in zip(*np.nonzero(exited)):
-                    lift = saddles[col]
-                    u = self.lift_frame[lift][0]
-                    branch = 1 if (x[row] - self.lift_positions[lift]) @ u >= 0 else -1
-                    passages[row].append((int(lift), branch))
-                inside = now_inside
-
-            captured = ~finished & (dmin < _CAPTURE_RADIUS)
-            final_lift[captured] = nearest[captured]
-            finished |= captured
-
-            stalled = ~finished & (speed < _STALL_SPEED)
-            if np.any(stalled):
-                near = stalled & (dmin < self.tols.dedup_tol)
-                final_lift[near] = nearest[near]
-                finished |= near
-                if np.any(stalled & ~near):
-                    raise NonConvergentTrajectory(
-                        "a trajectory stalled away from every critical point")
-            if np.any(~finished & (np.linalg.norm(x, axis=1) > escape)):
+            stalled = (dmin >= _CAPTURE_RADIUS) & (speed < _STALL_SPEED)
+            if np.any(stalled & (dmin >= self.tols.dedup_tol)):
+                raise NonConvergentTrajectory(
+                    "a trajectory stalled away from every critical point")
+            done = (dmin < _CAPTURE_RADIUS) | stalled
+            ends[live[done]] = nearest[done]
+            keep = ~done
+            live, xl, sign, k1, speed = (
+                live[keep], xl[keep], sign[keep], k1[keep], speed[keep])
+            if not len(live):
+                return ends
+            if np.any(np.linalg.norm(xl, axis=1) > escape):
                 raise NonConvergentTrajectory("a trajectory escaped to"
                                               f" radius {escape}")
-            if finished.all():
-                break
-        else:
-            raise NonConvergentTrajectory(
-                "trajectories failed to settle within the step budget")
-        return [(int(final_lift[i]), tuple(passages[i])) for i in range(b)]
 
-    def _run_transport(self, start, frames):
-        """Single trajectory with the descending frame carried along by the
-        linearized flow, re-orthonormalized each step; tracks the closest
-        approach to any saddle lift."""
-        s = self.surface
-        x = np.array(start, dtype=float)
-        w = np.array(frames, dtype=float)
-        best = None
-        escape = self.tols.escape_radius
-
-        def renorm(x_now, w_now):
-            g = s.level_grad(x_now)
-            n = g / np.linalg.norm(g)
-            out = []
-            for v in w_now:
-                v = v - (v @ n) * n
-                for prev in out:
-                    v = v - (v @ prev) * prev
-                norm = np.linalg.norm(v)
-                if norm < 1e-12:
-                    raise NonConvergentTrajectory(
-                        "transported frame collapsed during integration")
-                out.append(v / norm)
-            return np.array(out)
-
-        w = renorm(x, w)
-        for _ in range(_MAX_STEPS):
-            v1 = _velocity(s, x[None])[0]
-            speed = float(np.linalg.norm(v1))
-            dt = float(self._step_sizes(np.array([speed]))[0])
-
-            dists = np.linalg.norm(self.lift_positions - x[None], axis=1)
-            nearest = int(np.argmin(dists))
-            dmin = float(dists[nearest])
-            for lift in self.saddle_lifts:
-                d = float(dists[lift])
-                if best is None or d < best[0]:
-                    best = (d, int(lift), x.copy(), w.copy(), v1.copy())
-
-            if dmin < _CAPTURE_RADIUS:
-                return _TransportResult(nearest, w, v1, best)
-            if speed < _STALL_SPEED:
-                if dmin < self.tols.dedup_tol:
-                    return _TransportResult(nearest, w, v1, best)
-                raise NonConvergentTrajectory(
-                    "transport trajectory stalled away from critical points")
-            if np.linalg.norm(x) > escape:
-                raise NonConvergentTrajectory("transport trajectory escaped")
-
-            # position step (RK4) together with a midpoint step on frames
-            dt_vec = np.array([dt])
-            xn, _ = self._rk4(x[None], dt_vec)
-            xmid = x + 0.5 * dt * v1
-            j0 = _flow_jacobian(s, x)
-            jm = _flow_jacobian(s, xmid)
-            w_half = w + 0.5 * dt * (w @ j0.T)
-            w = w + dt * (w_half @ jm.T)
-            x = xn[0]
-            w = renorm(x, w)
+            dt = np.minimum(self.tols.integrate_step / speed,
+                            self._dt_max)[:, None]
+            k2 = sign * _velocity(s, xl + 0.5 * dt * k1)
+            k3 = sign * _velocity(s, xl + 0.5 * dt * k2)
+            k4 = sign * _velocity(s, xl + dt * k3)
+            x[live] = _project_batch(
+                s, xl + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), iters=2)
         raise NonConvergentTrajectory(
-            "transport trajectory failed to settle within the step budget")
-
-    # -- descending-trajectory census per source orbit ----------------------
-
-    def _hits(self, orbit_index):
-        if orbit_index not in self._hits_cache:
-            orbit = self.orbits[orbit_index]
-            if orbit.index == 1:
-                hits = self._hits_from_saddle(orbit)
-            elif orbit.index == 2:
-                hits = self._hits_from_maximum(orbit)
-            else:
-                hits = ()
-            self._hits_cache[orbit_index] = hits
-        return self._hits_cache[orbit_index]
-
-    def _start_points(self, rep, directions):
-        starts = rep.position[None] + self.tols.shoot_offset * directions
-        return _project_batch(self.surface, starts, iters=10)
-
-    def _hits_from_saddle(self, orbit):
-        rep = orbit.representative
-        v = rep.negative_frame[0]
-        hits = []
-        for sgn in (1.0, -1.0):
-            start = self._start_points(rep, sgn * v[None])[0]
-            result = self._run_transport(start, rep.negative_frame)
-            if result.lift is None:
-                raise NonConvergentTrajectory("descending trajectory lost")
-            idx = self.lift_index[result.lift]
-            if idx >= orbit.index:
-                raise BrokenFlowDetected(
-                    f"descending trajectory of {orbit.label!r} limits to an"
-                    f" index-{idx} point: the pair is not Morse-Smale")
-            vhat = result.velocity / np.linalg.norm(result.velocity)
-            dot = float(result.frames[0] @ vhat)
-            if abs(dot) < 1e-6:
-                raise NonConvergentTrajectory(
-                    "transported frame is orthogonal to the arrival direction")
-            hits.append((int(result.lift), 1 if dot > 0 else -1))
-        return tuple(hits)
-
-    def _hits_from_maximum(self, orbit):
-        rep = orbit.representative
-        v1, v2 = rep.negative_frame
-        count = self.tols.shoot_directions
-
-        def directions(angles):
-            angles = np.asarray(angles, dtype=float)
-            return (np.cos(angles)[:, None] * v1[None]
-                    + np.sin(angles)[:, None] * v2[None])
-
-        def classify(angles):
-            starts = self._start_points(rep, directions(np.asarray(angles)))
-            return self._classify_batch(starts)
-
-        grid = np.arange(count) * (2.0 * np.pi / count)
-        labels = classify(grid)
-
-        separatrix_angles = []
-        brackets = []
-        for i in range(count):
-            j = (i + 1) % count
-            li, lj = labels[i], labels[j]
-            if self.lift_index[li[0]] == 1:
-                # the grid direction hit a separatrix dead-on
-                separatrix_angles.append(grid[i])
-                continue
-            if self.lift_index[lj[0]] == 1 or li == lj:
-                continue
-            lo = grid[i]
-            hi = grid[i] + 2.0 * np.pi / count
-            brackets.append((lo, hi, li, lj))
-
-        # refine all brackets in lockstep; a midpoint with a third label
-        # splits its bracket
-        target = self.tols.bisect_width
-        while brackets and max(hi - lo for lo, hi, _, _ in brackets) > target:
-            if len(brackets) > 64:
-                raise NonConvergentTrajectory(
-                    "basin boundary structure is finer than the shooting"
-                    " grid can resolve")
-            mids = [0.5 * (lo + hi) for lo, hi, _, _ in brackets]
-            mid_labels = classify(mids)
-            refined = []
-            for (lo, hi, li, lj), mid, lm in zip(brackets, mids, mid_labels):
-                if self.lift_index[lm[0]] == 1:
-                    separatrix_angles.append(mid)
-                elif lm == li:
-                    refined.append((mid, hi, lm, lj))
-                elif lm == lj:
-                    refined.append((lo, mid, li, lm))
-                else:
-                    refined.append((lo, mid, li, lm))
-                    refined.append((mid, hi, lm, lj))
-            brackets = refined
-        separatrix_angles.extend(0.5 * (lo + hi) for lo, hi, _, _ in brackets)
-        separatrix_angles.sort()
-
-        hits = []
-        for angle in separatrix_angles:
-            start = self._start_points(rep, directions([angle]))[0]
-            result = self._run_transport(start, rep.negative_frame)
-            if result.best_saddle is None:
-                raise NonConvergentTrajectory(
-                    "no saddle approach recorded on a separatrix trajectory")
-            dist, lift, pos, w, vel = result.best_saddle
-            if dist > self._approach_tol:
-                # label change without a saddle passage: a grazing artifact
-                continue
-            g = self.surface.level_grad(pos)
-            n = g / np.linalg.norm(g)
-            vhat = vel / np.linalg.norm(vel)
-            u = self.lift_frame[lift][0]
-            u = u - (u @ n) * n
-            u /= np.linalg.norm(u)
-            left = float(np.cross(w[0], w[1]) @ n)
-            right = float(np.cross(vhat, u) @ n)
-            if abs(right) < 1e-6 or abs(left) < 1e-6:
-                raise NonConvergentTrajectory(
-                    "degenerate orientation comparison at a saddle arrival")
-            hits.append((int(lift), 1 if left * right > 0 else -1))
-        return tuple(hits)
+            "trajectories failed to settle within the step budget")
 
 
 def count_flow_lines(surface, orbits, from_orbit, to_orbit):
@@ -1145,7 +944,6 @@ def quotient_to_datum(surface, orbits, counter=None):
         invariant_complex(datum)
     except BoundarySquaredNonzero as exc:
         raise BoundarySquaredNonzero(
-            "numerically counted flows are inconsistent; a separatrix "
-            "narrower than the shooting grid's angular resolution was "
-            f"probably missed ({exc})") from exc
+            "numerically counted flows are inconsistent; a saddle branch "
+            f"probably settled at the wrong critical point ({exc})") from exc
     return datum

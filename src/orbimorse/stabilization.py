@@ -19,6 +19,7 @@ from .errors import (
     PointNotFound,
     SphereCountMismatch,
     UnknownBuiltin,
+    ValidationFailure,
 )
 from .morse_datum import CriticalPointRecord, FlowCount, MorseDatum, validate
 
@@ -215,7 +216,9 @@ def stabilize_point(datum, local, sphere_datum):
     after = Fraction((-1) ** (lowered.index % 2), lowered.stab_order)
     for p in new_points:
         after += Fraction((-1) ** (p.index % 2), p.stab_order)
-    assert before == after, "Euler bookkeeping out of balance"
+    if before != after:
+        raise SphereCountMismatch(
+            f"Euler bookkeeping out of balance: {before} before, {after} after")
 
     points = tuple(lowered if p.id == point.id else p for p in datum.points)
     points += tuple(new_points)
@@ -236,7 +239,8 @@ def stabilize_point(datum, local, sphere_datum):
     result = MorseDatum(points=points, flows=kept + placeholders,
                         ambient_dimension=datum.ambient_dimension)
     report = validate(result)
-    assert report.ok, f"stabilized datum invalid: {report.violations}"
+    if not report.ok:
+        raise ValidationFailure(report)
     return StabilizationResult(
         datum=result,
         new_point_ids=tuple(p.id for p in new_points),

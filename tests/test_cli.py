@@ -268,11 +268,13 @@ class TestFlowCommand:
             {"schema_version": "1", "surface": {"kind": "moebius"}}), "bad.json")
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 1
 
-    def test_unknown_tolerance_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key", ["nope", "shoot_directions", "bisect_width"])
+    def test_unknown_tolerance_key(self, tmp_path, key):
         path = write_text(tmp_path, json.dumps(
             {"schema_version": "1",
              "surface": {"kind": "sphere"},
-             "tolerances": {"nope": 1}}), "badtol.json")
+             "tolerances": {key: 1}}), "badtol.json")
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
 
     def test_tolerance_override_applies(self, tmp_path, capsys):

@@ -122,7 +122,7 @@ class TestSphere:
     def test_gap_two_count_refused(self):
         surface = fn.sphere_surface()
         orbits = fn.find_critical_orbits(surface)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParams):
             fn.count_flow_lines(surface, orbits, orbits[0], orbits[1])
 
     def test_euler_mismatch_detected(self):
@@ -420,9 +420,14 @@ class TestAntipodalQuotient:
             (2, 1, 2), (1, 1, 2), (0, 1, 2)]
         assert all(o.stable for o in orbits)
         datum = fn.quotient_to_datum(surface, orbits)
-        counts = {(f.source, f.target): f.count for f in datum.flows}
+        counts = counts_of(datum)
         assert counts[("max0", "saddle0")] == 2
         assert counts[("saddle0", "min0")] == 0
+        # swapping the maximum's two frame vectors reverses its orientation
+        for point in orbits[0].points:
+            point.negative_frame = point.negative_frame[::-1].copy()
+        swapped = counts_of(fn.quotient_to_datum(surface, orbits))
+        assert swapped[("max0", "saddle0")] == -2
         co = homology(coinvariant_complex(datum))
         assert profile(co) == [(1, ()), (0, (2,)), (0, ())]
         reference = simplicial_homology(builtin_space("rp2"))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbimorse import stabilization
 from orbimorse.errors import (
     BadParams,
     DimensionMismatch,
@@ -10,10 +11,13 @@ from orbimorse.errors import (
     PointNotFound,
     SphereCountMismatch,
     UnknownBuiltin,
+    ValidationFailure,
 )
 from orbimorse.morse_datum import (
     CriticalPointRecord,
     MorseDatum,
+    ValidationReport,
+    Violation,
     orbifold_euler,
     underlying_euler,
     validate,
@@ -180,6 +184,16 @@ class TestStabilizePoint:
                 MorseDatum(points=(CriticalPointRecord("p", 2, 2, stable=False),),
                            flows=()),
                 UnstableLocalData("p", 0, 2, 2), wrong_dim)
+
+    def test_invalid_result_raises(self, monkeypatch):
+        # the validity check must survive python -O, so it is a raise
+        failing = ValidationReport((Violation("forced", "rejected"),))
+        monkeypatch.setattr(stabilization, "validate", lambda datum: failing)
+        seed = teardrop_seed(3)
+        h = builtin_sphere_datum("cyclic_rotation_circle", 3)
+        with pytest.raises(ValidationFailure) as info:
+            stabilize_point(seed, local_data_for(seed, "p", h), h)
+        assert info.value.report is failing
 
 
 def random_sphere_datum(rng):
