@@ -98,24 +98,25 @@ def verify_complex(complex_):
     """Check that consecutive boundary maps compose to zero.
 
     Returns a verdict; on failure the witnesses name the upper degree and
-    one nonzero entry of the composition.
+    the first nonzero entry of the composition in row-major order.  The
+    verdict is stored on the (immutable) complex, so the products are
+    formed once per complex however often it is verified.
     """
+    stored = complex_.__dict__.get("_verdict")
+    if stored is not None:
+        return stored
     failures = []
     for k in range(1, len(complex_.generators)):
         product = complex_.boundaries[k - 1] @ complex_.boundaries[k]
-        if not product.is_zero():
-            witness = None
-            for i in range(product.rows):
-                for j in range(product.cols):
-                    if product[i, j] != 0:
-                        witness = BoundaryWitness(
-                            degree=complex_.min_degree + k,
-                            row=i, col=j, value=product[i, j])
-                        break
-                if witness:
-                    break
-            failures.append(witness)
-    return ComplexVerdict(ok=not failures, failures=tuple(failures))
+        first = next((i for i, x in enumerate(product.entries) if x), None)
+        if first is not None:
+            row, col = divmod(first, product.cols)
+            failures.append(BoundaryWitness(
+                degree=complex_.min_degree + k, row=row, col=col,
+                value=product.entries[first]))
+    verdict = ComplexVerdict(ok=not failures, failures=tuple(failures))
+    object.__setattr__(complex_, "_verdict", verdict)
+    return verdict
 
 
 def homology(complex_):

@@ -62,6 +62,12 @@ def _as_int(value, context):
     return value
 
 
+def _as_list(value, context):
+    if not isinstance(value, list):
+        raise ParseError(f"{context}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def datum_from_json(text):
     try:
         data = json.loads(text)
@@ -78,7 +84,7 @@ def datum_from_json(text):
         ambient = _as_int(ambient, "ambient_dimension")
 
     points = []
-    for i, raw in enumerate(data["points"]):
+    for i, raw in enumerate(_as_list(data["points"], "points")):
         _require_keys(raw, ("id", "index", "stab"), ("stable",), f"points[{i}]")
         stable = raw.get("stable", True)
         if not isinstance(stable, bool):
@@ -90,7 +96,7 @@ def datum_from_json(text):
             stable=stable))
 
     flows = []
-    for i, raw in enumerate(data["flows"]):
+    for i, raw in enumerate(_as_list(data["flows"], "flows")):
         _require_keys(raw, ("from", "to", "count"), (), f"flows[{i}]")
         count = raw["count"]
         if count == "unknown":
@@ -156,9 +162,7 @@ def load_surface_file(path):
         overrides = data["tolerances"]
         valid = {f.name for f in
                  flow_numerics.Tolerances.__dataclass_fields__.values()}
-        for key in overrides:
-            if key not in valid:
-                raise ParseError(f"tolerances: unknown key {key!r}")
+        _require_keys(overrides, (), valid, "tolerances")
         tolerances = flow_numerics.Tolerances(**overrides)
     try:
         return flow_numerics.surface_from_spec(

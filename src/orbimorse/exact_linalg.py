@@ -3,12 +3,18 @@ boundary maps.
 
 Everything here runs on Python's arbitrary-precision integers: invariant
 factors blow up quickly during reduction, so fixed-width arithmetic is not
-an option.  Matrices are immutable; all functions are pure.
+an option.  Matrices are immutable; all functions are pure.  A matrix's
+Smith decomposition is computed once and stored on the matrix it came
+from, so later calls on the same matrix (``rank`` and
+``smith_normal_form`` of one boundary map) reuse it; the stored result
+lives exactly as long as that matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
 
 from .errors import DimensionMismatch, NotAComplex
 
@@ -41,9 +47,10 @@ class IntegerMatrix:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols}"
                 f" entries, got {len(self.entries)}")
-        for x in self.entries:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise DimensionMismatch(f"non-integer entry {x!r}")
+        if not {int}.issuperset(map(type, self.entries)):
+            for x in self.entries:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise DimensionMismatch(f"non-integer entry {x!r}")
 
     @classmethod
     def from_rows(cls, rows_data):
@@ -52,7 +59,7 @@ class IntegerMatrix:
         cols = len(rows_data[0]) if rows else 0
         if any(len(r) != cols for r in rows_data):
             raise DimensionMismatch("ragged row lengths")
-        return cls(rows, cols, tuple(x for r in rows_data for x in r))
+        return cls(rows, cols, tuple(chain.from_iterable(rows_data)))
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -85,12 +92,20 @@ class IntegerMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        # Sparse in both factors: row i of the product adds x * y at
+        # column j for each nonzero x = self[i, k] and y = other[k, j].
+        width = other.cols
+        right = [[(j, y) for j, y in enumerate(other.row(k)) if y]
+                 for k in range(other.rows)]
         out = []
         for i in range(self.rows):
-            lrow = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(lrow[k] * other[k, j] for k in range(self.cols)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
+            acc = [0] * width
+            for x, nonzero in zip(self.row(i), right):
+                if x:
+                    for j, y in nonzero:
+                        acc[j] += x * y
+            out.extend(acc)
+        return IntegerMatrix(self.rows, width, tuple(out))
 
     def is_zero(self):
         return all(x == 0 for x in self.entries)
@@ -174,13 +189,27 @@ def smith_normal_form(matrix):
 
     Pivot rule: smallest nonzero absolute value in the remaining block,
     ties broken by row-major position.  This keeps entry growth moderate
-    and makes the output deterministic.
+    and makes the output deterministic.  The decomposition is stored on
+    ``matrix`` (immutable, so it cannot go stale) and returned as is by
+    later calls on the same matrix.
     """
+    stored = matrix.__dict__.get("_smith")
+    if stored is None:
+        stored = _eliminate(matrix)
+        object.__setattr__(matrix, "_smith", stored)
+    return stored
+
+
+def _eliminate(matrix):
+    """The elimination behind ``smith_normal_form``, run once per matrix."""
     m, n = matrix.rows, matrix.cols
     a = matrix.to_rows()
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    # V is kept transposed, so its column operations are row operations.
+    vt = [[int(i == j) for j in range(n)] for i in range(n)]
 
+    # Rows above the current pivot t are zero in every column >= t, and
+    # column operations only touch columns >= t, so they skip those rows.
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
@@ -188,42 +217,30 @@ def smith_normal_form(matrix):
 
     def swap_cols(i, j):
         if i != j:
-            for r in a:
+            for r in a[t:]:
                 r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
+            vt[i], vt[j] = vt[j], vt[i]
 
     def add_row(dst, src, k):
         # row dst += k * row src, mirrored on U
         if k:
-            ad, asrc = a[dst], a[src]
-            for j in range(n):
-                ad[j] += k * asrc[j]
-            ud, usrc = u[dst], u[src]
-            for j in range(m):
-                ud[j] += k * usrc[j]
+            a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+            u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, k):
         # col dst += k * col src, mirrored on V
         if k:
-            for r in a:
-                r[dst] += k * r[src]
-            for r in v:
-                r[dst] += k * r[src]
+            for r in a[t:]:
+                if r[src]:
+                    r[dst] += k * r[src]
+            vt[dst] = [x + k * y for x, y in zip(vt[dst], vt[src])]
 
     for t in range(min(m, n)):
-        # choose the pivot
-        best = None
-        for i in range(t, m):
-            ai = a[i]
-            for j in range(t, n):
-                x = ai[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
+        best = _pivot(a, t, m, n)
         if best is None:
             break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
 
         while True:
             dirty = False
@@ -247,16 +264,7 @@ def smith_normal_form(matrix):
             if dirty:
                 continue
             # cross is clear; force the pivot to divide the rest of the block
-            offender = None
-            p = a[t][t]
-            for i in range(t + 1, m):
-                ai = a[i]
-                for j in range(t + 1, n):
-                    if ai[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = _first_not_divisible(a, t, m)
             if offender is None:
                 break
             add_row(t, offender, 1)
@@ -270,9 +278,37 @@ def smith_normal_form(matrix):
     return SmithDecomposition(
         U=IntegerMatrix.from_rows(u) if m else IntegerMatrix.zeros(0, 0),
         D=d,
-        V=IntegerMatrix.from_rows(v) if n else IntegerMatrix.zeros(0, 0),
+        V=IntegerMatrix.from_rows(zip(*vt)) if n else IntegerMatrix.zeros(0, 0),
         invariant_factors=factors,
     )
+
+
+def _pivot(a, t, m, n):
+    """Position of the smallest nonzero absolute value in the block right
+    of and below (t, t), first in row-major order; None if it is zero."""
+    best = at = None
+    for i in range(t, m):
+        ai = a[i]
+        for j in range(t, n):
+            x = ai[j]
+            if x and (best is None or abs(x) < best):
+                best, at = abs(x), (i, j)
+                if best == 1:       # no nonzero entry is smaller
+                    return at
+    return at
+
+
+def _first_not_divisible(a, t, m):
+    """First row below t with an entry right of t that the pivot a[t][t]
+    does not divide, or None."""
+    p = a[t][t]
+    if abs(p) == 1:
+        return None
+    for i in range(t + 1, m):
+        # p divides every entry of the row iff it divides their gcd
+        if gcd(*a[i][t + 1:]) % p:
+            return i
+    return None
 
 
 def rank(matrix):

@@ -45,6 +45,33 @@ class TestVerify:
         assert witness.degree == 2
         assert witness.value == 1
 
+        # several nonzeros, none at (0, 0): the witness is the first in
+        # row-major order of d1 @ d2 == [[0, 0, 0], [0, 0, 5], [0, -2, 7]]
+        d1 = IntegerMatrix.from_rows([[0, 0], [1, 0], [0, 1]])
+        d2 = IntegerMatrix.from_rows([[0, 0, 5], [0, -2, 7]])
+        c = FreeChainComplex(
+            3,
+            (("a", "b", "c"), ("d", "e"), ("f", "g", "h")),
+            (IntegerMatrix.zeros(0, 3), d1, d2))
+        (witness,) = verify_complex(c).failures
+        assert (witness.degree, witness.row, witness.col, witness.value) == (
+            5, 1, 2, 5)
+
+    def test_verdict_is_formed_once_per_complex(self, bean, monkeypatch):
+        products = []
+        real = IntegerMatrix.__matmul__
+
+        def counted(left, right):
+            products.append((left, right))
+            return real(left, right)
+
+        monkeypatch.setattr(IntegerMatrix, "__matmul__", counted)
+        complex_ = coinvariant_complex(bean)
+        first = verify_complex(complex_)
+        assert verify_complex(complex_) is first
+        assert first.ok
+        assert len(products) == len(complex_.boundaries) - 1
+
     def test_shape_mismatch_raises_at_construction(self):
         with pytest.raises(ShapeMismatch):
             FreeChainComplex(
@@ -81,6 +108,27 @@ class TestHomology:
              IntegerMatrix.from_rows([[1]])))
         with pytest.raises(NotAComplex):
             homology(c)
+
+    def test_one_elimination_per_boundary(self, monkeypatch):
+        from orbimorse import exact_linalg
+        from orbimorse.simplicial_oracle import torus_complex
+
+        eliminated = []
+        real = exact_linalg._eliminate
+
+        def counted(matrix):
+            eliminated.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+        complex_ = torus_complex().chain_complex()
+        groups = homology(complex_)
+        assert [(g.betti, g.torsion) for g in groups] == [
+            (1, ()), (2, ()), (1, ())]
+        for boundary in complex_.boundaries:
+            assert sum(m is boundary for m in eliminated) == 1
+        # besides the boundaries, only the zero map into the top degree
+        assert len(eliminated) == len(complex_.boundaries) + 1
 
     def test_empty_complex(self):
         c = FreeChainComplex(0, (), ())

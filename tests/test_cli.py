@@ -68,6 +68,16 @@ class TestDatumFiles:
                  "points": [{"id": "a", "index": 0, "stab": 1}],
                  "flows": [{"from": "a", "to": "a", "count": True}]}))
 
+    @pytest.mark.parametrize("points,flows", [
+        (5, []), ([], 5), ([], None), (None, []), ({"a": 1}, []), ([], "ab"),
+    ])
+    def test_malformed_containers(self, tmp_path, capsys, points, flows):
+        path = write_text(tmp_path, json.dumps(
+            {"schema_version": "1", "points": points, "flows": flows}),
+            "bad.json")
+        assert main(["homology", path]) == 2
+        assert "parse error" in capsys.readouterr().err
+
     def test_sphere_spec_parsing(self):
         assert parse_sphere_datum_spec("two_points_swap") == ("two_points_swap", ())
         assert parse_sphere_datum_spec("cyclic_rotation_circle(3)") == (
@@ -276,6 +286,15 @@ class TestFlowCommand:
              "surface": {"kind": "sphere"},
              "tolerances": {key: 1}}), "badtol.json")
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("tolerances", [5, None, "seed_count", [1]])
+    def test_malformed_tolerances(self, tmp_path, capsys, tolerances):
+        path = write_text(tmp_path, json.dumps(
+            {"schema_version": "1",
+             "surface": {"kind": "sphere"},
+             "tolerances": tolerances}), "badtol.json")
+        assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
+        assert "parse error: tolerances" in capsys.readouterr().err
 
     def test_tolerance_override_applies(self, tmp_path, capsys):
         path = write_text(tmp_path, json.dumps(

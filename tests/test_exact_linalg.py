@@ -103,12 +103,20 @@ class TestSmithNormalForm:
                     assert product == abs(det)
 
     def test_deterministic(self):
+        # A distinct equal matrix, since the decomposition of ``m`` itself
+        # is stored on it and a second call returns that same object.
         rng = random.Random(7)
         for _ in range(25):
             m = random_matrix(rng)
             first = smith_normal_form(m)
-            second = smith_normal_form(m)
+            second = smith_normal_form(IntegerMatrix(m.rows, m.cols, m.entries))
             assert first == second
+
+    def test_decomposition_is_stored_on_the_matrix(self):
+        m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
+        assert smith_normal_form(m) is smith_normal_form(m)
+        assert rank(m) == 2
+        assert m == IntegerMatrix.from_rows([[2, 4], [6, 8]])
 
 
 class TestRank:
@@ -143,6 +151,31 @@ class TestIntegerMatrix:
         b = IntegerMatrix.zeros(3, 2)
         with pytest.raises(DimensionMismatch):
             a @ b
+
+    def test_matmul_against_triple_loop(self):
+        def naive(a, b):
+            return IntegerMatrix.from_rows(
+                [[sum(a[i, k] * b[k, j] for k in range(a.cols))
+                  for j in range(b.cols)] for i in range(a.rows)]
+            ) if a.rows else IntegerMatrix.zeros(0, b.cols)
+
+        def sample(rng, rows, cols, density):
+            return IntegerMatrix(rows, cols, tuple(
+                rng.randint(-9, 9) if rng.random() < density else 0
+                for _ in range(rows * cols)))
+
+        rng = random.Random(31)
+        for _ in range(300):
+            m, k, n = (rng.randint(1, 7) for _ in range(3))
+            density = rng.choice((0.0, 0.1, 0.3, 1.0))
+            a = sample(rng, m, k, density)
+            b = sample(rng, k, n, rng.choice((0.1, 0.5, 1.0)))
+            assert a @ b == naive(a, b)
+        for m, k, n in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)]:
+            a = sample(rng, m, k, 1.0)
+            b = sample(rng, k, n, 1.0)
+            product = a @ b
+            assert product == naive(a, b) == IntegerMatrix.zeros(m, n)
 
     def test_determinant(self):
         assert IntegerMatrix.from_rows([[2, 4], [6, 8]]).determinant() == -8

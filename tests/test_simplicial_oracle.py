@@ -80,6 +80,17 @@ class TestSuspension:
             for k in range(dim + 1):
                 assert shifted[k + 1] == reduced[k]
 
+    @pytest.mark.parametrize("space,reduced", [
+        (torus_complex, [(0, ()), (2, ()), (1, ())]),
+        (projective_plane, [(0, ()), (0, (2,)), (0, ())]),
+    ])
+    def test_double_suspension(self, space, reduced):
+        # reduced homology shifted up two degrees, plus H_0 = Z
+        twice = suspension(suspension(space()))
+        assert twice.dimension() == 4
+        assert profile(simplicial_homology(twice)) == [
+            (1, ()), (0, ())] + reduced
+
     def test_apex_collision_avoided(self):
         # vertices already named like the default apexes must not collide
         K = SimplicialComplex.from_facets([("apexN",), ("apexS",)])
