@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -65,6 +66,14 @@ def _as_int(value, context):
 def _as_list(value, context):
     if not isinstance(value, list):
         raise ParseError(f"{context}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _as_positive(value, context):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ParseError(
+            f"{context}: expected a positive number, got {value!r}")
     return value
 
 
@@ -159,16 +168,37 @@ def load_surface_file(path):
         raise ParseError("group must be a list of generator names")
     tolerances = None
     if "tolerances" in data:
-        overrides = data["tolerances"]
-        valid = {f.name for f in
-                 flow_numerics.Tolerances.__dataclass_fields__.values()}
-        _require_keys(overrides, (), valid, "tolerances")
-        tolerances = flow_numerics.Tolerances(**overrides)
+        tolerances = flow_numerics.Tolerances(
+            **_tolerance_overrides(data["tolerances"]))
     try:
         return flow_numerics.surface_from_spec(
             surface["kind"], surface.get("params"), tuple(group), tolerances)
     except TypeError as exc:
         raise ParseError(f"bad surface parameters: {exc}") from None
+
+
+def _tolerance_overrides(overrides):
+    """Checked Tolerances fields of a surface file: seed_count a positive
+    integer, seed_radii a non-empty list of positive numbers, every other
+    field a positive (finite) number."""
+    valid = {f.name for f in
+             flow_numerics.Tolerances.__dataclass_fields__.values()}
+    _require_keys(overrides, (), valid, "tolerances")
+    checked = {}
+    for key, value in overrides.items():
+        context = f"tolerances.{key}"
+        if key == "seed_count":
+            if _as_int(value, context) < 1:
+                raise ParseError(
+                    f"{context}: expected a positive integer, got {value!r}")
+        elif key == "seed_radii":
+            if not _as_list(value, context):
+                raise ParseError(f"{context}: expected a non-empty list")
+            value = tuple(_as_positive(r, context) for r in value)
+        else:
+            _as_positive(value, context)
+        checked[key] = value
+    return checked
 
 
 # --------------------------------------------------------------------------

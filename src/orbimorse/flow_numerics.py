@@ -60,7 +60,12 @@ _MAX_STEPS = 20000
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric thresholds; defaults assume unit-scale surfaces in double
-    precision."""
+    precision.
+
+    ``integrate_step`` is the arc length a census trajectory advances per
+    RK4 step; near critical points, where the flow slows down, only the
+    RK4 stability bound at the stiffest critical point limits the step.
+    """
 
     newton_tol: float = 1e-12
     dedup_tol: float = 1e-6
@@ -95,14 +100,14 @@ class ImplicitQuotientSurface:
 class NumericCriticalPoint:
     """One lift of a critical point: position, Morse index, stabilizer
     elements (indices into the group), an orthonormal frame spanning the
-    descending directions, and the chosen orientation sign of that frame."""
+    descending directions, both tangent-Hessian eigenvalues (ascending),
+    and the chosen orientation sign of the frame."""
 
     position: np.ndarray
     index: int
-    multiplier: float
     stab_elements: tuple
     negative_frame: np.ndarray
-    neg_eigenvalues: tuple
+    eigenvalues: tuple
     stable: bool
     orientation: int = 1
 
@@ -461,17 +466,22 @@ def _newton_critical_points(surface, seeds):
     return x[ok]
 
 
-def _dedup(points, tol):
+def _first_of_clusters(points, tol):
+    """Indices, ascending, of the points a greedy pass in input order keeps:
+    a point is dropped when it lies within ``tol`` of an earlier kept one."""
+    free = np.ones(len(points), dtype=bool)
     kept = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) < tol for q in kept):
-            kept.append(p)
-    return kept
+    while free.any():
+        i = int(np.argmax(free))
+        kept.append(i)
+        free &= np.linalg.norm(points - points[i], axis=1) >= tol
+    return np.array(kept, dtype=int)
 
 
-def _tangent_spectrum(surface, pos):
-    """Eigen-decomposition of the Hessian of f - lambda F restricted to
-    the tangent plane at a critical point."""
+def _tangent_data(surface, pos):
+    """Eigenvalues (ascending) of the Hessian of f - lambda F restricted to
+    the tangent plane at a critical point, and the descending frame: one
+    canonically signed unit vector per negative eigenvalue."""
     x = np.asarray(pos, dtype=float)
     g = surface.level_grad(x)
     n = g / np.linalg.norm(g)
@@ -483,25 +493,13 @@ def _tangent_spectrum(surface, pos):
                   [t2 @ h @ t1, t2 @ h @ t2]])
     m = 0.5 * (m + m.T)
     eigvals, eigvecs = np.linalg.eigh(m)
-    return lam, eigvals, eigvecs, t1, t2
-
-
-def _tangent_data(surface, pos):
-    """Index, negative-eigenvalue list, and descending frame at a critical
-    point."""
-    lam, eigvals, eigvecs, t1, t2 = _tangent_spectrum(surface, pos)
     if np.min(np.abs(eigvals)) < surface.tolerances.degeneracy_tol:
         raise DegenerateCritical(
             f"tangent-Hessian eigenvalue {eigvals} below tolerance at {pos}")
-    frame = []
-    negs = []
-    for k in range(2):
-        if eigvals[k] < 0:
-            vec = eigvecs[0, k] * t1 + eigvecs[1, k] * t2
-            frame.append(_canonical_sign(vec / np.linalg.norm(vec)))
-            negs.append(float(eigvals[k]))
-    frame = np.array(frame) if frame else np.zeros((0, 3))
-    return len(negs), lam, tuple(negs), frame
+    frame = [_canonical_sign(vec / np.linalg.norm(vec))
+             for vec in (eigvecs[0, k] * t1 + eigvecs[1, k] * t2
+                         for k in range(2) if eigvals[k] < 0)]
+    return tuple(float(e) for e in eigvals), np.array(frame).reshape(-1, 3)
 
 
 def _stab_elements(surface, pos):
@@ -538,69 +536,49 @@ def find_critical_orbits(surface, extra_seeds=None):
                                axis=0)
 
     found = _newton_critical_points(surface, seeds)
-    points = _dedup(list(found), tols.dedup_tol)
+    points = found[_first_of_clusters(found, tols.dedup_tol)]
 
     # Close the set under the group action: the image of a critical point
     # under an invariance is a critical point exactly.
-    closed = list(points)
-    for p in points:
-        for g in surface.group:
-            q = g @ p
-            if not any(np.linalg.norm(q - r) < tols.dedup_tol for r in closed):
-                closed.append(q)
+    group = np.array(surface.group)
+    closed = np.concatenate(
+        [points, np.einsum("gij,pj->pgi", group, points).reshape(-1, 3)])
+    closed = closed[_first_of_clusters(closed, tols.dedup_tol)]
 
-    # partition into orbits
+    # Partition into orbits: the first uncovered point in sorted order is a
+    # representative, the distinct points of [rep; g @ rep] are its lifts.
     identity_index = next(
         (i for i, g in enumerate(surface.group)
          if np.max(np.abs(g - np.eye(3))) < tols.stab_tol), None)
     if identity_index is None:
         raise BadParams("the group does not contain the identity")
-    remaining = sorted(closed, key=lambda p: tuple(np.round(p, 9)))
-    orbits_raw = []
-    while remaining:
-        rep = remaining.pop(0)
-        lift_positions = [rep]
-        lift_elems = [identity_index]
-        for gi, g in enumerate(surface.group):
-            q = g @ rep
-            if np.linalg.norm(q - rep) < tols.dedup_tol:
-                continue
-            if not any(np.linalg.norm(q - r) < tols.dedup_tol
-                       for r in lift_positions):
-                lift_positions.append(q)
-                lift_elems.append(gi)
-        still = []
-        for p in remaining:
-            if any(np.linalg.norm(p - q) < tols.dedup_tol for q in lift_positions):
-                continue
-            still.append(p)
-        remaining = still
-        orbits_raw.append((lift_positions, lift_elems))
-
+    closed = closed[np.lexsort(np.round(closed, 9).T[::-1])]
+    covered = np.zeros(len(closed), dtype=bool)
     orbits = []
-    for lift_positions, lift_elems in orbits_raw:
-        index, lam, negs, frame = _tangent_data(surface, lift_positions[0])
-        rep_stab = _stab_elements(surface, lift_positions[0])
-        stable = _is_stable(surface, rep_stab, frame)
-        pts = []
-        for pos, gi in zip(lift_positions, lift_elems):
-            g = surface.group[gi]
-            pts.append(NumericCriticalPoint(
-                position=np.array(pos, dtype=float),
-                index=index,
-                multiplier=lam,
-                stab_elements=_stab_elements(surface, pos),
-                negative_frame=frame @ g.T,
-                neg_eigenvalues=negs,
-                stable=stable,
-                orientation=1,
-            ))
-        if len(pts) * len(pts[0].stab_elements) != len(surface.group):
+    while not covered.all():
+        rep = closed[np.argmax(~covered)]
+        candidates = np.concatenate([rep[None], group @ rep])
+        keep = _first_of_clusters(candidates, tols.dedup_tol)
+        lift_positions = candidates[keep]
+        lift_elems = (identity_index, *(int(k) - 1 for k in keep[1:]))
+        covered |= np.any(np.linalg.norm(
+            closed[:, None] - lift_positions[None], axis=2) < tols.dedup_tol,
+            axis=1)
+
+        eigenvalues, frame = _tangent_data(surface, rep)
+        stabs = [_stab_elements(surface, pos) for pos in lift_positions]
+        stable = _is_stable(surface, stabs[0], frame)
+        pts = [NumericCriticalPoint(
+            position=pos.copy(), index=len(frame), stab_elements=stab,
+            negative_frame=frame @ group[gi].T,
+            eigenvalues=eigenvalues, stable=stable)
+            for pos, gi, stab in zip(lift_positions, lift_elems, stabs)]
+        if len(pts) * len(stabs[0]) != len(surface.group):
             raise NonConvergentTrajectory(
                 "orbit size times stabilizer order does not equal the group"
                 " order; duplicate-merge tolerance is inconsistent")
         orbits.append(CriticalOrbit(label="", points=pts,
-                                    lift_elements=tuple(lift_elems)))
+                                    lift_elements=lift_elems))
 
     # Euler-characteristic sanity check over all lifts upstairs.
     if surface.euler_characteristic is not None:
@@ -653,15 +631,9 @@ class FlowLineCounter:
         self.lift_positions = np.array([p.position for _, p in self.lifts])
         # RK4 damps a mode of decay rate k only for steps h with h k below
         # ~2.8; keep every step inside that at the stiffest critical point
-        stiffest = 0.0
-        for orbit in self.orbits:
-            _, eigvals, _, _, _ = _tangent_spectrum(
-                surface, orbit.representative.position)
-            stiffest = max(stiffest, float(np.max(np.abs(eigvals))))
-        dt_max = 10.0 * self.tols.integrate_step
-        if stiffest > 0.0:
-            dt_max = min(dt_max, 1.5 / stiffest)
-        self._dt_max = dt_max
+        stiffest = max((abs(e) for orbit in self.orbits
+                        for e in orbit.representative.eigenvalues), default=0.0)
+        self._dt_max = 1.5 / stiffest if stiffest > 0.0 else np.inf
         self._census = None
 
     # -- public API --------------------------------------------------------
@@ -835,7 +807,7 @@ def stabilize_numeric(surface, point, orbits, width=None, amplitude=None):
         d = d[d > 1e-9]
         nearest = min(nearest, float(d.min()))
 
-    lam = abs(min(point.neg_eigenvalues))
+    lam = abs(min(point.eigenvalues))
     if width is None:
         width = 0.25 * nearest
     if width > 0.5 * nearest:

@@ -296,6 +296,22 @@ class TestFlowCommand:
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
         assert "parse error: tolerances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"seed_count": "abc"}, {"seed_count": 0}, {"seed_count": 2.5},
+        {"seed_count": True}, {"seed_radii": 3}, {"seed_radii": []},
+        {"seed_radii": [1.0, -2.0]}, {"seed_radii": [1.0, "x"]},
+        {"newton_tol": None}, {"integrate_step": -0.02},
+        {"dedup_tol": 0}, {"escape_radius": False}, {"stab_tol": "1e-8"},
+        {"degeneracy_tol": float("nan")},
+    ])
+    def test_bad_tolerance_values(self, tmp_path, capsys, overrides):
+        path = write_text(tmp_path, json.dumps(
+            {"schema_version": "1",
+             "surface": {"kind": "sphere"},
+             "tolerances": overrides}), "badtol.json")
+        assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
+        assert "parse error: tolerances." in capsys.readouterr().err
+
     def test_tolerance_override_applies(self, tmp_path, capsys):
         path = write_text(tmp_path, json.dumps(
             {"schema_version": "1",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from orbimorse.chain_complex import homology
 from orbimorse.errors import (
     BadParams,
     BumpTooWide,
+    NonConvergentTrajectory,
     SeedGridExhausted,
     UnstableEndpoint,
     UnsupportedProfile,
@@ -446,3 +448,44 @@ class TestParameterRobustness:
             (1, ()), (0, ()), (1, ())]
         groups = homology(invariant_complex(datum))
         assert (groups[0].betti, groups[0].torsion) == (1, (2,))
+
+
+class TestGroupOrder:
+    def test_identity_last(self, epsilon_run):
+        # the identity index of each orbit's representative is looked up,
+        # not assumed to be 0
+        base = fn.epsilon_sphere_surface()
+        surface = dataclasses.replace(base, group=base.group[::-1])
+        assert np.array_equal(surface.group[-1], np.eye(3))
+        pre_orbits = fn.find_critical_orbits(surface)
+        stabilized, orbits = fn.stabilize_all(surface, pre_orbits)
+        for orbit in pre_orbits + orbits:
+            assert np.array_equal(surface.group[orbit.lift_elements[0]],
+                                  np.eye(3))
+        assert fn.quotient_to_datum(stabilized, orbits) == epsilon_run.datum
+
+
+class TestCensusWork:
+    def test_step_budget_exhausted(self, monkeypatch):
+        surface = fn.torus_surface(tilt=0.25)
+        orbits = fn.find_critical_orbits(surface)
+        monkeypatch.setattr(fn, "_MAX_STEPS", 3)
+        with pytest.raises(NonConvergentTrajectory, match="step budget"):
+            fn.quotient_to_datum(surface, orbits)
+
+    def test_torus_census_step_count(self, monkeypatch):
+        # every census step evaluates the velocity four times (RK4); the
+        # step cap is the RK4 stability bound at the stiffest critical
+        # point, so slow modes near the saddles take long steps
+        surface = fn.torus_surface(tilt=0.25)
+        orbits = fn.find_critical_orbits(surface)
+        calls = []
+        velocity = fn._velocity
+
+        def counted(surface, x):
+            calls.append(len(x))
+            return velocity(surface, x)
+
+        monkeypatch.setattr(fn, "_velocity", counted)
+        fn.quotient_to_datum(surface, orbits)
+        assert len(calls) <= 4 * 600
