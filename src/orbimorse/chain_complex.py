@@ -75,6 +75,28 @@ class FreeChainComplex:
                     f"boundary out of degree {self.min_degree + k} has "
                     f"{b.rows} rows, expected {expected_rows}")
 
+    @classmethod
+    def from_incidences(cls, generators, incidences):
+        """Complex from degree 0 with ``generators[k]`` the labels in degree
+        k.  Each incidence ``(degree, source, target, value)`` puts ``value``
+        at the row of ``target`` one degree down and the column of
+        ``source``; every other entry is zero.  Labels need only be unique
+        within their degree."""
+        gens = [tuple(labels) for labels in generators]
+        where = [{label: i for i, label in enumerate(labels)} for labels in gens]
+        rows = [0] + [len(labels) for labels in gens[:-1]]
+        entries = [[0] * (r * len(labels)) for r, labels in zip(rows, gens)]
+        for degree, source, target, value in incidences:
+            if not (0 < degree < len(gens) and source in where[degree]
+                    and target in where[degree - 1]):
+                raise ShapeMismatch(
+                    f"incidence {source!r} -> {target!r} out of degree "
+                    f"{degree} does not join two generators")
+            entries[degree][where[degree - 1][target] * len(gens[degree])
+                            + where[degree][source]] = value
+        return cls(0, gens, [IntegerMatrix(r, len(labels), tuple(flat))
+                             for r, labels, flat in zip(rows, gens, entries)])
+
     @property
     def max_degree(self):
         return self.min_degree + len(self.generators) - 1

@@ -170,9 +170,18 @@ def load_surface_file(path):
     if "tolerances" in data:
         tolerances = flow_numerics.Tolerances(
             **_tolerance_overrides(data["tolerances"]))
+    params = surface.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError(
+            f"surface.params: expected an object, got {type(params).__name__}")
+    for key, value in params.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ParseError(
+                f"surface.params.{key}: expected a finite number, got {value!r}")
     try:
         return flow_numerics.surface_from_spec(
-            surface["kind"], surface.get("params"), tuple(group), tolerances)
+            surface["kind"], params, tuple(group), tolerances)
     except TypeError as exc:
         raise ParseError(f"bad surface parameters: {exc}") from None
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     BadParams,
+    BoundarySquaredNonzero,
     BrokenFlowDetected,
     BumpTooWide,
     DegenerateCritical,
@@ -31,7 +32,14 @@ from .errors import (
     UnstableEndpoint,
     UnsupportedProfile,
 )
-from .morse_datum import CriticalPointRecord, FlowCount, MorseDatum, validate
+from .morse_datum import (
+    CriticalPointRecord,
+    FlowCount,
+    MorseDatum,
+    coinvariant_complex,
+    invariant_complex,
+    validate,
+)
 
 __all__ = [
     "Tolerances",
@@ -523,9 +531,9 @@ def find_critical_orbits(surface, extra_seeds=None):
     group orbits, classified by index, stabilizer, and stability.
 
     Seeds come from a deterministic spherical grid at several radii; the
-    alternating count of the points found must reproduce the surface's
-    Euler characteristic, otherwise the grid missed a point and
-    SeedGridExhausted is raised.
+    points found must include a minimum and a maximum, and their
+    alternating count must reproduce the surface's Euler characteristic,
+    otherwise the grid missed a point and SeedGridExhausted is raised.
     """
     check_surface(surface)
     tols = surface.tolerances
@@ -579,6 +587,15 @@ def find_critical_orbits(surface, extra_seeds=None):
                 " order; duplicate-merge tolerance is inconsistent")
         orbits.append(CriticalOrbit(label="", points=pts,
                                     lift_elements=lift_elems))
+
+    # A Morse function on a closed surface has a minimum and a maximum.
+    missing = [name for index, name in ((0, "minimum"), (2, "maximum"))
+               if not any(o.index == index for o in orbits)]
+    if missing:
+        raise SeedGridExhausted(
+            f"no {' and no '.join(missing)} found among "
+            f"{len(orbits)} critical orbits; a Morse function on a closed "
+            f"surface has both")
 
     # Euler-characteristic sanity check over all lifts upstairs.
     if surface.euler_characteristic is not None:
@@ -889,9 +906,6 @@ def quotient_to_datum(surface, orbits, counter=None):
     orbit with the stabilizer order of its lifts, and one signed count per
     index-gap-1 pair of orbits.  The result is checked: it must validate
     and both of its boundary operators must square to zero."""
-    from .morse_datum import coinvariant_complex, invariant_complex
-    from .errors import BoundarySquaredNonzero
-
     unstable = sorted(o.label for o in orbits if not o.stable)
     if unstable:
         raise UnstableEndpoint(f"unstable points: {', '.join(unstable)}")

@@ -19,7 +19,6 @@ from .errors import (
     UnstablePoint,
     ValidationFailure,
 )
-from .exact_linalg import IntegerMatrix
 
 __all__ = [
     "CriticalPointRecord",
@@ -84,13 +83,6 @@ class MorseDatum:
 
     def has_point(self, point_id):
         return any(p.id == point_id for p in self.points)
-
-    def max_index(self):
-        return max((p.index for p in self.points), default=-1)
-
-    def flow_map(self):
-        """Counts keyed by (source, target); absent pairs count as zero."""
-        return {(f.source, f.target): f.count for f in self.flows}
 
 
 @dataclass(frozen=True)
@@ -186,33 +178,24 @@ def _require_computable(datum):
         raise UnstablePoint(f"critical points not stable: {unstable}")
 
 
-def _build_complex(datum, weight):
-    """Assemble the graded boundary matrices, weighting each flow count by
-    ``weight(source_point, target_point)``."""
-    top = datum.max_index()
-    degrees = range(0, top + 1) if top >= 0 else range(0)
-    by_degree = {k: [p for p in datum.points if p.index == k] for k in degrees}
-    counts = datum.flow_map()
+def _boundaries(datum, weight):
+    """Unverified complex with one incidence per flow, its count weighted
+    by ``weight(source_point, target_point, count)``; generators keep the
+    datum's point order within each degree."""
+    by_id = {p.id: p for p in datum.points}
+    generators = [[] for _ in range(max((p.index + 1 for p in datum.points),
+                                        default=0))]
+    for p in datum.points:
+        generators[p.index].append(p.id)
+    incidences = []
+    for f in datum.flows:
+        p, q = by_id[f.source], by_id[f.target]
+        incidences.append((p.index, p.id, q.id, weight(p, q, f.count)))
+    return FreeChainComplex.from_incidences(generators, incidences)
 
-    generators = []
-    boundaries = []
-    for k in degrees:
-        here = by_degree[k]
-        below = by_degree[k - 1] if k > 0 else []
-        rows = []
-        for q in below:
-            row = []
-            for p in here:
-                c = counts.get((p.id, q.id), 0)
-                row.append(weight(p, q, c))
-            rows.append(row)
-        generators.append([p.id for p in here])
-        if rows:
-            matrix = IntegerMatrix.from_rows(rows)
-        else:
-            matrix = IntegerMatrix.zeros(0, len(here))
-        boundaries.append(matrix)
-    complex_ = FreeChainComplex(0, tuple(generators), tuple(boundaries))
+
+def _build_complex(datum, weight):
+    complex_ = _boundaries(datum, weight)
     verdict = verify_complex(complex_)
     if not verdict:
         w = verdict.failures[0]
@@ -222,26 +205,31 @@ def _build_complex(datum, weight):
     return complex_
 
 
+def _raw_count(p, q, c):
+    return c
+
+
+def _stabilizer_ratio(p, q, c):
+    """Count ``c`` of the flow p -> q times stab(q) / stab(p)."""
+    num = c * q.stab_order
+    if num % p.stab_order != 0:
+        raise NonIntegralCoefficient(
+            f"{c} * {q.stab_order} / {p.stab_order} is not an integer "
+            f"for flow {p.id!r} -> {q.id!r}")
+    return num // p.stab_order
+
+
 def coinvariant_complex(datum):
     """Chain complex whose boundary entries are the raw signed counts."""
     _require_computable(datum)
-    return _build_complex(datum, lambda p, q, c: c)
+    return _build_complex(datum, _raw_count)
 
 
 def invariant_complex(datum):
     """Chain complex weighting each count by the stabilizer-order ratio
     of target over source; divisibility makes every entry an integer."""
     _require_computable(datum)
-
-    def weight(p, q, c):
-        num = c * q.stab_order
-        if num % p.stab_order != 0:
-            raise NonIntegralCoefficient(
-                f"{c} * {q.stab_order} / {p.stab_order} is not an integer "
-                f"for flow {p.id!r} -> {q.id!r}")
-        return num // p.stab_order
-
-    return _build_complex(datum, weight)
+    return _build_complex(datum, _stabilizer_ratio)
 
 
 def orbifold_euler(datum):
@@ -290,30 +278,25 @@ def ratio_identity_check(datum):
     For every ordered pair (p, r) with index gap 2 the entry of the squared
     invariant boundary times stab(p) must equal the entry of the squared
     coinvariant boundary times stab(r).  This holds for arbitrary integer
-    counts, not just those with vanishing boundary squared, so the sums are
-    evaluated directly from the datum.
+    counts, not just those with vanishing boundary squared, so the squares
+    are formed from boundaries that are not verified.
     """
     _require_computable(datum)
-    counts = datum.flow_map()
-
-    def c(a, b):
-        return counts.get((a.id, b.id), 0)
-
+    raw = _boundaries(datum, _raw_count)
+    co, inv = raw.boundaries, _boundaries(datum, _stabilizer_ratio).boundaries
+    squares = {k: (co[k - 1] @ co[k], inv[k - 1] @ inv[k])
+               for k in range(2, len(co))}
+    position = {label: i for labels in raw.generators
+                for i, label in enumerate(labels)}
     entries = []
     for p in datum.points:
         for r in datum.points:
             if p.index - r.index != 2:
                 continue
-            co = 0
-            inv = 0
-            for q in datum.points:
-                if q.index != p.index - 1:
-                    continue
-                co += c(p, q) * c(q, r)
-                inv += ((c(p, q) * q.stab_order // p.stab_order)
-                        * (c(q, r) * r.stab_order // q.stab_order))
+            co_square, inv_square = squares[p.index]
+            at = (position[r.id], position[p.id])
             entries.append(RatioIdentityEntry(
                 source=p.id, target=r.id,
-                invariant_side=inv * p.stab_order,
-                coinvariant_side=co * r.stab_order))
+                invariant_side=inv_square[at] * p.stab_order,
+                coinvariant_side=co_square[at] * r.stab_order))
     return RatioIdentityReport(tuple(entries))

@@ -13,7 +13,6 @@ from itertools import combinations
 
 from .chain_complex import FreeChainComplex, euler_characteristic, homology
 from .errors import InvalidComplex
-from .exact_linalg import IntegerMatrix
 
 __all__ = [
     "SimplicialComplex",
@@ -70,23 +69,15 @@ class SimplicialComplex:
         return [len(self.simplices(k)) for k in range(self.dimension() + 1)]
 
     def chain_complex(self):
-        dim = self.dimension()
-        levels = [self.simplices(k) for k in range(dim + 1)]
-        generators = []
-        boundaries = []
-        for k, simplices in enumerate(levels):
-            generators.append(tuple("|".join(s) for s in simplices))
-            if k == 0:
-                boundaries.append(IntegerMatrix.zeros(0, len(simplices)))
-                continue
-            below = {s: i for i, s in enumerate(levels[k - 1])}
-            rows = [[0] * len(simplices) for _ in levels[k - 1]]
-            for j, simplex in enumerate(simplices):
-                for drop in range(k + 1):
-                    face = simplex[:drop] + simplex[drop + 1:]
-                    rows[below[face]][j] = (-1) ** (drop % 2)
-            boundaries.append(IntegerMatrix.from_rows(rows))
-        return FreeChainComplex(0, tuple(generators), tuple(boundaries))
+        """Simplicial chain complex: the k-simplex s has the incidence
+        (-1)^d on the face that drops its d-th vertex."""
+        levels = [self.simplices(k) for k in range(self.dimension() + 1)]
+        incidences = [(k, "|".join(s), "|".join(s[:d] + s[d + 1:]), (-1) ** d)
+                      for k in range(1, len(levels)) for s in levels[k]
+                      for d in range(k + 1)]
+        return FreeChainComplex.from_incidences(
+            [["|".join(s) for s in simplices] for simplices in levels],
+            incidences)
 
 
 def simplicial_homology(complex_):

@@ -81,6 +81,36 @@ class TestVerify:
             FreeChainComplex(0, (("a", "a"),), (IntegerMatrix.zeros(0, 2),))
 
 
+class TestFromIncidences:
+    def test_places_each_value_at_target_row_and_source_column(self):
+        c = FreeChainComplex.from_incidences(
+            [["a", "b", "c"], ["e", "f"], ["t"]],
+            [(1, "f", "c", 3), (1, "e", "a", -1), (2, "t", "f", 2)])
+        assert c == FreeChainComplex(
+            0, (("a", "b", "c"), ("e", "f"), ("t",)),
+            (IntegerMatrix.zeros(0, 3),
+             IntegerMatrix.from_rows([[-1, 0], [0, 0], [0, 3]]),
+             IntegerMatrix.from_rows([[0], [2]])))
+
+    def test_labels_are_looked_up_within_their_degree(self):
+        c = FreeChainComplex.from_incidences(
+            [["x", "y"], ["y", "x"]], [(1, "x", "y", 5)])
+        assert c.boundary(1).to_rows() == [[0, 0], [0, 5]]
+
+    def test_empty_and_gapped_degrees(self):
+        assert FreeChainComplex.from_incidences([], []).generators == ()
+        c = FreeChainComplex.from_incidences([["a"], [], ["t"]], [])
+        assert [(b.rows, b.cols) for b in c.boundaries] == [
+            (0, 1), (1, 0), (0, 1)]
+
+    @pytest.mark.parametrize("incidence", [
+        (0, "a", "a", 1), (2, "e", "a", 1), (-1, "a", "e", 1),
+        (1, "e", "nope", 1), (1, "nope", "a", 1), (1, "a", "e", 1)])
+    def test_incidence_outside_the_complex_raises(self, incidence):
+        with pytest.raises(ShapeMismatch):
+            FreeChainComplex.from_incidences([["a"], ["e", "a"]], [incidence])
+
+
 class TestHomology:
     def test_zero_boundaries_ranks(self):
         c = complex_with_zero_boundaries((1, 0, 1))

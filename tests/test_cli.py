@@ -312,6 +312,17 @@ class TestFlowCommand:
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
         assert "parse error: tolerances." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", [
+        {"tilt": "abc"}, {"tilt": None}, {"epsilon": "x"}, {"tilt": True},
+        [["tilt", 0.3]], {"tilt": 1e400}, {"tilt": float("nan")}, "tilt",
+    ])
+    def test_bad_surface_params(self, tmp_path, capsys, params):
+        path = write_text(tmp_path, json.dumps(
+            {"schema_version": "1",
+             "surface": {"kind": "torus", "params": params}}), "badparams.json")
+        assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
+        assert "parse error: surface.params" in capsys.readouterr().err
+
     def test_tolerance_override_applies(self, tmp_path, capsys):
         path = write_text(tmp_path, json.dumps(
             {"schema_version": "1",

@@ -135,6 +135,13 @@ class TestSphere:
         with pytest.raises(SeedGridExhausted):
             fn.find_critical_orbits(surface)
 
+    def test_empty_critical_set_detected(self):
+        # Newton never meets a residual of 1e-300, so no point is found; the
+        # Euler count 0 matches the torus, the missing extrema do not
+        surface = fn.torus_surface(tolerances=fn.Tolerances(newton_tol=1e-300))
+        with pytest.raises(SeedGridExhausted, match="no minimum and no maximum"):
+            fn.find_critical_orbits(surface)
+
 
 class TestTorus(object):
     def test_four_points_at_analytic_positions(self, torus_run):

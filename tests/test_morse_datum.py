@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbimorse import morse_datum
 from orbimorse.chain_complex import homology
 from orbimorse.errors import (
     BoundarySquaredNonzero,
@@ -22,6 +23,8 @@ from orbimorse.morse_datum import (
     underlying_euler,
     validate,
 )
+from orbimorse.simplicial_oracle import projective_plane, suspension
+from conftest import make_bean
 
 
 def rules_of(report):
@@ -291,3 +294,99 @@ class TestIntegralityProperty:
             except BoundarySquaredNonzero:
                 pass
             built += 1
+
+
+def reference_ratio_entries(datum):
+    """The ratio identity's two sides as a triple sum over middle points."""
+    counts = {(f.source, f.target): f.count for f in datum.flows}
+
+    def c(a, b):
+        return counts.get((a.id, b.id), 0)
+
+    entries = []
+    for p in datum.points:
+        for r in datum.points:
+            if p.index - r.index != 2:
+                continue
+            co = inv = 0
+            for q in datum.points:
+                if q.index == p.index - 1:
+                    co += c(p, q) * c(q, r)
+                    inv += ((c(p, q) * q.stab_order // p.stab_order)
+                            * (c(q, r) * r.stab_order // q.stab_order))
+            entries.append((p.id, r.id, inv * p.stab_order, co * r.stab_order))
+    return entries
+
+
+def double_suspension_datum():
+    """One point per simplex of the double suspension of RP^2 (287 points),
+    stabilizer order 2^(top - index), counts the simplicial boundary signs."""
+    space = suspension(suspension(projective_plane()))
+    top = space.dimension()
+    simplices = [s for k in range(top + 1) for s in space.simplices(k)]
+    points = [CriticalPointRecord("|".join(s), len(s) - 1,
+                                  2 ** (top - len(s) + 1)) for s in simplices]
+    flows = [FlowCount("|".join(s), "|".join(s[:d] + s[d + 1:]), (-1) ** d)
+             for s in simplices if len(s) > 1 for d in range(len(s))]
+    return MorseDatum(points, flows)
+
+
+def shuffled(datum, rng):
+    """The same datum with its points and flows in random order."""
+    return MorseDatum(rng.sample(datum.points, len(datum.points)),
+                      rng.sample(datum.flows, len(datum.flows)))
+
+
+class TestBoundariesFromFlows:
+    def test_ratio_entries_equal_the_triple_sum(self):
+        rng, order = random.Random(424242), random.Random(7)
+        checked = 0
+        while checked < 100:
+            datum = random_valid_layered_datum(rng)
+            if not validate(datum).ok:
+                continue
+            for d in (datum, shuffled(datum, order)):
+                report = ratio_identity_check(d)
+                assert [(e.source, e.target, e.invariant_side,
+                         e.coinvariant_side) for e in report.entries] == (
+                    reference_ratio_entries(d))
+            checked += 1
+
+    @pytest.mark.parametrize("make", [make_bean, double_suspension_datum],
+                             ids=["bean", "double-suspension-rp2"])
+    def test_weighting_runs_once_per_flow(self, monkeypatch, make):
+        datum = make()
+        real = morse_datum._stabilizer_ratio
+        calls = []
+
+        def counted(p, q, c):
+            calls.append((p.id, q.id))
+            return real(p, q, c)
+
+        monkeypatch.setattr(morse_datum, "_stabilizer_ratio", counted)
+        invariant_complex(datum)
+        assert sorted(calls) == sorted((f.source, f.target)
+                                       for f in datum.flows)
+
+    def test_entries_are_the_flow_counts(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 100:
+            datum = random_valid_layered_datum(rng)
+            if len({p.index for p in datum.points}) != 2 or not validate(datum):
+                continue
+            checked += 1
+            datum = shuffled(datum, rng)
+            counts = {(f.source, f.target): f.count for f in datum.flows}
+            order = {p.id: p.stab_order for p in datum.points}
+            co, inv = coinvariant_complex(datum), invariant_complex(datum)
+            assert co.generators == inv.generators == tuple(
+                tuple(p.id for p in datum.points if p.index == k)
+                for k in (0, 1))
+            assert co.boundary(0).rows == inv.boundary(0).rows == 0
+            for i, target in enumerate(co.generators[0]):
+                for j, source in enumerate(co.generators[1]):
+                    c = counts.get((source, target), 0)
+                    assert co.boundary(1)[i, j] == c
+                    assert inv.boundary(1)[i, j] == (
+                        c * order[target] // order[source])
