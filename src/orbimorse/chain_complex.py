@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAComplex, ShapeMismatch
-from .exact_linalg import HomologyGroup, IntegerMatrix, homology_at
+from .exact_linalg import (HomologyGroup, IntegerMatrix, composition,
+                           homology_at)
 
 __all__ = [
     "FreeChainComplex",
@@ -122,16 +123,19 @@ def verify_complex(complex_):
     Returns a verdict; on failure the witnesses name the upper degree and
     the first nonzero entry of the composition in row-major order.  The
     verdict is stored on the (immutable) complex, so the products are
-    formed once per complex however often it is verified.
+    formed once per complex however often it is verified, and each pair
+    found to compose to zero is recorded (``composition``), so
+    ``homology`` does not form its product again.
     """
     stored = complex_.__dict__.get("_verdict")
     if stored is not None:
         return stored
     failures = []
     for k in range(1, len(complex_.generators)):
-        product = complex_.boundaries[k - 1] @ complex_.boundaries[k]
-        first = next((i for i, x in enumerate(product.entries) if x), None)
-        if first is not None:
+        product = composition(complex_.boundaries[k - 1],
+                              complex_.boundaries[k])
+        if not product.is_zero():
+            first = next(i for i, x in enumerate(product.entries) if x)
             row, col = divmod(first, product.cols)
             failures.append(BoundaryWitness(
                 degree=complex_.min_degree + k, row=row, col=col,

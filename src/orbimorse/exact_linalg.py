@@ -7,12 +7,15 @@ an option.  Matrices are immutable; all functions are pure.  A matrix's
 Smith decomposition is computed once and stored on the matrix it came
 from, so later calls on the same matrix (``rank`` and
 ``smith_normal_form`` of one boundary map) reuse it; the stored result
-lives exactly as long as that matrix.
+lives exactly as long as that matrix.  Homology reads only invariant
+factors, which are canonical, so they come from a sparse elimination that
+pivots wherever it likes; the documented pivot rule governs only U, D and
+V, computed on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
 
@@ -24,6 +27,7 @@ __all__ = [
     "HomologyGroup",
     "smith_normal_form",
     "rank",
+    "composition",
     "homology_at",
 ]
 
@@ -81,11 +85,6 @@ class IntegerMatrix:
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self):
-        return IntegerMatrix(
-            self.cols, self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
-
     def __matmul__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
@@ -108,7 +107,7 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, width, tuple(out))
 
     def is_zero(self):
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
     def diagonal(self):
         return [self[i, i] for i in range(min(self.rows, self.cols))]
@@ -145,15 +144,54 @@ class IntegerMatrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D diagonal, the nonzero
-    diagonal entries positive and forming a divisibility chain."""
+    diagonal entries positive and forming a divisibility chain.
 
-    U: IntegerMatrix
-    D: IntegerMatrix
-    V: IntegerMatrix
-    invariant_factors: tuple
+    Holds the shape and entries of A, not A itself, which stores this
+    object.  ``invariant_factors`` is computed when the decomposition is
+    made.  U, D and V follow the pivot rule of ``smith_normal_form``; the
+    first read of any of them runs that elimination and stores all three.
+    """
+
+    rows: int
+    cols: int
+    entries: tuple = field(repr=False)
+    invariant_factors: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "invariant_factors", _factors_only(
+            self.rows, self.cols, self.entries))
+
+    def _transforms(self):
+        stored = self.__dict__.get("_udv")
+        if stored is None:
+            stored = _eliminate(IntegerMatrix(self.rows, self.cols,
+                                              self.entries))
+            object.__setattr__(self, "_udv", stored)
+        return stored
+
+    @property
+    def U(self):
+        return self._transforms()[0]
+
+    @property
+    def D(self):
+        return self._transforms()[1]
+
+    @property
+    def V(self):
+        return self._transforms()[2]
+
+    def __eq__(self, other):
+        if not isinstance(other, SmithDecomposition):
+            return NotImplemented
+        return (self.invariant_factors == other.invariant_factors
+                and self._transforms() == other._transforms())
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.invariant_factors))
 
 
 @dataclass(frozen=True)
@@ -187,21 +225,109 @@ class HomologyGroup:
 def smith_normal_form(matrix):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Pivot rule: smallest nonzero absolute value in the remaining block,
-    ties broken by row-major position.  This keeps entry growth moderate
-    and makes the output deterministic.  The decomposition is stored on
-    ``matrix`` (immutable, so it cannot go stale) and returned as is by
-    later calls on the same matrix.
+    The invariant factors are canonical, so they come from a sparse
+    elimination free to pivot anywhere (``_factors_only``).  U, D and V
+    are computed on first read under a fixed pivot rule: smallest nonzero
+    absolute value in the remaining block, ties broken by row-major
+    position.  This keeps entry growth moderate and makes them
+    deterministic.  The decomposition is stored on ``matrix`` (immutable,
+    so it cannot go stale) and returned as is by later calls on the same
+    matrix.
     """
     stored = matrix.__dict__.get("_smith")
     if stored is None:
-        stored = _eliminate(matrix)
+        stored = SmithDecomposition(matrix.rows, matrix.cols, matrix.entries)
         object.__setattr__(matrix, "_smith", stored)
     return stored
 
 
+def _factors_only(rows, cols, entries):
+    """Invariant factors of the ``rows`` x ``cols`` matrix with these
+    row-major entries, by sparse elimination without transforms.
+
+    Rows are dicts ``{col: value}`` and ``where[col]`` holds the rows with
+    a nonzero there.  A pivot p that divides every entry of its row and
+    column splits the matrix as (p) + A': row operations clear its column,
+    the column operations that would clear its row touch no other row,
+    and |p| is recorded.  Units go first, each row taking the unit whose
+    column is sparsest (a unit pivot is an algebraic Morse pair); then
+    any dividing entry.  A block left with none goes through
+    ``_eliminate``.  The recorded diagonal is then put into a divisibility
+    chain by (gcd, lcm) passes.
+    """
+    a = {}
+    where = [set() for _ in range(cols)]
+    for i in range(rows):
+        row = {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols])
+               if x}
+        if row:
+            a[i] = row
+            for j in row:
+                where[j].add(i)
+    diagonal = []
+
+    def pivot(i, j):
+        row = a.pop(i)
+        for c in row:
+            where[c].discard(i)
+        p = row[j]
+        column, where[j] = where[j], set()
+        for r in column:
+            target = a[r]
+            k = target[j] // p
+            for c, x in row.items():
+                y = target.get(c, 0) - k * x
+                if y:
+                    if c not in target:
+                        where[c].add(r)
+                    target[c] = y
+                else:
+                    del target[c]
+                    where[c].discard(r)
+            if not target:
+                del a[r]
+        return abs(p)
+
+    for i in range(rows):
+        row = a.get(i)
+        if row:
+            ones = [j for j, x in row.items() if x == 1 or x == -1]
+            if ones:
+                sparsest = min(ones, key=lambda j: len(where[j]))
+                diagonal.append(pivot(i, sparsest))
+
+    progress = True
+    while progress:
+        progress = False
+        for i in list(a):
+            row = a.get(i)
+            if not row:
+                continue
+            g = gcd(*row.values())
+            for j, x in row.items():
+                if abs(x) == g and all(a[r][j] % g == 0 for r in where[j]):
+                    diagonal.append(pivot(i, j))
+                    progress = True
+                    break
+
+    if a:
+        left = sorted(j for j in range(cols) if where[j])
+        block = IntegerMatrix.from_rows(
+            [[row.get(j, 0) for j in left] for row in a.values()])
+        diagonal.extend(_eliminate(block)[3])
+
+    # units need no pass: they head the chain as they are
+    others = [p for p in diagonal if p != 1]
+    for s in range(len(others)):
+        for t in range(s + 1, len(others)):
+            d = gcd(others[s], others[t])
+            others[s], others[t] = d, others[s] // d * others[t]
+    return (1,) * (len(diagonal) - len(others)) + tuple(others)
+
+
 def _eliminate(matrix):
-    """The elimination behind ``smith_normal_form``, run once per matrix."""
+    """The elimination behind U, D and V: returns them and the invariant
+    factors, in that order."""
     m, n = matrix.rows, matrix.cols
     a = matrix.to_rows()
     u = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -275,12 +401,10 @@ def _eliminate(matrix):
 
     d = IntegerMatrix.from_rows(a) if m else IntegerMatrix.zeros(0, n)
     factors = tuple(a[i][i] for i in range(min(m, n)) if a[i][i] != 0)
-    return SmithDecomposition(
-        U=IntegerMatrix.from_rows(u) if m else IntegerMatrix.zeros(0, 0),
-        D=d,
-        V=IntegerMatrix.from_rows(zip(*vt)) if n else IntegerMatrix.zeros(0, 0),
-        invariant_factors=factors,
-    )
+    return (IntegerMatrix.from_rows(u) if m else IntegerMatrix.zeros(0, 0),
+            d,
+            IntegerMatrix.from_rows(zip(*vt)) if n else IntegerMatrix.zeros(0, 0),
+            factors)
 
 
 def _pivot(a, t, m, n):
@@ -316,18 +440,33 @@ def rank(matrix):
     return len(smith_normal_form(matrix).invariant_factors)
 
 
+def composition(boundary_out, boundary_in):
+    """``boundary_out @ boundary_in``.  When it is zero, that is recorded
+    on ``boundary_out`` (immutable, so it cannot go stale), and
+    ``homology_at`` of the pair does not form the product again."""
+    product = boundary_out @ boundary_in
+    if product.is_zero():
+        seen = boundary_out.__dict__.get("_zero_after", ())
+        object.__setattr__(boundary_out, "_zero_after", seen + (boundary_in,))
+    return product
+
+
 def homology_at(boundary_out, boundary_in, degree=0):
     """Homology ker(boundary_out) / im(boundary_in) over the integers.
 
     ``boundary_out`` maps the middle group down; ``boundary_in`` maps into
     it, so ``boundary_in.rows`` must equal ``boundary_out.cols`` and the
-    composition must vanish.
+    composition must vanish.  The product is formed here unless it is
+    empty or ``composition`` already found it zero.
     """
     if boundary_in.rows != boundary_out.cols:
         raise DimensionMismatch(
             f"boundary_in has {boundary_in.rows} rows but boundary_out has"
             f" {boundary_out.cols} columns")
-    if not (boundary_out @ boundary_in).is_zero():
+    if (boundary_out.rows and boundary_in.cols
+            and not any(m is boundary_in
+                        for m in boundary_out.__dict__.get("_zero_after", ()))
+            and not (boundary_out @ boundary_in).is_zero()):
         raise NotAComplex("boundary_out @ boundary_in is nonzero")
     snf_in = smith_normal_form(boundary_in)
     rank_in = len(snf_in.invariant_factors)

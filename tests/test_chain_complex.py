@@ -144,21 +144,48 @@ class TestHomology:
         from orbimorse.simplicial_oracle import torus_complex
 
         eliminated = []
-        real = exact_linalg._eliminate
+        real = exact_linalg._factors_only
 
-        def counted(matrix):
-            eliminated.append(matrix)
-            return real(matrix)
+        def counted(rows, cols, entries):
+            eliminated.append((rows, cols, entries))
+            return real(rows, cols, entries)
 
-        monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+        monkeypatch.setattr(exact_linalg, "_factors_only", counted)
         complex_ = torus_complex().chain_complex()
         groups = homology(complex_)
         assert [(g.betti, g.torsion) for g in groups] == [
             (1, ()), (2, ()), (1, ())]
         for boundary in complex_.boundaries:
-            assert sum(m is boundary for m in eliminated) == 1
+            assert sum(e is boundary.entries
+                       and (r, c) == (boundary.rows, boundary.cols)
+                       for r, c, e in eliminated) == 1
         # besides the boundaries, only the zero map into the top degree
         assert len(eliminated) == len(complex_.boundaries) + 1
+
+    def test_no_transforms_are_computed(self, bean, monkeypatch):
+        from orbimorse import exact_linalg
+        from orbimorse.simplicial_oracle import torus_complex
+
+        def refused(matrix):
+            raise AssertionError("homology computed U, D and V")
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", refused)
+        assert [(g.betti, g.torsion) for g in homology(
+            torus_complex().chain_complex())] == [(1, ()), (2, ()), (1, ())]
+        assert [(g.betti, g.torsion) for g in homology(
+            invariant_complex(bean))] == [(1, (2,)), (0, ()), (1, ())]
+
+    def test_verified_complex_forms_no_product(self, bean, monkeypatch):
+        complex_ = invariant_complex(bean)
+        assert verify_complex(complex_).ok
+
+        def refused(left, right):
+            raise AssertionError("homology formed a product")
+
+        monkeypatch.setattr(IntegerMatrix, "__matmul__", refused)
+        groups = homology(complex_)
+        assert [(g.betti, g.torsion) for g in groups] == [
+            (1, (2,)), (0, ()), (1, ())]
 
     def test_empty_complex(self):
         c = FreeChainComplex(0, (), ())

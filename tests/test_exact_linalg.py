@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from orbimorse import exact_linalg
 from orbimorse.errors import DimensionMismatch, NotAComplex
 from orbimorse.exact_linalg import (
     HomologyGroup,
@@ -10,6 +11,15 @@ from orbimorse.exact_linalg import (
     rank,
     smith_normal_form,
 )
+from orbimorse.morse_datum import (
+    CriticalPointRecord,
+    FlowCount,
+    MorseDatum,
+    coinvariant_complex,
+    invariant_complex,
+)
+from orbimorse.simplicial_oracle import (projective_plane, suspension,
+                                         torus_complex)
 
 
 def random_matrix(rng, max_dim=8, bound=20):
@@ -118,6 +128,27 @@ class TestSmithNormalForm:
         assert rank(m) == 2
         assert m == IntegerMatrix.from_rows([[2, 4], [6, 8]])
 
+    def test_transforms_are_computed_once_on_first_read(self, monkeypatch):
+        eliminated = []
+        real = exact_linalg._eliminate
+
+        def counted(matrix):
+            eliminated.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+        rng = random.Random(12)
+        for read in ("U", "D", "V") * 4:
+            m = random_matrix(rng)
+            snf = smith_normal_form(m)
+            # the factors alone may have run _eliminate on a leftover block
+            before = len(eliminated)
+            getattr(snf, read)
+            assert eliminated[before:] == [m]
+            assert_valid_decomposition(m, snf)
+            assert smith_normal_form(m) is snf
+            assert len(eliminated) == before + 1
+
 
 class TestRank:
     def test_zero(self):
@@ -220,3 +251,75 @@ class TestHomologyAt:
         assert HomologyGroup(0, 2, (2, 4)).describe() == "Z^2 + Z/2 + Z/4"
         assert HomologyGroup(0, 0, ()).describe() == "0"
         assert HomologyGroup(1, 1).describe() == "Z"
+
+
+def double_suspension_complexes(space, rng):
+    """Coinvariant, invariant and simplicial complexes of the double
+    suspension of ``space``: one point per simplex with stabilizer order
+    2^(top - index), counts the boundary signs under random orientation
+    flips."""
+    twice = suspension(suspension(space))
+    top = twice.dimension()
+    simplices = [s for k in range(top + 1) for s in twice.simplices(k)]
+    flip = {s: rng.choice((1, -1)) for s in simplices}
+    datum = MorseDatum(
+        [CriticalPointRecord("|".join(s), len(s) - 1, 2 ** (top - len(s) + 1))
+         for s in simplices],
+        [FlowCount("|".join(s), "|".join(s[:d] + s[d + 1:]),
+                   (-1) ** d * flip[s] * flip[s[:d] + s[d + 1:]])
+         for s in simplices if len(s) > 1 for d in range(len(s))])
+    return (coinvariant_complex(datum), invariant_complex(datum),
+            twice.chain_complex())
+
+
+class TestFactorsOnly:
+    """The sparse factors-only elimination against ``_eliminate``."""
+
+    @staticmethod
+    def assert_same_factors(m):
+        assert exact_linalg._factors_only(m.rows, m.cols, m.entries) == (
+            exact_linalg._eliminate(m)[3])
+
+    def test_random_small_matrices(self):
+        rng = random.Random(20261018)
+        values = (0, 1, -1, 2, -2, 3, 4, 6)
+        for _ in range(3000):
+            rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+            self.assert_same_factors(IntegerMatrix(rows, cols, tuple(
+                rng.choice(values) for _ in range(rows * cols))))
+
+    @pytest.mark.parametrize("rows,factors", [
+        ([[2, 0], [0, 3]], (1, 6)),         # Z/2 + Z/3 = Z/6
+        ([[2, 3], [3, 2]], (1, 5)),         # no dividing pivot: dense finish
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+        ([[0, 2], [2, 0], [0, 0]], (2, 2)),
+    ])
+    def test_pinned(self, rows, factors):
+        m = IntegerMatrix.from_rows(rows)
+        assert exact_linalg._factors_only(m.rows, m.cols, m.entries) == factors
+        self.assert_same_factors(m)
+
+    def test_dense_finish_runs_only_on_the_leftover_block(self, monkeypatch):
+        blocks = []
+        real = exact_linalg._eliminate
+
+        def counted(matrix):
+            blocks.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+        m = IntegerMatrix.from_rows([[1, 5, 0], [0, 2, 3], [0, 3, 2]])
+        assert exact_linalg._factors_only(m.rows, m.cols, m.entries) == (
+            1, 1, 5)
+        assert blocks == [IntegerMatrix.from_rows([[2, 3], [3, 2]])]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        assert exact_linalg._factors_only(*shape, ()) == ()
+
+    @pytest.mark.parametrize("space", [torus_complex, projective_plane],
+                             ids=["torus", "rp2"])
+    def test_double_suspension_boundaries(self, space):
+        for complex_ in double_suspension_complexes(space(), random.Random(23)):
+            for boundary in complex_.boundaries:
+                self.assert_same_factors(boundary)
