@@ -7,9 +7,11 @@ stability, counts signed flow lines of the projected negative gradient by
 following the descending and ascending branches of every saddle, and
 descends everything to a Morse datum for the quotient.
 
-All field callables are vectorized over a leading batch axis (positions of
-shape (n, 3)); the saddle branches are integrated as one batch in a fixed
-order, so runs produce identical output.  The metric is the induced
+Every surface field (``level``, ``morse`` and their ``_grad`` and ``_hess``)
+takes a batch of positions of shape (n, 3) and returns values of shape
+(n,), gradients of shape (n, 3) and Hessians of shape (n, 3, 3); none
+accepts a single point.  The saddle branches are integrated as one batch in
+a fixed order, so runs produce identical output.  The metric is the induced
 Euclidean metric, which is automatically equivariant for an orthogonal
 group action.
 """
@@ -156,6 +158,10 @@ GENERATOR_NAMES = {
 }
 
 
+def _group_key(g):
+    return tuple(np.round(g, 9).ravel())
+
+
 def group_from_generators(names):
     """Close a set of named generators under multiplication."""
     mats = [np.eye(3)]
@@ -167,10 +173,7 @@ def group_from_generators(names):
                 f"unknown generator {name!r}; choose from "
                 f"{sorted(GENERATOR_NAMES)}") from None
 
-    def key(g):
-        return tuple(np.round(g, 9).ravel())
-
-    elements = {key(g): g for g in mats}
+    elements = {_group_key(g): g for g in mats}
     changed = True
     while changed:
         changed = False
@@ -178,7 +181,7 @@ def group_from_generators(names):
         for a in current:
             for b in current:
                 c = a @ b
-                k = key(c)
+                k = _group_key(c)
                 if k not in elements:
                     if len(elements) >= 256:
                         raise BadParams("generator set does not close into a"
@@ -186,36 +189,31 @@ def group_from_generators(names):
                     elements[k] = c
                     changed = True
     # the identity always comes first; the rest in a deterministic order
-    identity_key = key(np.eye(3))
+    identity_key = _group_key(np.eye(3))
     ordered = [identity_key] + [k for k in sorted(elements) if k != identity_key]
     return tuple(elements[k] for k in ordered)
 
 
-def _wrap_fields(value, grad, hess):
-    """Promote single-point inputs to batches of one."""
+# F = |x|^2 - 1 for the unit sphere, and the Hessian of a linear f
 
-    def as_batch(fn, depth):
-        def wrapped(x):
-            x = np.asarray(x, dtype=float)
-            single = x.ndim == 1
-            out = fn(x[None] if single else x)
-            return out[0] if single else out
-        return wrapped
+def _sphere_level(x):
+    return np.einsum("ij,ij->i", x, x) - 1.0
 
-    return as_batch(value, 0), as_batch(grad, 1), as_batch(hess, 2)
+
+def _sphere_level_grad(x):
+    return 2.0 * x
+
+
+def _sphere_level_hess(x):
+    return np.broadcast_to(2.0 * np.eye(3), (x.shape[0], 3, 3)).copy()
+
+
+def _zero_hess(x):
+    return np.zeros((x.shape[0], 3, 3))
 
 
 def sphere_surface(tolerances=None, group=()):
     """The unit sphere with the plain height function."""
-
-    def value(x):
-        return np.einsum("ij,ij->i", x, x) - 1.0
-
-    def grad(x):
-        return 2.0 * x
-
-    def hess(x):
-        return np.broadcast_to(2.0 * np.eye(3), (x.shape[0], 3, 3)).copy()
 
     def morse(x):
         return x[:, 2].copy()
@@ -225,14 +223,10 @@ def sphere_surface(tolerances=None, group=()):
         g[:, 2] = 1.0
         return g
 
-    def morse_hess(x):
-        return np.zeros((x.shape[0], 3, 3))
-
-    v, g, h = _wrap_fields(value, grad, hess)
-    mv, mg, mh = _wrap_fields(morse, morse_grad, morse_hess)
     return ImplicitQuotientSurface(
-        name="sphere", level=v, level_grad=g, level_hess=h,
-        morse=mv, morse_grad=mg, morse_hess=mh,
+        name="sphere", level=_sphere_level, level_grad=_sphere_level_grad,
+        level_hess=_sphere_level_hess,
+        morse=morse, morse_grad=morse_grad, morse_hess=_zero_hess,
         group=group_from_generators(group),
         tolerances=tolerances or Tolerances(),
         euler_characteristic=2)
@@ -279,14 +273,9 @@ def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
         g[:, 2] = 1.0
         return g
 
-    def morse_hess(x):
-        return np.zeros((x.shape[0], 3, 3))
-
-    v, g, h = _wrap_fields(value, grad, hess)
-    mv, mg, mh = _wrap_fields(morse, morse_grad, morse_hess)
     return ImplicitQuotientSurface(
-        name="torus", level=v, level_grad=g, level_hess=h,
-        morse=mv, morse_grad=mg, morse_hess=mh,
+        name="torus", level=value, level_grad=grad, level_hess=hess,
+        morse=morse, morse_grad=morse_grad, morse_hess=_zero_hess,
         group=group_from_generators(group),
         tolerances=tolerances or Tolerances(),
         euler_characteristic=0)
@@ -296,15 +285,6 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
     """Unit sphere with f = z + epsilon (x^2 - y^2), invariant under the
     half-turn about the z-axis.  For epsilon > 1/2 the poles are saddles
     whose descending line is reversed by the half-turn."""
-
-    def value(x):
-        return np.einsum("ij,ij->i", x, x) - 1.0
-
-    def grad(x):
-        return 2.0 * x
-
-    def hess(x):
-        return np.broadcast_to(2.0 * np.eye(3), (x.shape[0], 3, 3)).copy()
 
     def morse(x):
         return x[:, 2] + epsilon * (x[:, 0] ** 2 - x[:, 1] ** 2)
@@ -327,11 +307,10 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
             return "south_pole"
         return None
 
-    v, g, h = _wrap_fields(value, grad, hess)
-    mv, mg, mh = _wrap_fields(morse, morse_grad, morse_hess)
     return ImplicitQuotientSurface(
-        name="epsilon_sphere", level=v, level_grad=g, level_hess=h,
-        morse=mv, morse_grad=mg, morse_hess=mh,
+        name="epsilon_sphere", level=_sphere_level,
+        level_grad=_sphere_level_grad, level_hess=_sphere_level_hess,
+        morse=morse, morse_grad=morse_grad, morse_hess=morse_hess,
         group=group_from_generators(group),
         tolerances=tolerances or Tolerances(),
         euler_characteristic=2,
@@ -404,17 +383,14 @@ def check_surface(surface, samples=1000):
     if not group:
         raise BadParams("the group must at least contain the identity")
 
-    def key(g):
-        return tuple(np.round(g, 9).ravel())
-
-    keys = {key(g) for g in group}
+    keys = {_group_key(g) for g in group}
     for g in group:
         if np.max(np.abs(g.T @ g - np.eye(3))) > tol:
             raise BadParams("group contains a non-orthogonal matrix")
-        if key(np.linalg.inv(g)) not in keys:
+        if _group_key(np.linalg.inv(g)) not in keys:
             raise BadParams("group is not closed under inverses")
         for h in group:
-            if key(g @ h) not in keys:
+            if _group_key(g @ h) not in keys:
                 raise BadParams("group is not closed under products")
 
     pts = _project_batch(surface, _fibonacci_directions(samples), iters=60)
@@ -490,12 +466,12 @@ def _tangent_data(surface, pos):
     """Eigenvalues (ascending) of the Hessian of f - lambda F restricted to
     the tangent plane at a critical point, and the descending frame: one
     canonically signed unit vector per negative eigenvalue."""
-    x = np.asarray(pos, dtype=float)
-    g = surface.level_grad(x)
+    x = pos[None]
+    g = surface.level_grad(x)[0]
     n = g / np.linalg.norm(g)
-    gf = surface.morse_grad(x)
+    gf = surface.morse_grad(x)[0]
     lam = float(gf @ g / (g @ g))
-    h = surface.morse_hess(x) - lam * surface.level_hess(x)
+    h = surface.morse_hess(x)[0] - lam * surface.level_hess(x)[0]
     t1, t2 = _tangent_basis(n)
     m = np.array([[t1 @ h @ t1, t1 @ h @ t2],
                   [t2 @ h @ t1, t2 @ h @ t2]])
@@ -696,12 +672,13 @@ class FlowLineCounter:
         """
         s = self.surface
         offset = self.tols.shoot_offset
+        level_grads = s.level_grad(self.lift_positions)
         starts, ascending, branches = [], [], []
         for lift, (oi, p) in enumerate(self.lifts):
             if p.index != 1:
                 continue
             u = p.negative_frame[0]
-            g = s.level_grad(p.position)
+            g = level_grads[lift]
             a = np.cross(g / np.linalg.norm(g), u)
             for sign in (1, -1):
                 if p is self.orbits[oi].representative:
@@ -732,8 +709,7 @@ class FlowLineCounter:
                     f" index-{hit.index} point: the pair is not Morse-Smale")
             if hit is self.orbits[ti].representative:
                 f0, f1 = hit.negative_frame
-                g = s.level_grad(hit.position)
-                frame = 1 if np.cross(f0, f1) @ g > 0 else -1
+                frame = 1 if np.cross(f0, f1) @ level_grads[end] > 0 else -1
                 census[ti].append((lift, frame * sign))
         return census
 
@@ -844,30 +820,24 @@ def stabilize_numeric(surface, point, orbits, width=None, amplitude=None):
     base_hess = surface.morse_hess
 
     def bump_parts(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        diff = xb[:, None, :] - centers[None, :, :]
+        diff = x[:, None, :] - centers[None, :, :]
         e = amplitude * np.exp(-np.einsum("ncj,ncj->nc", diff, diff) / a2)
-        return xb, diff, e, single
+        return diff, e
 
     def morse(x):
-        xb, diff, e, single = bump_parts(x)
-        val = base_value(xb) - e.sum(axis=1)
-        return val[0] if single else val
+        diff, e = bump_parts(x)
+        return base_value(x) - e.sum(axis=1)
 
     def morse_grad(x):
-        xb, diff, e, single = bump_parts(x)
-        g = base_grad(xb) + (2.0 / a2) * np.einsum("nc,ncj->nj", e, diff)
-        return g[0] if single else g
+        diff, e = bump_parts(x)
+        return base_grad(x) + (2.0 / a2) * np.einsum("nc,ncj->nj", e, diff)
 
     def morse_hess(x):
-        xb, diff, e, single = bump_parts(x)
+        diff, e = bump_parts(x)
         outer = np.einsum("nci,ncj->ncij", diff, diff)
-        h = (base_hess(xb)
-             - (4.0 / a2 ** 2) * np.einsum("nc,ncij->nij", e, outer)
-             + (2.0 / a2) * e.sum(axis=1)[:, None, None] * np.eye(3))
-        return h[0] if single else h
+        return (base_hess(x)
+                - (4.0 / a2 ** 2) * np.einsum("nc,ncij->nij", e, outer)
+                + (2.0 / a2) * e.sum(axis=1)[:, None, None] * np.eye(3))
 
     return dataclasses.replace(
         surface, name=surface.name + "+stabilized",

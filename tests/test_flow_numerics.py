@@ -8,7 +8,9 @@ from orbimorse import flow_numerics as fn
 from orbimorse.chain_complex import homology
 from orbimorse.errors import (
     BadParams,
+    BrokenFlowDetected,
     BumpTooWide,
+    DegenerateCritical,
     NonConvergentTrajectory,
     SeedGridExhausted,
     UnstableEndpoint,
@@ -75,29 +77,18 @@ class TestSurfaceChecks:
     def test_degenerate_critical_point_detected(self):
         # plain height on the torus of revolution is critical along two
         # whole circles; the tangent Hessian there has a zero eigenvalue
-        import dataclasses
-
-        from orbimorse.errors import DegenerateCritical
-
         base = fn.torus_surface()
 
         def morse(x):
-            x = np.asarray(x, dtype=float)
-            return x[..., 2].copy()
+            return x[:, 2].copy()
 
         def morse_grad(x):
-            x = np.asarray(x, dtype=float)
             g = np.zeros_like(x)
-            g[..., 2] = 1.0
+            g[:, 2] = 1.0
             return g
 
-        def morse_hess(x):
-            x = np.asarray(x, dtype=float)
-            shape = x.shape[:-1] + (3, 3)
-            return np.zeros(shape)
-
         degenerate = dataclasses.replace(
-            base, morse=morse, morse_grad=morse_grad, morse_hess=morse_hess,
+            base, morse=morse, morse_grad=morse_grad, morse_hess=fn._zero_hess,
             euler_characteristic=None)
         with pytest.raises(DegenerateCritical):
             fn.find_critical_orbits(degenerate)
@@ -128,8 +119,6 @@ class TestSphere:
             fn.count_flow_lines(surface, orbits, orbits[0], orbits[1])
 
     def test_euler_mismatch_detected(self):
-        import dataclasses
-
         surface = dataclasses.replace(fn.sphere_surface(),
                                       euler_characteristic=0)
         with pytest.raises(SeedGridExhausted):
@@ -188,27 +177,17 @@ class TestTorus(object):
         # f = x on the torus of revolution: the saddles at (+-1, 0, 0) are
         # joined by both arcs of the inner equator, so the pair is not
         # Morse-Smale
-        import dataclasses
-
-        from orbimorse.errors import BrokenFlowDetected
-
         def morse(x):
-            x = np.asarray(x, dtype=float)
-            return x[..., 0].copy()
+            return x[:, 0].copy()
 
         def morse_grad(x):
-            x = np.asarray(x, dtype=float)
             g = np.zeros_like(x)
-            g[..., 0] = 1.0
+            g[:, 0] = 1.0
             return g
-
-        def morse_hess(x):
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape[:-1] + (3, 3))
 
         surface = dataclasses.replace(
             fn.torus_surface(), morse=morse, morse_grad=morse_grad,
-            morse_hess=morse_hess)
+            morse_hess=fn._zero_hess)
         orbits = fn.find_critical_orbits(surface)
         assert [o.index for o in orbits] == [2, 1, 1, 0]
         with pytest.raises(BrokenFlowDetected):
@@ -383,15 +362,6 @@ def antipodal_sphere_surface():
     """Unit sphere with an antipodally symmetric Morse function; the free
     half-order quotient is the projective plane."""
 
-    def value(x):
-        return np.einsum("ij,ij->i", x, x) - 1.0
-
-    def grad(x):
-        return 2.0 * x
-
-    def hess(x):
-        return np.broadcast_to(2.0 * np.eye(3), (x.shape[0], 3, 3)).copy()
-
     def morse(x):
         return x[:, 2] ** 2 + 0.5 * x[:, 0] ** 2
 
@@ -405,11 +375,10 @@ def antipodal_sphere_surface():
         out[:, 2, 2] = 2.0
         return out
 
-    v, g, h = fn._wrap_fields(value, grad, hess)
-    mv, mg, mh = fn._wrap_fields(morse, morse_grad, morse_hess)
     return fn.ImplicitQuotientSurface(
-        name="antipodal_sphere", level=v, level_grad=g, level_hess=h,
-        morse=mv, morse_grad=mg, morse_hess=mh,
+        name="antipodal_sphere", level=fn._sphere_level,
+        level_grad=fn._sphere_level_grad, level_hess=fn._sphere_level_hess,
+        morse=morse, morse_grad=morse_grad, morse_hess=morse_hess,
         group=fn.group_from_generators(("antipodal",)),
         tolerances=fn.Tolerances(), euler_characteristic=2)
 
@@ -441,6 +410,57 @@ class TestAntipodalQuotient:
         assert profile(co) == [(1, ()), (0, (2,)), (0, ())]
         reference = simplicial_homology(builtin_space("rp2"))
         assert compare_homology(co, reference).match
+
+
+def central_difference(field, x, h=1e-6):
+    """Central differences of ``field`` along each axis, stacked last."""
+    return np.stack([(field(x + step) - field(x - step)) / (2.0 * h)
+                     for step in h * np.eye(3)], axis=-1)
+
+
+class TestFieldContract:
+    """Every field takes an (n, 3) batch and returns (n,), (n, 3) or
+    (n, 3, 3); each gradient and Hessian matches central differences of
+    the value and the gradient (the differences err by less than 1e-8
+    on these points)."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, epsilon_run):
+        rng = np.random.default_rng(7)
+        box = rng.uniform(-1.5, 1.5, (50, 3))
+        # 0.1 to 0.3 from the z-axis, where the torus' sqrt bends hardest
+        r, t = rng.uniform(0.1, 0.3, 50), rng.uniform(0.0, 2.0 * np.pi, 50)
+        near_axis = np.column_stack(
+            [r * np.cos(t), r * np.sin(t), rng.uniform(-1.0, 1.0, 50)])
+        north = next(o for o in epsilon_run.pre_orbits
+                     if o.label == "north_pole").representative
+        bumped = fn.stabilize_numeric(epsilon_run.raw_surface, north,
+                                      epsilon_run.pre_orbits)
+        near_north = north.position + rng.uniform(-0.4, 0.4, (50, 3))
+        return {
+            "sphere": (fn.sphere_surface(), box),
+            "torus": (fn.torus_surface(), 2.0 * box),
+            "torus_near_axis": (fn.torus_surface(), near_axis),
+            "epsilon_sphere": (fn.epsilon_sphere_surface(), box),
+            "antipodal_sphere": (antipodal_sphere_surface(), box),
+            "bumped_north_pole": (bumped, near_north),
+        }
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("name", [
+        "sphere", "torus", "torus_near_axis", "epsilon_sphere",
+        "antipodal_sphere", "bumped_north_pole"])
+    def test_shapes_and_derivatives(self, cases, name, n):
+        surface, points = cases[name]
+        x = points[:n]
+        for value, grad, hess in (
+                (surface.level, surface.level_grad, surface.level_hess),
+                (surface.morse, surface.morse_grad, surface.morse_hess)):
+            assert value(x).shape == (n,)
+            assert grad(x).shape == (n, 3)
+            assert hess(x).shape == (n, 3, 3)
+            assert np.max(np.abs(central_difference(value, x) - grad(x))) < 1e-6
+            assert np.max(np.abs(central_difference(grad, x) - hess(x))) < 1e-6
 
 
 class TestParameterRobustness:
