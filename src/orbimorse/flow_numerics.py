@@ -412,24 +412,41 @@ def check_surface(surface, samples=1000):
 # critical points
 
 def _newton_critical_points(surface, seeds):
-    """Batched Newton iteration on (grad f = lambda grad F, F = 0)."""
+    """Batched Newton iteration on (grad f = lambda grad F, F = 0).
+
+    Only live rows are iterated, for at most 80 rounds.  Each round
+    evaluates the residual on the live rows and retires every row whose
+    max-norm residual is below ``newton_tol`` or not finite; the rest take
+    one clipped Newton step, after which a row that is no longer finite or
+    has left |x| <= 50 is retired too.  Retired rows are not restarted (a
+    restart at the origin would meet a vanishing level gradient and a
+    singular Jacobian), and a seed whose level gradient vanishes or is not
+    finite never enters.  The residual filter over all rows at the end
+    alone decides which points are returned.
+    """
     x = _project_batch(surface, seeds, iters=60)
     g = surface.level_grad(x)
-    gf = surface.morse_grad(x)
-    lam = np.einsum("ij,ij->i", gf, g) / np.einsum("ij,ij->i", g, g)
+    gg = np.einsum("ij,ij->i", g, g)
+    enters = gg > 0.0  # False for a vanishing or non-finite level gradient
+    live = np.flatnonzero(enters)
+    lam = np.divide(np.einsum("ij,ij->i", surface.morse_grad(x), g), gg,
+                    out=np.zeros(len(x)), where=enters)
     tol = surface.tolerances.newton_tol
 
     for _ in range(80):
-        g = surface.level_grad(x)
-        gf = surface.morse_grad(x)
-        hF = surface.level_hess(x)
-        hf = surface.morse_hess(x)
+        xl, laml = x[live], lam[live]
+        g = surface.level_grad(xl)
         res = np.concatenate(
-            [gf - lam[:, None] * g, surface.level(x)[:, None]], axis=1)
-        if np.max(np.abs(res)) < tol:
+            [surface.morse_grad(xl) - laml[:, None] * g,
+             surface.level(xl)[:, None]], axis=1)
+        keep = np.max(np.abs(res), axis=1) >= tol  # False if not finite
+        live, xl, laml, g, res = (
+            live[keep], xl[keep], laml[keep], g[keep], res[keep])
+        if not len(live):
             break
-        jac = np.zeros((x.shape[0], 4, 4))
-        jac[:, :3, :3] = hf - lam[:, None, None] * hF
+        jac = np.zeros((len(live), 4, 4))
+        jac[:, :3, :3] = (surface.morse_hess(xl)
+                          - laml[:, None, None] * surface.level_hess(xl))
         jac[:, :3, 3] = -g
         jac[:, 3, :3] = g
         try:
@@ -437,11 +454,11 @@ def _newton_critical_points(surface, seeds):
         except np.linalg.LinAlgError:
             delta = np.einsum("nij,nj->ni", np.linalg.pinv(jac), -res)
         step = np.clip(delta, -0.5, 0.5)
-        x = x + step[:, :3]
-        lam = lam + step[:, 3]
-        bad = ~np.isfinite(x).all(axis=1) | (np.linalg.norm(x, axis=1) > 50.0)
-        x[bad] = 0.0
-        lam[bad] = 0.0
+        xl = xl + step[:, :3]
+        x[live] = xl
+        lam[live] = laml + step[:, 3]
+        bad = ~np.isfinite(xl).all(axis=1) | (np.linalg.norm(xl, axis=1) > 50.0)
+        live = live[~bad]
 
     res = np.concatenate(
         [surface.morse_grad(x) - lam[:, None] * surface.level_grad(x),
@@ -779,6 +796,14 @@ def stabilize_numeric(surface, point, orbits, width=None, amplitude=None):
     function stays group invariant because the bump is summed over the
     whole orbit of centers.
     """
+    centers, width, amplitude = _orbit_bump(point, orbits, width, amplitude)
+    return _bumped(surface, [(centers, width, amplitude)])
+
+
+def _orbit_bump(point, orbits, width, amplitude):
+    """Centers (the lifts of the point's orbit), width and amplitude of the
+    bumps that stabilize ``point``; defaults and gates as documented on
+    ``stabilize_numeric``."""
     if point.index != 1 or point.stable:
         raise UnsupportedProfile(
             "numerical stabilization needs an index-1 point whose descending"
@@ -813,31 +838,42 @@ def stabilize_numeric(surface, point, orbits, width=None, amplitude=None):
         raise BadParams(
             f"amplitude {amplitude} must exceed {lam * width ** 2} to flip"
             " the point into a local minimum")
+    return centers, width, amplitude
 
-    a2 = width ** 2
+
+def _bump_parts(x, centers, a2, amplitudes):
+    """Offsets from every center and the bump values a exp(-|d|^2 / w^2),
+    shapes (n, c, 3) and (n, c)."""
+    diff = x[:, None, :] - centers[None, :, :]
+    e = amplitudes * np.exp(-np.einsum("ncj,ncj->nc", diff, diff) / a2)
+    return diff, e
+
+
+def _bumped(surface, bumps):
+    """The surface with f minus one radial bump per center, each bump given
+    as (centers, width, amplitude); every field evaluates all centers in
+    one ``_bump_parts`` call."""
+    centers = np.concatenate([c for c, _, _ in bumps])
+    a2 = np.concatenate([np.full(len(c), w ** 2) for c, w, _ in bumps])
+    amplitudes = np.concatenate([np.full(len(c), a) for c, _, a in bumps])
     base_value = surface.morse
     base_grad = surface.morse_grad
     base_hess = surface.morse_hess
 
-    def bump_parts(x):
-        diff = x[:, None, :] - centers[None, :, :]
-        e = amplitude * np.exp(-np.einsum("ncj,ncj->nc", diff, diff) / a2)
-        return diff, e
-
     def morse(x):
-        diff, e = bump_parts(x)
+        diff, e = _bump_parts(x, centers, a2, amplitudes)
         return base_value(x) - e.sum(axis=1)
 
     def morse_grad(x):
-        diff, e = bump_parts(x)
-        return base_grad(x) + (2.0 / a2) * np.einsum("nc,ncj->nj", e, diff)
+        diff, e = _bump_parts(x, centers, a2, amplitudes)
+        return base_grad(x) + np.einsum("nc,ncj->nj", (2.0 / a2) * e, diff)
 
     def morse_hess(x):
-        diff, e = bump_parts(x)
+        diff, e = _bump_parts(x, centers, a2, amplitudes)
         outer = np.einsum("nci,ncj->ncij", diff, diff)
         return (base_hess(x)
-                - (4.0 / a2 ** 2) * np.einsum("nc,ncij->nij", e, outer)
-                + (2.0 / a2) * e.sum(axis=1)[:, None, None] * np.eye(3))
+                - np.einsum("nc,ncij->nij", (4.0 / a2 ** 2) * e, outer)
+                + ((2.0 / a2) * e).sum(axis=1)[:, None, None] * np.eye(3))
 
     return dataclasses.replace(
         surface, name=surface.name + "+stabilized",
@@ -845,25 +881,26 @@ def stabilize_numeric(surface, point, orbits, width=None, amplitude=None):
 
 
 def stabilize_all(surface, orbits):
-    """Apply stabilize_numeric to every unstable orbit and rerun the
-    critical-point search, seeding it with the old lifts plus points along
-    each former descending line where the new saddles appear."""
+    """Stabilize every unstable orbit with the bumps of stabilize_numeric,
+    all subtracted as one bump, and rerun the critical-point search,
+    seeding it with the old lifts plus points along each former
+    descending line where the new saddles appear."""
     unstable = [o for o in orbits if not o.stable]
     seeds = [p.position for o in orbits for p in o.points]
-    current = surface
+    bumps = []
     for orbit in unstable:
         rep = orbit.representative
         all_positions = np.concatenate(
             [[p.position for p in o.points] for o in orbits])
         dists = np.linalg.norm(all_positions - rep.position[None], axis=1)
-        nearest = float(dists[dists > 1e-9].min())
-        width = 0.25 * nearest
-        current = stabilize_numeric(current, rep, orbits, width=width)
+        width = 0.25 * float(dists[dists > 1e-9].min())
+        bumps.append(_orbit_bump(rep, orbits, width, None))
         for p in orbit.points:
             v = p.negative_frame[0]
             for t in (0.4, 0.8, 1.2, 1.6, 2.2, 3.0):
                 seeds.append(p.position + t * width * v)
                 seeds.append(p.position - t * width * v)
+    current = _bumped(surface, bumps) if bumps else surface
     new_orbits = find_critical_orbits(current, extra_seeds=np.array(seeds))
     return current, new_orbits
 

@@ -108,8 +108,20 @@ def validate(datum):
 
     Placeholder flow counts are legal (they carry no divisibility
     obligation); stability is only enforced when a differential is built.
-    Returns a report listing every violated rule with the offenders.
+    Returns a report listing every violated rule with the offenders.  The
+    report is stored on the (immutable) datum, so the rules are checked
+    once per datum however often it is validated.
     """
+    stored = datum.__dict__.get("_validation")
+    if stored is None:
+        stored = ValidationReport(_violations(datum))
+        object.__setattr__(datum, "_validation", stored)
+    return stored
+
+
+def _violations(datum):
+    """Every violated rule of the datum, in the order ``validate`` reports
+    them."""
     violations = []
     seen = set()
     by_id = {}
@@ -159,7 +171,7 @@ def validate(datum):
                 f"flow {f.source!r} -> {f.target!r} has nonzero count but "
                 f"stabilizer order {src.stab_order} does not divide "
                 f"{tgt.stab_order}"))
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def _require_valid(datum):

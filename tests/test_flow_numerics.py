@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -516,3 +517,123 @@ class TestCensusWork:
         monkeypatch.setattr(fn, "_velocity", counted)
         fn.quotient_to_datum(surface, orbits)
         assert len(calls) <= 4 * 600
+
+
+def default_seeds(surface):
+    tols = surface.tolerances
+    dirs = fn._fibonacci_directions(tols.seed_count)
+    return np.concatenate([r * dirs for r in tols.seed_radii], axis=0)
+
+
+def counted_solve(monkeypatch):
+    """Record the batch size of every np.linalg.solve call."""
+    rows = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        rows.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return rows
+
+
+class TestNewtonWork:
+    """Newton steps only the rows still live: converged rows and rows that
+    turn non-finite or run away leave the batch and are not restarted."""
+
+    @pytest.mark.parametrize("make", [fn.torus_surface, fn.sphere_surface],
+                             ids=["torus", "sphere"])
+    def test_degenerate_seeds_leave_the_batch(self, monkeypatch, make):
+        # a NaN seed and the origin, where every built-in level gradient
+        # vanishes, must neither send the batch to pinv nor divide by zero
+        surface = make()
+        tol = surface.tolerances.dedup_tol
+        seeds = default_seeds(surface)
+        clean = fn._newton_critical_points(surface, seeds)
+        clean = clean[fn._first_of_clusters(clean, tol)]
+        pinv_calls = []
+        pinv = np.linalg.pinv
+
+        def counted_pinv(a):
+            pinv_calls.append(len(a))
+            return pinv(a)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+        dirty = np.concatenate([seeds, [[np.nan] * 3, [0.0] * 3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            found = fn._newton_critical_points(surface, dirty)
+        assert np.array_equal(found[fn._first_of_clusters(found, tol)], clean)
+        assert pinv_calls == []
+
+    def test_non_finite_step_retires_the_row(self, monkeypatch):
+        # a restart at the origin would make the next Jacobian singular
+        surface = fn.torus_surface()
+        seeds = default_seeds(surface)
+        rows = []
+        solve = np.linalg.solve
+
+        def poisoned(a, b):
+            delta = solve(a, b)
+            if not rows:
+                delta[0] = np.nan
+            rows.append(len(a))
+            return delta
+
+        monkeypatch.setattr(np.linalg, "solve", poisoned)
+        monkeypatch.setattr(np.linalg, "pinv", None)
+        found = fn._newton_critical_points(surface, seeds)
+        assert rows[:2] == [len(seeds), len(seeds) - 1]
+        assert np.all(np.isfinite(found))
+        assert len(found[fn._first_of_clusters(
+            found, surface.tolerances.dedup_tol)]) == 4
+
+    def test_torus_solves_live_rows_only(self, monkeypatch):
+        # 423 of the 1,100 torus seeds never converge; stepping all rows
+        # for the 80 rounds solved 88,000 systems
+        rows = counted_solve(monkeypatch)
+        fn.find_critical_orbits(fn.torus_surface(tilt=0.25))
+        assert len(rows) == 80
+        assert sum(rows) <= 45000
+
+    def test_round_counts(self, monkeypatch):
+        # retiring rows ends no batch earlier or later than convergence did
+        rows = counted_solve(monkeypatch)
+        fn.find_critical_orbits(fn.sphere_surface())
+        assert len(rows) == 7
+        rows.clear()
+        surface = fn.epsilon_sphere_surface(epsilon=0.8)
+        fn.stabilize_all(surface, fn.find_critical_orbits(surface))
+        assert len(rows) == 22
+
+
+class TestOneBump:
+    def test_one_bump_evaluation_per_field_call(self, monkeypatch, epsilon_run):
+        # both unstable poles are bumped, each field evaluates them together
+        real = fn._bump_parts
+        centers = []
+
+        def counted(x, c, a2, amplitudes):
+            centers.append(len(c))
+            return real(x, c, a2, amplitudes)
+
+        monkeypatch.setattr(fn, "_bump_parts", counted)
+        surface = epsilon_run.surface
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 3))
+        for field_ in (surface.morse, surface.morse_grad, surface.morse_hess):
+            field_(x)
+        assert centers == [2, 2, 2]
+
+    def test_sum_of_single_orbit_bumps(self, epsilon_run):
+        # stabilize_all subtracts the bumps stabilize_numeric makes per orbit
+        raw, orbits = epsilon_run.raw_surface, epsilon_run.pre_orbits
+        single = [fn.stabilize_numeric(raw, o.representative, orbits)
+                  for o in orbits if not o.stable]
+        assert len(single) == 2
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (50, 3))
+        for name in ("morse", "morse_grad", "morse_hess"):
+            base = getattr(raw, name)(x)
+            expected = base + sum(getattr(s, name)(x) - base for s in single)
+            assert np.allclose(getattr(epsilon_run.surface, name)(x), expected,
+                               rtol=0.0, atol=1e-12)

@@ -24,7 +24,7 @@ from orbimorse.morse_datum import (
     validate,
 )
 from orbimorse.simplicial_oracle import projective_plane, suspension
-from conftest import make_bean
+from conftest import make_bean, make_teardrop
 
 
 def rules_of(report):
@@ -81,6 +81,38 @@ class TestValidate:
             flows=(FlowCount("a", "b", None),))
         # unknown counts carry no divisibility obligation
         assert validate(datum).ok
+
+    @pytest.mark.parametrize("make", [lambda: make_teardrop(2, 3), make_bean,
+                                      lambda: double_suspension_datum()],
+                             ids=["teardrop", "bean", "double-suspension-rp2"])
+    def test_rules_run_once_per_datum(self, monkeypatch, make):
+        # both complexes and the caller's own check share one report
+        real = morse_datum._violations
+        calls = []
+
+        def counted(datum):
+            calls.append(datum)
+            return real(datum)
+
+        monkeypatch.setattr(morse_datum, "_violations", counted)
+        first, second = make(), make()
+        for datum in (first, second):
+            coinvariant_complex(datum)
+            invariant_complex(datum)
+            report = validate(datum)
+            assert report.ok and validate(datum) is report
+        assert [id(d) for d in calls] == [id(first), id(second)]
+
+    def test_stored_report_lists_the_violations(self):
+        datum = MorseDatum(
+            points=(CriticalPointRecord("a", 1, 3),
+                    CriticalPointRecord("b", 0, 2)),
+            flows=(FlowCount("a", "b", 1),))
+        first = validate(datum)
+        assert validate(datum) is first
+        assert rules_of(first) == {"stabilizer-divisibility"}
+        with pytest.raises(ValidationFailure):
+            coinvariant_complex(datum)
 
     def test_bad_orders_and_indices(self):
         datum = MorseDatum(
