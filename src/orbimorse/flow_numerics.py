@@ -72,15 +72,14 @@ class Tolerances:
     """Numeric thresholds; defaults assume unit-scale surfaces in double
     precision.
 
-    ``integrate_step`` is the arc length a census trajectory advances per
-    RK4 step; near critical points, where the flow slows down, only the
-    RK4 stability bound at the stiffest critical point limits the step.
+    No field sizes the census steps: each RK4 step is sized by a bound on
+    how fast the projected flow changes where the trajectory is (see
+    ``FlowLineCounter``).
     """
 
     newton_tol: float = 1e-12
     dedup_tol: float = 1e-6
     stab_tol: float = 1e-8
-    integrate_step: float = 0.02
     escape_radius: float = 1e3
     seed_count: int = 220
     seed_radii: tuple = (0.6, 1.0, 1.8, 2.6, 3.2)
@@ -360,6 +359,18 @@ def _velocity(surface, x):
     return -(gf - np.einsum("ij,ij->i", n, gf)[:, None] * n)
 
 
+def _local_rate(surface, x):
+    """A bound on the Lipschitz rate of the projected flow at each row,
+    ||Hess f|| + |grad f| ||Hess F|| / |grad F| in spectral norms.  At a
+    critical point, where grad f = lambda grad F, it is at least the largest
+    |tangent-Hessian eigenvalue|."""
+    level_norm = np.linalg.norm(surface.level_grad(x), axis=1)
+    morse_norm = np.linalg.norm(surface.morse_grad(x), axis=1)
+    level_hess = np.abs(np.linalg.eigvalsh(surface.level_hess(x))).max(axis=1)
+    morse_hess = np.abs(np.linalg.eigvalsh(surface.morse_hess(x))).max(axis=1)
+    return morse_hess + morse_norm * level_hess / level_norm
+
+
 def _tangent_basis(n):
     k = int(np.argmin(np.abs(n)))
     e = np.zeros(3)
@@ -526,7 +537,9 @@ def find_critical_orbits(surface, extra_seeds=None):
     Seeds come from a deterministic spherical grid at several radii; the
     points found must include a minimum and a maximum, and their
     alternating count must reproduce the surface's Euler characteristic,
-    otherwise the grid missed a point and SeedGridExhausted is raised.
+    otherwise the grid missed a point and SeedGridExhausted is raised; its
+    message names the seed radii and the radii at which the seeds meet the
+    surface.
     """
     check_surface(surface)
     tols = surface.tolerances
@@ -581,6 +594,15 @@ def find_critical_orbits(surface, extra_seeds=None):
         orbits.append(CriticalOrbit(label="", points=pts,
                                     lift_elements=lift_elems))
 
+    def seed_reach():
+        # where the seed grid meets the surface, against the surface's size
+        radii = np.linalg.norm(_project_batch(surface, seeds, iters=60), axis=1)
+        radii = radii[np.isfinite(radii)]
+        reach = (f"project onto the surface at radii {radii.min():.3g} to "
+                 f"{radii.max():.3g}" if len(radii) else
+                 "project onto no finite point")
+        return f"; the seeds at radii {tuple(tols.seed_radii)} {reach}"
+
     # A Morse function on a closed surface has a minimum and a maximum.
     missing = [name for index, name in ((0, "minimum"), (2, "maximum"))
                if not any(o.index == index for o in orbits)]
@@ -588,7 +610,7 @@ def find_critical_orbits(surface, extra_seeds=None):
         raise SeedGridExhausted(
             f"no {' and no '.join(missing)} found among "
             f"{len(orbits)} critical orbits; a Morse function on a closed "
-            f"surface has both")
+            f"surface has both{seed_reach()}")
 
     # Euler-characteristic sanity check over all lifts upstairs.
     if surface.euler_characteristic is not None:
@@ -596,7 +618,8 @@ def find_critical_orbits(surface, extra_seeds=None):
         if total != surface.euler_characteristic:
             raise SeedGridExhausted(
                 f"alternating critical count {total} does not match the "
-                f"surface Euler characteristic {surface.euler_characteristic}")
+                f"surface Euler characteristic {surface.euler_characteristic}"
+                f"{seed_reach()}")
 
     orbits.sort(key=lambda o: (-o.index,
                                tuple(np.round(o.representative.position, 9))))
@@ -630,6 +653,11 @@ class FlowLineCounter:
     point.  Signs are local because the linearized flow preserves the
     orientation of the tangent plane.  The census is integrated as one
     batch on the first count and cached.
+
+    Each RK4 step of a branch is 1.5 / L(x), with L the ``_local_rate``
+    bound at the branch's current position: RK4 damps a mode of decay rate
+    k only for steps h with h k below ~2.8, and L bounds every such k near
+    x, so steps are short only where the flow changes fast.
     """
 
     def __init__(self, surface, orbits):
@@ -639,11 +667,6 @@ class FlowLineCounter:
         self.lifts = [(oi, p) for oi, orbit in enumerate(self.orbits)
                       for p in orbit.points]
         self.lift_positions = np.array([p.position for _, p in self.lifts])
-        # RK4 damps a mode of decay rate k only for steps h with h k below
-        # ~2.8; keep every step inside that at the stiffest critical point
-        stiffest = max((abs(e) for orbit in self.orbits
-                        for e in orbit.representative.eigenvalues), default=0.0)
-        self._dt_max = 1.5 / stiffest if stiffest > 0.0 else np.inf
         self._census = None
 
     # -- public API --------------------------------------------------------
@@ -690,7 +713,7 @@ class FlowLineCounter:
         s = self.surface
         offset = self.tols.shoot_offset
         level_grads = s.level_grad(self.lift_positions)
-        starts, ascending, branches = [], [], []
+        starts, branches = [], []
         for lift, (oi, p) in enumerate(self.lifts):
             if p.index != 1:
                 continue
@@ -700,16 +723,13 @@ class FlowLineCounter:
             for sign in (1, -1):
                 if p is self.orbits[oi].representative:
                     starts.append(p.position + sign * offset * u)
-                    ascending.append(False)
-                    branches.append((oi, lift, sign))
+                    branches.append((oi, lift, sign, False))
                 starts.append(p.position + sign * offset * a)
-                ascending.append(True)
-                branches.append((oi, lift, sign))
+                branches.append((oi, lift, sign, True))
         census = {oi: [] for oi in range(len(self.orbits))}
-        ascending = np.array(ascending)
         ends = self._endpoints(_project_batch(s, np.array(starts), iters=10),
-                               np.where(ascending, -1.0, 1.0))
-        for (oi, lift, sign), up, end in zip(branches, ascending, ends):
+                               branches)
+        for (oi, lift, sign, up), end in zip(branches, ends):
             ti, hit = self.lifts[end]
             label = self.orbits[oi].label
             if not up:
@@ -730,16 +750,28 @@ class FlowLineCounter:
                 census[ti].append((lift, frame * sign))
         return census
 
-    def _endpoints(self, starts, direction):
-        """Follow each start along ``direction`` times the projected
-        negative gradient (+1 descends, -1 ascends) until it settles at a
-        critical lift, all rows as one RK4 batch; returns the lift per
-        start."""
+    def _endpoints(self, starts, branches):
+        """Follow each start along the projected negative gradient, or
+        against it on an ascending branch, until it settles at a critical
+        lift, all rows as one RK4 batch; returns the lift per start.  A
+        failure names the branch of its first row, where that row was and
+        how far from the nearest lift."""
         s = self.surface
         x = np.array(starts, dtype=float)
+        direction = np.array([-1.0 if up else 1.0 for *_, up in branches])
         ends = np.full(len(x), -1)
         live = np.arange(len(x))
         escape = self.tols.escape_radius
+
+        def lost(what, row):
+            oi, _, sign, up = branches[row]
+            dist = np.linalg.norm(self.lift_positions - x[row], axis=1).min()
+            return NonConvergentTrajectory(
+                f"{what}: the {'ascending' if up else 'descending'} branch"
+                f" {sign:+d} of saddle {self.orbits[oi].label!r} was last at"
+                f" {np.array2string(x[row], precision=6, separator=', ')},"
+                f" {dist:.3g} from the nearest critical lift")
+
         for _ in range(_MAX_STEPS):
             xl = x[live]
             dists = np.linalg.norm(
@@ -751,29 +783,34 @@ class FlowLineCounter:
             speed = np.linalg.norm(k1, axis=1)
 
             stalled = (dmin >= _CAPTURE_RADIUS) & (speed < _STALL_SPEED)
-            if np.any(stalled & (dmin >= self.tols.dedup_tol)):
-                raise NonConvergentTrajectory(
-                    "a trajectory stalled away from every critical point")
+            stranded = stalled & (dmin >= self.tols.dedup_tol)
+            if np.any(stranded):
+                raise lost("a trajectory stalled away from every critical"
+                           " point", live[np.argmax(stranded)])
             done = (dmin < _CAPTURE_RADIUS) | stalled
             ends[live[done]] = nearest[done]
             keep = ~done
-            live, xl, sign, k1, speed = (
-                live[keep], xl[keep], sign[keep], k1[keep], speed[keep])
+            live, xl, sign, k1 = live[keep], xl[keep], sign[keep], k1[keep]
             if not len(live):
                 return ends
-            if np.any(np.linalg.norm(xl, axis=1) > escape):
-                raise NonConvergentTrajectory("a trajectory escaped to"
-                                              f" radius {escape}")
+            escaped = np.linalg.norm(xl, axis=1) > escape
+            if np.any(escaped):
+                raise lost(f"a trajectory escaped to radius {escape}",
+                           live[np.argmax(escaped)])
 
-            dt = np.minimum(self.tols.integrate_step / speed,
-                            self._dt_max)[:, None]
+            rate = _local_rate(s, xl)
+            bad_rate = ~(np.isfinite(rate) & (rate > 0.0))
+            if np.any(bad_rate):
+                raise lost("the local rate of the flow is zero or not finite",
+                           live[np.argmax(bad_rate)])
+            dt = (1.5 / rate)[:, None]
             k2 = sign * _velocity(s, xl + 0.5 * dt * k1)
             k3 = sign * _velocity(s, xl + 0.5 * dt * k2)
             k4 = sign * _velocity(s, xl + dt * k3)
             x[live] = _project_batch(
                 s, xl + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), iters=2)
-        raise NonConvergentTrajectory(
-            "trajectories failed to settle within the step budget")
+        raise lost(f"{len(live)} trajectories failed to settle within the"
+                   " step budget", live[0])
 
 
 def count_flow_lines(surface, orbits, from_orbit, to_orbit):

@@ -279,13 +279,14 @@ class TestFlowCommand:
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 1
 
     @pytest.mark.parametrize(
-        "key", ["nope", "shoot_directions", "bisect_width"])
-    def test_unknown_tolerance_key(self, tmp_path, key):
+        "key", ["nope", "shoot_directions", "bisect_width", "integrate_step"])
+    def test_unknown_tolerance_key(self, tmp_path, capsys, key):
         path = write_text(tmp_path, json.dumps(
             {"schema_version": "1",
              "surface": {"kind": "sphere"},
              "tolerances": {key: 1}}), "badtol.json")
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
+        assert f"tolerances: unknown key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tolerances", [5, None, "seed_count", [1]])
     def test_malformed_tolerances(self, tmp_path, capsys, tolerances):
@@ -300,7 +301,7 @@ class TestFlowCommand:
         {"seed_count": "abc"}, {"seed_count": 0}, {"seed_count": 2.5},
         {"seed_count": True}, {"seed_radii": 3}, {"seed_radii": []},
         {"seed_radii": [1.0, -2.0]}, {"seed_radii": [1.0, "x"]},
-        {"newton_tol": None}, {"integrate_step": -0.02},
+        {"newton_tol": None}, {"shoot_offset": -0.02},
         {"dedup_tol": 0}, {"escape_radius": False}, {"stab_tol": "1e-8"},
         {"degeneracy_tol": float("nan")},
     ])

@@ -174,6 +174,15 @@ class TestTorus(object):
         datum = fn.quotient_to_datum(surface, orbits)
         assert datum == torus_run.datum
 
+    def test_seed_grid_smaller_than_the_surface(self):
+        # the seeds reach only the inner wall of a torus ten times too big
+        with pytest.raises(SeedGridExhausted) as info:
+            fn.find_critical_orbits(fn.torus_surface(major=20, minor=10))
+        message = str(info.value)
+        assert "no minimum and no maximum" in message
+        assert "seeds at radii (0.6, 1.0, 1.8, 2.6, 3.2)" in message
+        assert "project onto the surface at radii 10 to 10.3" in message
+
     def test_saddle_connection_detected(self):
         # f = x on the torus of revolution: the saddles at (+-1, 0, 0) are
         # joined by both arcs of the inner equator, so the pair is not
@@ -502,9 +511,9 @@ class TestCensusWork:
             fn.quotient_to_datum(surface, orbits)
 
     def test_torus_census_step_count(self, monkeypatch):
-        # every census step evaluates the velocity four times (RK4); the
-        # step cap is the RK4 stability bound at the stiffest critical
-        # point, so slow modes near the saddles take long steps
+        # every census step evaluates the velocity four times (RK4); each
+        # step is the RK4 stability bound at the local rate of the flow, so
+        # slow modes near the saddles take long steps
         surface = fn.torus_surface(tilt=0.25)
         orbits = fn.find_critical_orbits(surface)
         calls = []
@@ -517,6 +526,66 @@ class TestCensusWork:
         monkeypatch.setattr(fn, "_velocity", counted)
         fn.quotient_to_datum(surface, orbits)
         assert len(calls) <= 4 * 600
+
+    @pytest.mark.parametrize("run, most", [("torus_run", 1000),
+                                           ("epsilon_run", 400)])
+    def test_velocity_calls(self, monkeypatch, request, run, most):
+        # an arc-length step and a cap at the stiffest critical point took
+        # 1,849 calls on the torus (tilt 0.25) and 1,053 on the stabilized
+        # epsilon = 0.8 sphere
+        run = request.getfixturevalue(run)
+        calls = []
+        velocity = fn._velocity
+
+        def counted(surface, x):
+            calls.append(len(x))
+            return velocity(surface, x)
+
+        monkeypatch.setattr(fn, "_velocity", counted)
+        assert fn.quotient_to_datum(run.surface, run.orbits) == run.datum
+        assert len(calls) <= most
+
+    def test_rate_bounds_the_tangent_spectrum(self, epsilon_run):
+        # near every critical point the step stays inside the RK4 bound
+        # that its own tangent eigenvalues set
+        surfaces = [fn.torus_surface(), fn.sphere_surface(),
+                    antipodal_sphere_surface()]
+        cases = [(s, fn.find_critical_orbits(s)) for s in surfaces] + [
+            (epsilon_run.raw_surface, epsilon_run.pre_orbits),
+            (epsilon_run.surface, epsilon_run.orbits)]
+        for surface, orbits in cases:
+            lifts = np.array([p.position for o in orbits for p in o.points])
+            spectra = [fn._tangent_data(surface, pos)[0] for pos in lifts]
+            rate = fn._local_rate(surface, lifts)
+            assert np.all(rate >= np.max(np.abs(spectra), axis=1) - 1e-9)
+
+    @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
+    def test_bad_rate_raises(self, monkeypatch, torus_run, value):
+        monkeypatch.setattr(fn, "_local_rate",
+                            lambda surface, x: np.full(len(x), value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergentTrajectory,
+                               match="local rate of the flow is zero or not"):
+                fn.quotient_to_datum(torus_run.surface, torus_run.orbits)
+
+    @pytest.mark.parametrize("cause, tolerances, branch", [
+        ("step budget", fn.Tolerances(), "+1"),
+        ("escaped to radius 2.5", fn.Tolerances(escape_radius=2.5), "-1")],
+        ids=["budget", "escape"])
+    def test_failure_names_the_branch(self, monkeypatch, torus_run, cause,
+                                      tolerances, branch):
+        # a census failure says which saddle branch failed, and where
+        if cause == "step budget":
+            monkeypatch.setattr(fn, "_MAX_STEPS", 3)
+        surface = dataclasses.replace(torus_run.surface, tolerances=tolerances)
+        with pytest.raises(NonConvergentTrajectory) as info:
+            fn.quotient_to_datum(surface, torus_run.orbits)
+        message = str(info.value)
+        assert cause in message
+        assert f"the descending branch {branch} " in message
+        assert "of saddle 'saddle0' was last at [" in message
+        assert "from the nearest critical lift" in message
 
 
 def default_seeds(surface):
