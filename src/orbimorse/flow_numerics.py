@@ -352,20 +352,23 @@ def _project_batch(surface, pts, iters=3):
 
 
 def _velocity(surface, x):
-    """Negative gradient of f projected onto the tangent planes."""
+    """Negative gradient of f projected onto the tangent planes, with the
+    norms |grad F| and |grad f| it was made from (``_local_rate`` reads
+    them)."""
     g = surface.level_grad(x)
-    n = g / np.linalg.norm(g, axis=1, keepdims=True)
+    level_norm = np.linalg.norm(g, axis=1)
+    n = g / level_norm[:, None]
     gf = surface.morse_grad(x)
-    return -(gf - np.einsum("ij,ij->i", n, gf)[:, None] * n)
+    velocity = -(gf - np.einsum("ij,ij->i", n, gf)[:, None] * n)
+    return velocity, level_norm, np.linalg.norm(gf, axis=1)
 
 
-def _local_rate(surface, x):
+def _local_rate(surface, x, level_norm, morse_norm):
     """A bound on the Lipschitz rate of the projected flow at each row,
-    ||Hess f|| + |grad f| ||Hess F|| / |grad F| in spectral norms.  At a
-    critical point, where grad f = lambda grad F, it is at least the largest
-    |tangent-Hessian eigenvalue|."""
-    level_norm = np.linalg.norm(surface.level_grad(x), axis=1)
-    morse_norm = np.linalg.norm(surface.morse_grad(x), axis=1)
+    ||Hess f|| + |grad f| ||Hess F|| / |grad F| in spectral norms, from the
+    gradient norms at the rows.  At a critical point, where
+    grad f = lambda grad F, it is at least the largest |tangent-Hessian
+    eigenvalue|."""
     level_hess = np.abs(np.linalg.eigvalsh(surface.level_hess(x))).max(axis=1)
     morse_hess = np.abs(np.linalg.eigvalsh(surface.morse_hess(x))).max(axis=1)
     return morse_hess + morse_norm * level_hess / level_norm
@@ -658,6 +661,18 @@ class FlowLineCounter:
     bound at the branch's current position: RK4 damps a mode of decay rate
     k only for steps h with h k below ~2.8, and L bounds every such k near
     x, so steps are short only where the flow changes fast.
+
+    A branch also ends, before it is captured, once critical values decide
+    its end: f falls strictly along a descending line, so a descending row
+    whose f is below every critical value but the lowest, by more than
+    ``stab_tol`` (the margin within which ``check_surface`` calls two
+    values of f equal), can only end at the lowest lift; an ascending row
+    above every value but the highest ends at the highest lift.  The rule
+    relies on the critical set being complete, which
+    ``find_critical_orbits`` checks (a minimum, a maximum and the Euler
+    count).  It cannot fire while a saddle's value lies between f(x) and
+    the extreme value, so a saddle connection still reaches the saddle and
+    raises.
     """
 
     def __init__(self, surface, orbits):
@@ -753,15 +768,17 @@ class FlowLineCounter:
     def _endpoints(self, starts, branches):
         """Follow each start along the projected negative gradient, or
         against it on an ascending branch, until it settles at a critical
-        lift, all rows as one RK4 batch; returns the lift per start.  A
-        failure names the branch of its first row, where that row was and
-        how far from the nearest lift."""
+        lift or the value rule (``_value_rule``) decides its lift, all rows
+        as one RK4 batch; returns the lift per start.  A failure names the
+        branch of its first row, where that row was and how far from the
+        nearest lift."""
         s = self.surface
         x = np.array(starts, dtype=float)
         direction = np.array([-1.0 if up else 1.0 for *_, up in branches])
         ends = np.full(len(x), -1)
         live = np.arange(len(x))
         escape = self.tols.escape_radius
+        rule = self._value_rule(direction)
 
         def lost(what, row):
             oi, _, sign, up = branches[row]
@@ -779,7 +796,8 @@ class FlowLineCounter:
             nearest = np.argmin(dists, axis=1)
             dmin = dists[np.arange(len(live)), nearest]
             sign = direction[live, None]
-            k1 = sign * _velocity(s, xl)
+            k1, level_norm, morse_norm = _velocity(s, xl)
+            k1 = sign * k1
             speed = np.linalg.norm(k1, axis=1)
 
             stalled = (dmin >= _CAPTURE_RADIUS) & (speed < _STALL_SPEED)
@@ -789,8 +807,14 @@ class FlowLineCounter:
                            " point", live[np.argmax(stranded)])
             done = (dmin < _CAPTURE_RADIUS) | stalled
             ends[live[done]] = nearest[done]
+            if rule is not None:
+                limit, target = rule
+                passed = ~done & (sign[:, 0] * s.morse(xl) < limit[live])
+                ends[live[passed]] = target[live[passed]]
+                done |= passed
             keep = ~done
             live, xl, sign, k1 = live[keep], xl[keep], sign[keep], k1[keep]
+            level_norm, morse_norm = level_norm[keep], morse_norm[keep]
             if not len(live):
                 return ends
             escaped = np.linalg.norm(xl, axis=1) > escape
@@ -798,19 +822,44 @@ class FlowLineCounter:
                 raise lost(f"a trajectory escaped to radius {escape}",
                            live[np.argmax(escaped)])
 
-            rate = _local_rate(s, xl)
+            rate = _local_rate(s, xl, level_norm, morse_norm)
             bad_rate = ~(np.isfinite(rate) & (rate > 0.0))
             if np.any(bad_rate):
                 raise lost("the local rate of the flow is zero or not finite",
                            live[np.argmax(bad_rate)])
             dt = (1.5 / rate)[:, None]
-            k2 = sign * _velocity(s, xl + 0.5 * dt * k1)
-            k3 = sign * _velocity(s, xl + 0.5 * dt * k2)
-            k4 = sign * _velocity(s, xl + dt * k3)
+            k2 = sign * _velocity(s, xl + 0.5 * dt * k1)[0]
+            k3 = sign * _velocity(s, xl + 0.5 * dt * k2)[0]
+            k4 = sign * _velocity(s, xl + dt * k3)[0]
             x[live] = _project_batch(
                 s, xl + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), iters=2)
         raise lost(f"{len(live)} trajectories failed to settle within the"
                    " step budget", live[0])
+
+    def _value_rule(self, direction):
+        """Per row of ``direction`` (1 descending, -1 ascending), a limit
+        and a target lift: a row whose direction times f is below its limit
+        ends at its target.  None when no row can be decided so.
+
+        The target is the lift lowest in direction times f, the limit the
+        second lowest such value less ``stab_tol``; a row gets them only
+        where that gap exceeds ``stab_tol``.  The lifts of an orbit share
+        their value, so an extreme value is unique only at an orbit of one
+        lift; without such a minimum or maximum, f is not evaluated."""
+        if not {0, 2} & {o.index for o in self.orbits if len(o.points) == 1}:
+            return None
+        values = self.surface.morse(self.lift_positions)
+        margin = self.tols.stab_tol
+        limit = np.full(len(direction), -np.inf)
+        target = np.full(len(direction), -1)
+        for d in (1.0, -1.0):
+            v = d * values
+            lowest, second = np.argsort(v)[:2]
+            if v[second] - v[lowest] > margin:
+                rows = direction == d
+                limit[rows] = v[second] - margin
+                target[rows] = lowest
+        return (limit, target) if np.isfinite(limit).any() else None
 
 
 def count_flow_lines(surface, orbits, from_orbit, to_orbit):

@@ -512,36 +512,35 @@ class TestCensusWork:
 
     def test_torus_census_step_count(self, monkeypatch):
         # every census step evaluates the velocity four times (RK4); each
-        # step is the RK4 stability bound at the local rate of the flow, so
-        # slow modes near the saddles take long steps
+        # step is the RK4 stability bound at the local rate of the flow, and
+        # a branch ends once f has passed every critical value but its
+        # end's; integrated to the capture radius the census took 199 steps.
+        # The last call finds every branch ended and takes no step.
         surface = fn.torus_surface(tilt=0.25)
         orbits = fn.find_critical_orbits(surface)
-        calls = []
-        velocity = fn._velocity
-
-        def counted(surface, x):
-            calls.append(len(x))
-            return velocity(surface, x)
-
-        monkeypatch.setattr(fn, "_velocity", counted)
+        calls = counted_velocity(monkeypatch)
         fn.quotient_to_datum(surface, orbits)
-        assert len(calls) <= 4 * 600
+        assert len(calls) == 4 * 18 + 1
 
-    @pytest.mark.parametrize("run, most", [("torus_run", 1000),
+    def test_small_tilt_census_step_count(self, monkeypatch):
+        # the critical values crowd together at a small tilt; integrated to
+        # the capture radius the census took 2,341 steps
+        surface = fn.torus_surface(tilt=0.02)
+        orbits = fn.find_critical_orbits(surface)
+        calls = counted_velocity(monkeypatch)
+        fn.quotient_to_datum(surface, orbits)
+        assert len(calls) <= 4 * 400 + 1
+
+    @pytest.mark.parametrize("run, most", [("torus_run", 73),
                                            ("epsilon_run", 400)])
     def test_velocity_calls(self, monkeypatch, request, run, most):
         # an arc-length step and a cap at the stiffest critical point took
         # 1,849 calls on the torus (tilt 0.25) and 1,053 on the stabilized
-        # epsilon = 0.8 sphere
+        # epsilon = 0.8 sphere; steps at the local rate took 797 and 249, and
+        # ending torus branches by critical values 73 (the epsilon sphere's
+        # extreme values are each shared by two lifts, so none ends early)
         run = request.getfixturevalue(run)
-        calls = []
-        velocity = fn._velocity
-
-        def counted(surface, x):
-            calls.append(len(x))
-            return velocity(surface, x)
-
-        monkeypatch.setattr(fn, "_velocity", counted)
+        calls = counted_velocity(monkeypatch)
         assert fn.quotient_to_datum(run.surface, run.orbits) == run.datum
         assert len(calls) <= most
 
@@ -556,13 +555,14 @@ class TestCensusWork:
         for surface, orbits in cases:
             lifts = np.array([p.position for o in orbits for p in o.points])
             spectra = [fn._tangent_data(surface, pos)[0] for pos in lifts]
-            rate = fn._local_rate(surface, lifts)
+            norms = fn._velocity(surface, lifts)[1:]
+            rate = fn._local_rate(surface, lifts, *norms)
             assert np.all(rate >= np.max(np.abs(spectra), axis=1) - 1e-9)
 
     @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
     def test_bad_rate_raises(self, monkeypatch, torus_run, value):
         monkeypatch.setattr(fn, "_local_rate",
-                            lambda surface, x: np.full(len(x), value))
+                            lambda surface, x, *norms: np.full(len(x), value))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonConvergentTrajectory,
@@ -586,6 +586,131 @@ class TestCensusWork:
         assert f"the descending branch {branch} " in message
         assert "of saddle 'saddle0' was last at [" in message
         assert "from the nearest critical lift" in message
+
+    def test_gradients_per_step(self, monkeypatch, epsilon_run):
+        # RK4 evaluates each gradient four times a step, and once more
+        # where every branch has ended; the local rate reads its gradient
+        # norms off the first of the four (it took a fifth pair, 311 calls)
+        surface, counts = counted_fields(epsilon_run.surface, ("morse_grad",))
+        steps = []
+        rate = fn._local_rate
+
+        def counted_rate(surface, x, *norms):
+            steps.append(len(x))
+            return rate(surface, x, *norms)
+
+        monkeypatch.setattr(fn, "_local_rate", counted_rate)
+        assert fn.quotient_to_datum(surface, epsilon_run.orbits) == (
+            epsilon_run.datum)
+        assert len(steps) == 62
+        assert len(counts["morse_grad"]) == 4 * 62 + 1
+
+
+def counted_velocity(monkeypatch):
+    """Record the batch size of every ``_velocity`` call."""
+    calls = []
+    velocity = fn._velocity
+
+    def counted(surface, x):
+        calls.append(len(x))
+        return velocity(surface, x)
+
+    monkeypatch.setattr(fn, "_velocity", counted)
+    return calls
+
+
+def counted_fields(surface, names):
+    """The surface with each named field recording its batch sizes, and the
+    records by name."""
+    counts = {name: [] for name in names}
+
+    def counted(name):
+        real = getattr(surface, name)
+
+        def field_(x):
+            counts[name].append(len(x))
+            return real(x)
+        return field_
+
+    return dataclasses.replace(
+        surface, **{name: counted(name) for name in names}), counts
+
+
+class TestValueRule:
+    """A branch that has passed every critical value but one ends at that
+    lift without being integrated to the capture radius.  A tolerance
+    ``stab_tol`` above every gap between critical values switches the rule
+    off, which gives the integrated ends to compare against.  The rule is
+    active on the surface of ``TestTorus::test_saddle_connection_detected``,
+    which must still raise."""
+
+    @staticmethod
+    def census(surface, orbits, stab_tol=None):
+        if stab_tol is not None:
+            surface = dataclasses.replace(
+                surface, tolerances=fn.Tolerances(stab_tol=stab_tol))
+        counter = fn.FlowLineCounter(surface, orbits)
+        counts = counts_of(fn.quotient_to_datum(surface, orbits, counter))
+        return counter._census, counts
+
+    @pytest.mark.parametrize("tilt", [0.02, 0.05, 0.1, 0.25, 0.4, 0.5])
+    def test_value_ends_equal_integrated_ends(self, tilt):
+        surface = fn.torus_surface(tilt=tilt)
+        orbits = fn.find_critical_orbits(surface)
+        assert self.census(surface, orbits) == self.census(
+            surface, orbits, stab_tol=100.0)
+
+    @pytest.mark.parametrize("make, steps", [
+        (antipodal_sphere_surface, 79), (None, 62)],
+        ids=["antipodal_sphere", "epsilon_sphere"])
+    def test_shared_extremes_decide_nothing(self, monkeypatch, epsilon_run,
+                                            make, steps):
+        if make is None:
+            surface, orbits = epsilon_run.surface, epsilon_run.orbits
+        else:
+            surface = make()
+            orbits = fn.find_critical_orbits(surface)
+        surface, counts = counted_fields(surface, ("morse",))
+        calls = counted_velocity(monkeypatch)
+        fn.quotient_to_datum(surface, orbits)
+        assert len(calls) == 4 * steps + 1
+        lifts = sum(len(o.points) for o in orbits)
+        if make is None:
+            # the stabilized poles are minima of one lift each: one value
+            # per lift shows that min0's two lifts lie below them
+            assert counts["morse"] == [lifts]
+        else:
+            # every orbit has two lifts, so no value is unique
+            assert counts["morse"] == []
+
+    @pytest.mark.parametrize("delta, fires", [(2e-9, False), (1e-6, True)],
+                             ids=["near_tie", "clear_gap"])
+    def test_margin(self, monkeypatch, delta, fires):
+        # two minima at y = -1 and y = 1 whose values differ by 2 delta;
+        # within stab_tol = 1e-8 they count as equal and decide nothing
+        def morse(x):
+            return x[:, 2] ** 2 + 0.5 * x[:, 0] ** 2 + delta * x[:, 1]
+
+        def morse_grad(x):
+            return np.stack([x[:, 0], np.full(x.shape[0], delta),
+                             2.0 * x[:, 2]], axis=1)
+
+        surface, counts = counted_fields(dataclasses.replace(
+            antipodal_sphere_surface(), name="tilted_sphere", morse=morse,
+            morse_grad=morse_grad, group=fn.group_from_generators(())),
+            ("morse",))
+        orbits = fn.find_critical_orbits(surface)
+        assert [o.index for o in orbits] == [2, 2, 1, 1, 0, 0]
+        counts["morse"].clear()
+        calls = counted_velocity(monkeypatch)
+        ruled = self.census(surface, orbits)
+        # f at the six lifts, and at the live rows of each step if it fires
+        assert (counts["morse"] != [6]) == fires
+        # the velocity rows: a branch that ends early takes fewer
+        ruled_rows = sum(calls)
+        calls.clear()
+        assert ruled == self.census(surface, orbits, stab_tol=100.0)
+        assert (ruled_rows < sum(calls)) == fires
 
 
 def default_seeds(surface):
