@@ -15,7 +15,7 @@ import sys
 
 from . import flow_numerics, simplicial_oracle
 from .chain_complex import homology
-from .errors import OrbimorseError, ParseError
+from .errors import BadParams, OrbimorseError, ParseError
 from .morse_datum import (
     CriticalPointRecord,
     FlowCount,
@@ -182,7 +182,7 @@ def load_surface_file(path):
     try:
         return flow_numerics.surface_from_spec(
             surface["kind"], params, tuple(group), tolerances)
-    except TypeError as exc:
+    except BadParams as exc:
         raise ParseError(f"bad surface parameters: {exc}") from None
 
 

@@ -68,7 +68,7 @@ class SphereCountMismatch(OrbimorseError):
 
 
 class UnknownBuiltin(OrbimorseError):
-    """No built-in sphere Morse datum with that name exists."""
+    """No built-in sphere Morse datum or surface kind with that name exists."""
 
 
 class BadParams(OrbimorseError):

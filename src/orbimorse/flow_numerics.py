@@ -31,6 +31,7 @@ from .errors import (
     DegenerateCritical,
     NonConvergentTrajectory,
     SeedGridExhausted,
+    UnknownBuiltin,
     UnstableEndpoint,
     UnsupportedProfile,
 )
@@ -317,16 +318,24 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
 
 
 def surface_from_spec(kind, params=None, group=(), tolerances=None):
+    """A built-in surface by kind name; an unknown kind raises
+    UnknownBuiltin, a parameter the kind does not take BadParams."""
+    builders = {"sphere": (sphere_surface, ()),
+                "torus": (torus_surface, ("tilt", "major", "minor")),
+                "epsilon_sphere": (epsilon_sphere_surface, ("epsilon",))}
+    if kind not in builders:
+        raise UnknownBuiltin(f"unknown surface kind {kind!r}; choose from "
+                             f"{sorted(builders)}")
+    build, names = builders[kind]
     params = dict(params or {})
-    if kind == "sphere":
-        return sphere_surface(tolerances=tolerances, group=tuple(group))
-    if kind == "torus":
-        return torus_surface(tolerances=tolerances, group=tuple(group), **params)
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise BadParams(f"surface kind {kind!r} does not take "
+                        f"{', '.join(unknown)}; its parameters: "
+                        f"{', '.join(names) or 'none'}")
     if kind == "epsilon_sphere":
-        return epsilon_sphere_surface(
-            tolerances=tolerances, group=tuple(group) or ("rotation_pi_z",),
-            **params)
-    raise BadParams(f"unknown surface kind {kind!r}")
+        group = tuple(group) or ("rotation_pi_z",)
+    return build(tolerances=tolerances, group=tuple(group), **params)
 
 
 # --------------------------------------------------------------------------
@@ -428,16 +437,20 @@ def check_surface(surface, samples=1000):
 def _newton_critical_points(surface, seeds):
     """Batched Newton iteration on (grad f = lambda grad F, F = 0).
 
-    Only live rows are iterated, for at most 80 rounds.  Each round
-    evaluates the residual on the live rows and retires every row whose
-    max-norm residual is below ``newton_tol`` or not finite; the rest take
-    one clipped Newton step, after which a row that is no longer finite or
-    has left |x| <= 50 is retired too.  Retired rows are not restarted (a
-    restart at the origin would meet a vanishing level gradient and a
-    singular Jacobian), and a seed whose level gradient vanishes or is not
-    finite never enters.  The residual filter over all rows at the end
-    alone decides which points are returned.
+    Only live rows are iterated, for at most 80 rounds, and the residual is
+    evaluated once per round, at the points just stepped to.  A row leaves
+    the batch once its max-norm residual is below ``newton_tol``, or when
+    its clipped step turns it non-finite, takes it out of |x| <= 50 or does
+    not lower its merit |res|^2 (Nocedal & Wright, Numerical Optimization,
+    2nd ed., sec. 11.2).  Retired rows are not restarted, and a seed whose
+    level gradient vanishes or is not finite never enters.  The residual
+    filter over all rows at the end alone decides which points are returned.
     """
+    def residual(x, lam):
+        g = surface.level_grad(x)
+        return g, np.concatenate([surface.morse_grad(x) - lam[:, None] * g,
+                                  surface.level(x)[:, None]], axis=1)
+
     x = _project_batch(surface, seeds, iters=60)
     g = surface.level_grad(x)
     gg = np.einsum("ij,ij->i", g, g)
@@ -446,18 +459,14 @@ def _newton_critical_points(surface, seeds):
     lam = np.divide(np.einsum("ij,ij->i", surface.morse_grad(x), g), gg,
                     out=np.zeros(len(x)), where=enters)
     tol = surface.tolerances.newton_tol
+    g, res = residual(x[live], lam[live])
 
     for _ in range(80):
-        xl, laml = x[live], lam[live]
-        g = surface.level_grad(xl)
-        res = np.concatenate(
-            [surface.morse_grad(xl) - laml[:, None] * g,
-             surface.level(xl)[:, None]], axis=1)
         keep = np.max(np.abs(res), axis=1) >= tol  # False if not finite
-        live, xl, laml, g, res = (
-            live[keep], xl[keep], laml[keep], g[keep], res[keep])
+        live, g, res = live[keep], g[keep], res[keep]
         if not len(live):
             break
+        xl, laml = x[live], lam[live]
         jac = np.zeros((len(live), 4, 4))
         jac[:, :3, :3] = (surface.morse_hess(xl)
                           - laml[:, None, None] * surface.level_hess(xl))
@@ -468,16 +477,15 @@ def _newton_critical_points(surface, seeds):
         except np.linalg.LinAlgError:
             delta = np.einsum("nij,nj->ni", np.linalg.pinv(jac), -res)
         step = np.clip(delta, -0.5, 0.5)
-        xl = xl + step[:, :3]
-        x[live] = xl
-        lam[live] = laml + step[:, 3]
-        bad = ~np.isfinite(xl).all(axis=1) | (np.linalg.norm(xl, axis=1) > 50.0)
-        live = live[~bad]
+        x[live] = xl = xl + step[:, :3]
+        lam[live] = laml = laml + step[:, 3]
+        inside = np.isfinite(xl).all(axis=1) & (np.linalg.norm(xl, axis=1) <= 50.0)
+        live, merit = live[inside], np.einsum("ij,ij->i", res, res)[inside]
+        g, res = residual(xl[inside], laml[inside])
+        lower = np.einsum("ij,ij->i", res, res) < merit  # False if not finite
+        live, g, res = live[lower], g[lower], res[lower]
 
-    res = np.concatenate(
-        [surface.morse_grad(x) - lam[:, None] * surface.level_grad(x),
-         surface.level(x)[:, None]], axis=1)
-    ok = np.max(np.abs(res), axis=1) < tol
+    ok = np.max(np.abs(residual(x, lam)[1]), axis=1) < tol
     return x[ok]
 
 
@@ -905,11 +913,8 @@ def _orbit_bump(point, orbits, width, amplitude):
 
     all_positions = np.concatenate(
         [[p.position for p in o.points] for o in orbits])
-    nearest = np.inf
-    for c in centers:
-        d = np.linalg.norm(all_positions - c[None], axis=1)
-        d = d[d > 1e-9]
-        nearest = min(nearest, float(d.min()))
+    d = np.linalg.norm(all_positions[None] - centers[:, None], axis=2)
+    nearest = float(d[d > 1e-9].min())
 
     lam = abs(min(point.eigenvalues))
     if width is None:
@@ -942,22 +947,20 @@ def _bumped(surface, bumps):
     centers = np.concatenate([c for c, _, _ in bumps])
     a2 = np.concatenate([np.full(len(c), w ** 2) for c, w, _ in bumps])
     amplitudes = np.concatenate([np.full(len(c), a) for c, _, a in bumps])
-    base_value = surface.morse
-    base_grad = surface.morse_grad
-    base_hess = surface.morse_hess
 
     def morse(x):
         diff, e = _bump_parts(x, centers, a2, amplitudes)
-        return base_value(x) - e.sum(axis=1)
+        return surface.morse(x) - e.sum(axis=1)
 
     def morse_grad(x):
         diff, e = _bump_parts(x, centers, a2, amplitudes)
-        return base_grad(x) + np.einsum("nc,ncj->nj", (2.0 / a2) * e, diff)
+        return (surface.morse_grad(x)
+                + np.einsum("nc,ncj->nj", (2.0 / a2) * e, diff))
 
     def morse_hess(x):
         diff, e = _bump_parts(x, centers, a2, amplitudes)
         outer = np.einsum("nci,ncj->ncij", diff, diff)
-        return (base_hess(x)
+        return (surface.morse_hess(x)
                 - np.einsum("nc,ncij->nij", (4.0 / a2 ** 2) * e, outer)
                 + ((2.0 / a2) * e).sum(axis=1)[:, None, None] * np.eye(3))
 
@@ -975,12 +978,8 @@ def stabilize_all(surface, orbits):
     seeds = [p.position for o in orbits for p in o.points]
     bumps = []
     for orbit in unstable:
-        rep = orbit.representative
-        all_positions = np.concatenate(
-            [[p.position for p in o.points] for o in orbits])
-        dists = np.linalg.norm(all_positions - rep.position[None], axis=1)
-        width = 0.25 * float(dists[dists > 1e-9].min())
-        bumps.append(_orbit_bump(rep, orbits, width, None))
+        bumps.append(_orbit_bump(orbit.representative, orbits, None, None))
+        width = bumps[-1][1]
         for p in orbit.points:
             v = p.negative_frame[0]
             for t in (0.4, 0.8, 1.2, 1.6, 2.2, 3.0):

@@ -324,6 +324,17 @@ class TestFlowCommand:
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
         assert "parse error: surface.params" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["sphere", "torus"])
+    def test_unknown_surface_params(self, tmp_path, capsys, kind):
+        # the sphere used to ignore its params and write the unit sphere
+        path = self.surface_path(tmp_path, kind, (), {"radius": 3})
+        out_path = tmp_path / "o.json"
+        assert main(["flow", path, "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: bad surface parameters")
+        assert f"{kind!r} does not take radius" in err
+        assert not out_path.exists()
+
     def test_tolerance_override_applies(self, tmp_path, capsys):
         path = write_text(tmp_path, json.dumps(
             {"schema_version": "1",

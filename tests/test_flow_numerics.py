@@ -14,6 +14,7 @@ from orbimorse.errors import (
     DegenerateCritical,
     NonConvergentTrajectory,
     SeedGridExhausted,
+    UnknownBuiltin,
     UnstableEndpoint,
     UnsupportedProfile,
 )
@@ -56,6 +57,25 @@ class TestGroups:
     def test_unknown_generator(self):
         with pytest.raises(BadParams):
             fn.group_from_generators(("spin",))
+
+
+class TestSurfaceFromSpec:
+    @pytest.mark.parametrize("kind, params, unknown", [
+        ("sphere", {"radius": 3}, "radius"),
+        ("torus", {"radius": 3}, "radius"),
+        ("torus", {"tilt": 0.3, "radius": 3, "genus": 2}, "genus, radius"),
+        ("epsilon_sphere", {"tilt": 0.3}, "tilt"),
+    ])
+    def test_unknown_parameters_rejected(self, kind, params, unknown):
+        with pytest.raises(BadParams, match=f"{kind!r} does not take {unknown};"):
+            fn.surface_from_spec(kind, params)
+
+    def test_known_parameters_and_kinds(self):
+        torus = fn.surface_from_spec("torus", {"tilt": 0.3, "major": 3.0})
+        assert torus.morse(np.array([[1.0, 0.0, 0.0]]))[0] == 0.3
+        assert len(fn.surface_from_spec("epsilon_sphere", {}).group) == 2
+        with pytest.raises(UnknownBuiltin):
+            fn.surface_from_spec("moebius")
 
 
 class TestSurfaceChecks:
@@ -732,9 +752,54 @@ def counted_solve(monkeypatch):
     return rows
 
 
+def newton_rounds(monkeypatch, surface, seeds, edit=None):
+    """Run Newton on ``seeds``; return, per round, the seed indices of the
+    rows it steps, and the points it returns.  ``edit(round, delta)`` may
+    change a round's solved steps in place.  Rows are followed by position:
+    a row stepped in a later round must sit exactly where its own clipped
+    step of the round before took it, so a restarted row fails the run."""
+    stepped, steps = [], []
+    hess = surface.morse_hess
+    solve = np.linalg.solve
+
+    def recorded_hess(x):
+        stepped.append(x.copy())
+        return hess(x)
+
+    def edited(a, b):
+        delta = solve(a, b)
+        if edit is not None:
+            edit(len(steps), delta[..., 0])
+        steps.append(np.clip(delta[..., 0], -0.5, 0.5))
+        return delta
+
+    monkeypatch.setattr(np.linalg, "solve", edited)
+    found = fn._newton_critical_points(
+        dataclasses.replace(surface, morse_hess=recorded_hess), seeds)
+    candidates = fn._project_batch(surface, seeds, iters=60)
+    labels = np.arange(len(seeds))
+    rounds = []
+    for x, step in zip(stepped, steps):
+        j, kept = 0, []
+        for row in x:
+            while j < len(candidates) and not np.array_equal(candidates[j], row):
+                j += 1
+            assert j < len(candidates), "a stepped row continues no row"
+            kept.append(j)
+            j += 1
+        rounds.append(labels[kept])
+        candidates, labels = x + step[:, :3], labels[kept]
+    return rounds, found
+
+
+def distinct(surface, points):
+    return len(fn._first_of_clusters(points, surface.tolerances.dedup_tol))
+
+
 class TestNewtonWork:
-    """Newton steps only the rows still live: converged rows and rows that
-    turn non-finite or run away leave the batch and are not restarted."""
+    """Newton steps only the rows still live: converged rows and rows whose
+    step turns them non-finite, runs them away or fails to lower their
+    residual leave the batch and are not restarted."""
 
     @pytest.mark.parametrize("make", [fn.torus_surface, fn.sphere_surface],
                              ids=["torus", "sphere"])
@@ -764,42 +829,86 @@ class TestNewtonWork:
     def test_non_finite_step_retires_the_row(self, monkeypatch):
         # a restart at the origin would make the next Jacobian singular
         surface = fn.torus_surface()
-        seeds = default_seeds(surface)
-        rows = []
-        solve = np.linalg.solve
 
-        def poisoned(a, b):
-            delta = solve(a, b)
-            if not rows:
+        def poison(round_, delta):
+            if round_ == 0:
                 delta[0] = np.nan
-            rows.append(len(a))
-            return delta
 
-        monkeypatch.setattr(np.linalg, "solve", poisoned)
         monkeypatch.setattr(np.linalg, "pinv", None)
-        found = fn._newton_critical_points(surface, seeds)
-        assert rows[:2] == [len(seeds), len(seeds) - 1]
+        rounds, found = newton_rounds(
+            monkeypatch, surface, default_seeds(surface), poison)
+        poisoned = rounds[0][0]
+        assert all(poisoned not in rows for rows in rounds[1:])
         assert np.all(np.isfinite(found))
-        assert len(found[fn._first_of_clusters(
-            found, surface.tolerances.dedup_tol)]) == 4
+        assert distinct(surface, found) == 4
+
+    def test_step_that_raises_the_residual_retires_the_row(self, monkeypatch):
+        # seeds near the four torus points all converge; the row whose
+        # first step is reversed moves away from its point, so its merit
+        # |res|^2 grows and it leaves after that one round
+        surface = fn.torus_surface()
+        points = fn._newton_critical_points(surface, default_seeds(surface))
+        points = points[fn._first_of_clusters(
+            points, surface.tolerances.dedup_tol)]
+        seeds = np.concatenate(
+            [points + 0.05 * offset for offset in np.eye(3)])
+        with monkeypatch.context() as patch:
+            plain, found = newton_rounds(patch, surface, seeds)
+        assert len(found) == len(seeds)
+        assert np.array_equal(plain[1], np.arange(len(seeds)))
+
+        def reverse(round_, delta):
+            if round_ == 0:
+                delta[0] *= -1.0
+
+        rounds, found = newton_rounds(monkeypatch, surface, seeds, reverse)
+        assert np.array_equal(rounds[0], np.arange(len(seeds)))
+        assert all(0 not in rows for rows in rounds[1:])
+        assert len(found) == len(seeds) - 1
+        assert distinct(surface, found) == 4
 
     def test_torus_solves_live_rows_only(self, monkeypatch):
-        # 423 of the 1,100 torus seeds never converge; stepping all rows
-        # for the 80 rounds solved 88,000 systems
+        # 423 of the 1,100 torus seeds never converge; iterated until the
+        # round cap they solved 39,900 systems over 80 rounds
         rows = counted_solve(monkeypatch)
         fn.find_critical_orbits(fn.torus_surface(tilt=0.25))
-        assert len(rows) == 80
-        assert sum(rows) <= 45000
+        assert len(rows) == 10
+        assert sum(rows) <= 4000
 
     def test_round_counts(self, monkeypatch):
-        # retiring rows ends no batch earlier or later than convergence did
+        # the sphere's seeds converge or leave within the rounds they took
+        # before; the stabilized epsilon sphere's non-converging rows left
+        # only at the round cap of its first pass (22 rounds in all)
         rows = counted_solve(monkeypatch)
         fn.find_critical_orbits(fn.sphere_surface())
         assert len(rows) == 7
         rows.clear()
         surface = fn.epsilon_sphere_surface(epsilon=0.8)
         fn.stabilize_all(surface, fn.find_critical_orbits(surface))
-        assert len(rows) == 22
+        assert len(rows) == 16
+
+
+class TestNewtonCompleteness:
+    """Rows that stop lowering their residual leave early, so fewer seeds
+    converge; the seed grid must keep enough redundancy that no critical
+    point depends on one radius."""
+
+    @pytest.mark.parametrize("surface, points", [
+        (fn.torus_surface(tilt=0.02), 4), (fn.torus_surface(tilt=0.25), 4),
+        (fn.torus_surface(tilt=0.5), 4),
+        (fn.epsilon_sphere_surface(epsilon=0.55), 6),
+        (fn.epsilon_sphere_surface(epsilon=0.8), 6),
+        (fn.sphere_surface(), 2),
+    ], ids=["torus-0.02", "torus-0.25", "torus-0.5", "epsilon-0.55",
+            "epsilon-0.8", "sphere"])
+    def test_each_point_found_from_several_radii(self, surface, points):
+        assert distinct(surface, fn._newton_critical_points(
+            surface, default_seeds(surface))) == points
+        tols = surface.tolerances
+        dirs = fn._fibonacci_directions(tols.seed_count)
+        complete = [r for r in tols.seed_radii if distinct(
+            surface, fn._newton_critical_points(surface, r * dirs)) == points]
+        assert len(complete) >= 3
 
 
 class TestOneBump:
