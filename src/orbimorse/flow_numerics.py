@@ -349,14 +349,29 @@ def _fibonacci_directions(n):
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
-def _project_batch(surface, pts, iters=3):
-    """Newton steps along the level gradient back onto the surface."""
+def _project_batch(surface, pts):
+    """Newton steps along the level gradient back onto the surface.
+
+    Only live rows are stepped, for at most 60 rounds, and every step is
+    taken.  A row leaves after a step no shorter than its previous one (a
+    non-finite length counts as not shorter): its steps have stopped
+    shrinking, which on a converging row happens at roundoff.  A row whose
+    level gradient vanishes takes zero steps and stays put.
+    """
     x = np.array(pts, dtype=float)
-    for _ in range(iters):
-        val = surface.level(x)
-        g = surface.level_grad(x)
+    live = np.arange(len(x))
+    last = np.full(len(x), np.inf)
+    for _ in range(60):
+        xl = x[live]
+        g = surface.level_grad(xl)
         denom = np.maximum(np.einsum("ij,ij->i", g, g), 1e-300)
-        x = x - (val / denom)[:, None] * g
+        step = (surface.level(xl) / denom)[:, None] * g
+        x[live] = xl - step
+        length = np.linalg.norm(step, axis=1)
+        shorter = length < last  # False if not finite
+        live, last = live[shorter], length[shorter]
+        if not len(live):
+            break
     return x
 
 
@@ -398,9 +413,11 @@ def _canonical_sign(vec):
     return vec if vec[j] > 0 else -vec
 
 
-def check_surface(surface, samples=1000):
+def check_surface(surface):
     """Verify the structural invariants: the group is a closed set of
-    orthogonal matrices and both fields are invariant on surface samples."""
+    orthogonal matrices, and both fields are invariant on 1,000 Fibonacci
+    directions projected onto the surface.  At least half of them must land
+    within 1e-9 of F = 0."""
     tol = surface.tolerances.stab_tol
     group = surface.group
     if not group:
@@ -416,10 +433,11 @@ def check_surface(surface, samples=1000):
             if _group_key(g @ h) not in keys:
                 raise BadParams("group is not closed under products")
 
-    pts = _project_batch(surface, _fibonacci_directions(samples), iters=60)
+    samples = _fibonacci_directions(1000)
+    pts = _project_batch(surface, samples)
     on_surface = np.abs(surface.level(pts)) < 1e-9
     pts = pts[on_surface]
-    if len(pts) < samples // 2:
+    if len(pts) < len(samples) // 2:
         raise BadParams("could not project the sample grid onto the surface")
     f_vals = surface.morse(pts)
     lvl_vals = surface.level(pts)
@@ -451,7 +469,7 @@ def _newton_critical_points(surface, seeds):
         return g, np.concatenate([surface.morse_grad(x) - lam[:, None] * g,
                                   surface.level(x)[:, None]], axis=1)
 
-    x = _project_batch(surface, seeds, iters=60)
+    x = _project_batch(surface, seeds)
     g = surface.level_grad(x)
     gg = np.einsum("ij,ij->i", g, g)
     enters = gg > 0.0  # False for a vanishing or non-finite level gradient
@@ -607,7 +625,7 @@ def find_critical_orbits(surface, extra_seeds=None):
 
     def seed_reach():
         # where the seed grid meets the surface, against the surface's size
-        radii = np.linalg.norm(_project_batch(surface, seeds, iters=60), axis=1)
+        radii = np.linalg.norm(_project_batch(surface, seeds), axis=1)
         radii = radii[np.isfinite(radii)]
         reach = (f"project onto the surface at radii {radii.min():.3g} to "
                  f"{radii.max():.3g}" if len(radii) else
@@ -717,7 +735,7 @@ class FlowLineCounter:
         for i, o in enumerate(self.orbits):
             if o is orbit or o.label == getattr(orbit, "label", orbit):
                 return i
-        raise KeyError(f"orbit {orbit!r} is not part of this counter")
+        raise BadParams(f"orbit {orbit!r} is not part of this counter")
 
     # -- the census of saddle branches ---------------------------------------
 
@@ -750,7 +768,7 @@ class FlowLineCounter:
                 starts.append(p.position + sign * offset * a)
                 branches.append((oi, lift, sign, True))
         census = {oi: [] for oi in range(len(self.orbits))}
-        ends = self._endpoints(_project_batch(s, np.array(starts), iters=10),
+        ends = self._endpoints(_project_batch(s, np.array(starts)),
                                branches)
         for (oi, lift, sign, up), end in zip(branches, ends):
             ti, hit = self.lifts[end]
@@ -840,7 +858,7 @@ class FlowLineCounter:
             k3 = sign * _velocity(s, xl + 0.5 * dt * k2)[0]
             k4 = sign * _velocity(s, xl + dt * k3)[0]
             x[live] = _project_batch(
-                s, xl + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), iters=2)
+                s, xl + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
         raise lost(f"{len(live)} trajectories failed to settle within the"
                    " step budget", live[0])
 

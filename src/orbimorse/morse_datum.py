@@ -15,6 +15,7 @@ from .chain_complex import FreeChainComplex, verify_complex
 from .errors import (
     BoundarySquaredNonzero,
     NonIntegralCoefficient,
+    PointNotFound,
     UnknownFlowCount,
     UnstablePoint,
     ValidationFailure,
@@ -79,10 +80,7 @@ class MorseDatum:
         for p in self.points:
             if p.id == point_id:
                 return p
-        raise KeyError(point_id)
-
-    def has_point(self, point_id):
-        return any(p.id == point_id for p in self.points)
+        raise PointNotFound(f"no critical point named {point_id!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from .errors import (
     BadParams,
     DimensionMismatch,
     PointAlreadyStable,
-    PointNotFound,
     SphereCountMismatch,
     UnknownBuiltin,
     ValidationFailure,
@@ -168,8 +167,6 @@ def stabilize_point(datum, local, sphere_datum):
     placeholders; everything else is preserved.  The orbifold Euler number
     is exactly preserved.
     """
-    if not datum.has_point(local.point_id):
-        raise PointNotFound(f"no critical point named {local.point_id!r}")
     point = datum.point(local.point_id)
     if point.stable:
         raise PointAlreadyStable(f"point {local.point_id!r} is already stable")

@@ -215,6 +215,13 @@ class TestStabilizeCommand:
         assert main(["stabilize", path, "q", "--h", "two_points_swap",
                      "--out", str(tmp_path / "o.json")]) == 1
 
+    def test_unknown_point_exit_one(self, tmp_path, capsys):
+        path = self.seed_path(tmp_path)
+        assert main(["stabilize", path, "nosuch", "--h", "two_points_swap",
+                     "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no critical point named 'nosuch'\n"
+
 
 class TestCompareCommand:
     def test_teardrop_matches_sphere(self, tmp_path, capsys):

@@ -91,6 +91,33 @@ class TestSurfaceChecks:
         with pytest.raises(BadParams):
             fn.check_surface(surface)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"group": ()}, "must at least contain the identity"),
+        ({"group": (np.eye(3), np.diag([2.0, 1.0, 1.0]))},
+         "non-orthogonal matrix"),
+        ({"group": (np.eye(3), np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0]]))},
+         "not closed under inverses"),
+        ({"group": (np.eye(3), np.diag([-1.0, 1.0, 1.0]),
+                    np.diag([1.0, -1.0, 1.0]))},
+         "not closed under products"),
+        ({"level": lambda x: np.einsum("ij,ij->i", x, x) + 1.0},
+         "could not project the sample grid"),
+        ({"level": lambda x: fn._sphere_level(x - [0.1, 0.0, 0.0]),
+          "level_grad": lambda x: fn._sphere_level_grad(x - [0.1, 0.0, 0.0]),
+          "group": fn.group_from_generators(("rotation_pi_z",))},
+         "level function is not group invariant"),
+    ], ids=["empty", "non-orthogonal", "inverses", "products", "no-zero",
+            "level-not-invariant"])
+    def test_rejections(self, change, message):
+        # F = |x|^2 + 1 has no zero, so its samples are projected toward a
+        # surface they never reach
+        surface = dataclasses.replace(fn.sphere_surface(), **change)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(BadParams, match=message):
+                fn.check_surface(surface)
+
     def test_degenerate_height_rejected(self):
         with pytest.raises(BadParams):
             fn.torus_surface(tilt=0.0)
@@ -361,6 +388,14 @@ class TestOrientationIndependence:
 
 
 class TestCounterReuse:
+    def test_unknown_orbit_rejected(self, epsilon_run):
+        known = epsilon_run.orbits[0]
+        message = "orbit 'nosuch' is not part of this counter"
+        with pytest.raises(BadParams, match=message):
+            epsilon_run.counter.count("nosuch", known)
+        with pytest.raises(BadParams, match=message):
+            epsilon_run.counter.count(known, "nosuch")
+
     def test_counts_match_convenience_function(self, epsilon_run):
         labels = {o.label: o for o in epsilon_run.orbits}
         source, target = labels["saddle0"], labels["min0"]
@@ -752,6 +787,41 @@ def counted_solve(monkeypatch):
     return rows
 
 
+class TestProjection:
+    """The projection steps each row until its steps stop shrinking."""
+
+    def test_torus_level_gradient_rows(self):
+        # projecting the check samples and the Newton seeds by a fixed 60
+        # steps each, one search took 133,205 level-gradient rows
+        rows = []
+        surface = fn.torus_surface(tilt=0.25)
+        level_grad = surface.level_grad
+
+        def counted(x):
+            rows.append(len(x))
+            return level_grad(x)
+
+        fn.find_critical_orbits(dataclasses.replace(surface,
+                                                    level_grad=counted))
+        assert sum(rows) <= 23000
+
+    @pytest.mark.parametrize("surface", [
+        fn.torus_surface(), fn.sphere_surface(), fn.epsilon_sphere_surface(),
+    ], ids=["torus", "sphere", "epsilon_sphere"])
+    def test_seeds_land(self, surface):
+        # the torus seeds at radius 1.8 start near the tube's core circle,
+        # where the first step overshoots and raises |F|; they land all
+        # the same.  The origin, where the level gradient vanishes, stays.
+        seeds = default_seeds(surface)
+        pts = np.concatenate([seeds, [[np.nan] * 3, [0.0] * 3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = fn._project_batch(surface, pts)
+        assert np.all(np.abs(surface.level(x[:len(seeds)])) < 1e-9)
+        assert np.all(np.isnan(x[-2]))
+        assert np.array_equal(x[-1], np.zeros(3))
+
+
 def newton_rounds(monkeypatch, surface, seeds, edit=None):
     """Run Newton on ``seeds``; return, per round, the seed indices of the
     rows it steps, and the points it returns.  ``edit(round, delta)`` may
@@ -776,7 +846,7 @@ def newton_rounds(monkeypatch, surface, seeds, edit=None):
     monkeypatch.setattr(np.linalg, "solve", edited)
     found = fn._newton_critical_points(
         dataclasses.replace(surface, morse_hess=recorded_hess), seeds)
-    candidates = fn._project_batch(surface, seeds, iters=60)
+    candidates = fn._project_batch(surface, seeds)
     labels = np.arange(len(seeds))
     rounds = []
     for x, step in zip(stepped, steps):
