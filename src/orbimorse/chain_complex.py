@@ -98,19 +98,6 @@ class FreeChainComplex:
         return cls(0, gens, [IntegerMatrix(r, len(labels), tuple(flat))
                              for r, labels, flat in zip(rows, gens, entries)])
 
-    @property
-    def max_degree(self):
-        return self.min_degree + len(self.generators) - 1
-
-    def degrees(self):
-        return range(self.min_degree, self.min_degree + len(self.generators))
-
-    def generator_count(self, degree):
-        k = degree - self.min_degree
-        if 0 <= k < len(self.generators):
-            return len(self.generators[k])
-        return 0
-
     def boundary(self, degree):
         """Matrix of the boundary map out of ``degree``."""
         k = degree - self.min_degree

@@ -246,14 +246,17 @@ def _factors_only(rows, cols, entries):
     row-major entries, by sparse elimination without transforms.
 
     Rows are dicts ``{col: value}`` and ``where[col]`` holds the rows with
-    a nonzero there.  A pivot p that divides every entry of its row and
-    column splits the matrix as (p) + A': row operations clear its column,
-    the column operations that would clear its row touch no other row,
-    and |p| is recorded.  Units go first, each row taking the unit whose
-    column is sparsest (a unit pivot is an algebraic Morse pair); then
-    any dividing entry.  A block left with none goes through
-    ``_eliminate``.  The recorded diagonal is then put into a divisibility
-    chain by (gcd, lcm) passes.
+    a nonzero there.  The first remaining row pivots on its least |entry|,
+    ties going to the sparsest column, so a row with a unit takes the
+    unit whose column is sparsest (a unit pivot is an algebraic Morse
+    pair).  Euclid's algorithm then isolates the pivot p: row operations
+    leave every other entry of its column a remainder mod p, and if one
+    is nonzero the least of them becomes the pivot; once p is alone in
+    its column, column operations, which touch its row only, leave every
+    other entry of its row a remainder mod p, and the least nonzero one
+    becomes the pivot.  Each restart is at a smaller |p|, and a pivot
+    alone in its row and column is recorded as |p|.  The recorded
+    diagonal is then put into a divisibility chain by (gcd, lcm) passes.
     """
     a = {}
     where = [set() for _ in range(cols)]
@@ -266,55 +269,47 @@ def _factors_only(rows, cols, entries):
                 where[j].add(i)
     diagonal = []
 
-    def pivot(i, j):
-        row = a.pop(i)
-        for c in row:
-            where[c].discard(i)
-        p = row[j]
-        column, where[j] = where[j], set()
-        for r in column:
-            target = a[r]
-            k = target[j] // p
-            for c, x in row.items():
-                y = target.get(c, 0) - k * x
-                if y:
-                    if c not in target:
-                        where[c].add(r)
-                    target[c] = y
-                else:
-                    del target[c]
-                    where[c].discard(r)
-            if not target:
-                del a[r]
-        return abs(p)
+    def least(row):
+        return min(row, key=lambda j: (abs(row[j]), len(where[j])))
 
-    for i in range(rows):
-        row = a.get(i)
-        if row:
-            ones = [j for j, x in row.items() if x == 1 or x == -1]
-            if ones:
-                sparsest = min(ones, key=lambda j: len(where[j]))
-                diagonal.append(pivot(i, sparsest))
-
-    progress = True
-    while progress:
-        progress = False
-        for i in list(a):
-            row = a.get(i)
-            if not row:
-                continue
-            g = gcd(*row.values())
-            for j, x in row.items():
-                if abs(x) == g and all(a[r][j] % g == 0 for r in where[j]):
-                    diagonal.append(pivot(i, j))
-                    progress = True
+    while a:
+        i = next(iter(a))
+        j = least(a[i])
+        while True:
+            row = a.pop(i)
+            for c in row:
+                where[c].discard(i)
+            p = row[j]
+            for r in list(where[j]):
+                target = a[r]
+                k = target[j] // p
+                if not k:
+                    continue
+                for c, x in row.items():
+                    y = target.get(c, 0) - k * x
+                    if y:
+                        if c not in target:
+                            where[c].add(r)
+                        target[c] = y
+                    else:
+                        del target[c]
+                        where[c].discard(r)
+                if not target:
+                    del a[r]
+            if not where[j]:
+                row = {c: x % p for c, x in row.items() if x % p}
+                if not row:
+                    diagonal.append(abs(p))
                     break
-
-    if a:
-        left = sorted(j for j in range(cols) if where[j])
-        block = IntegerMatrix.from_rows(
-            [[row.get(j, 0) for j in left] for row in a.values()])
-        diagonal.extend(_eliminate(block)[3])
+                row[j] = p
+            # a remainder is left in p's column or row: pivot on the least
+            a[i] = row
+            for c in row:
+                where[c].add(i)
+            if len(where[j]) > 1:
+                i = min(where[j], key=lambda r: abs(a[r][j]))
+            else:
+                j = least(row)
 
     # units need no pass: they head the chain as they are
     others = [p for p in diagonal if p != 1]

@@ -464,20 +464,21 @@ def _newton_critical_points(surface, seeds):
     level gradient vanishes or is not finite never enters.  The residual
     filter over all rows at the end alone decides which points are returned.
     """
-    def residual(x, lam):
-        g = surface.level_grad(x)
-        return g, np.concatenate([surface.morse_grad(x) - lam[:, None] * g,
+    def residual(x, lam, g=None, mg=None):
+        if g is None:
+            g, mg = surface.level_grad(x), surface.morse_grad(x)
+        return g, np.concatenate([mg - lam[:, None] * g,
                                   surface.level(x)[:, None]], axis=1)
 
     x = _project_batch(surface, seeds)
-    g = surface.level_grad(x)
+    g, mg = surface.level_grad(x), surface.morse_grad(x)
     gg = np.einsum("ij,ij->i", g, g)
     enters = gg > 0.0  # False for a vanishing or non-finite level gradient
     live = np.flatnonzero(enters)
-    lam = np.divide(np.einsum("ij,ij->i", surface.morse_grad(x), g), gg,
+    lam = np.divide(np.einsum("ij,ij->i", mg, g), gg,
                     out=np.zeros(len(x)), where=enters)
     tol = surface.tolerances.newton_tol
-    g, res = residual(x[live], lam[live])
+    g, res = residual(x[live], lam[live], g[live], mg[live])
 
     for _ in range(80):
         keep = np.max(np.abs(res), axis=1) >= tol  # False if not finite

@@ -45,6 +45,27 @@ def make_bean():
     )
 
 
+def witness_rows():
+    """A 12 x 12 matrix in which no entry divides its row and column, and
+    on which the dense elimination behind U, D and V stalls on entry
+    growth: A[i][j] = 2 + (3i^2 + 5j^2 + 7ij + i + 2j) mod 11."""
+    return [[2 + (3 * i * i + 5 * j * j + 7 * i * j + i + 2 * j) % 11
+             for j in range(12)] for i in range(12)]
+
+
+def make_witness():
+    """Points s0..s11 of index 1 over m0..m11 of index 0, all with
+    stabilizer 1, and a flow sj -> mi with count A[i][j] of
+    ``witness_rows``."""
+    rows = witness_rows()
+    return MorseDatum(
+        points=tuple([CriticalPointRecord(f"s{j}", 1, 1) for j in range(12)]
+                     + [CriticalPointRecord(f"m{i}", 0, 1)
+                        for i in range(12)]),
+        flows=tuple(FlowCount(f"s{j}", f"m{i}", rows[i][j])
+                    for j in range(12) for i in range(12)))
+
+
 @pytest.fixture()
 def teardrop():
     return make_teardrop

@@ -12,7 +12,7 @@ from orbimorse.cli import (
     parse_sphere_datum_spec,
 )
 from orbimorse.errors import ParseError
-from conftest import make_bean, make_teardrop
+from conftest import make_bean, make_teardrop, make_witness
 
 
 def write_datum(tmp_path, datum, name="datum.json"):
@@ -120,6 +120,14 @@ class TestHomologyCommand:
                      "--format", "machine"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "0 1 2"
+
+    def test_witness_machine_lines(self, tmp_path, capsys):
+        # groups checked by Fraction elimination in test_exact_linalg
+        path = write_datum(tmp_path, make_witness())
+        assert main(["homology", path, "--complex", "co",
+                     "--format", "machine"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0 1 11,11,11,11,11,11,11,462", "1 1"]
 
     def test_machine_output_stable(self, tmp_path, capsys):
         path = write_datum(tmp_path, make_teardrop(5, 5))

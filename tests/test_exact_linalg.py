@@ -1,8 +1,13 @@
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
+from conftest import witness_rows
 from orbimorse import exact_linalg
+from orbimorse.chain_complex import FreeChainComplex, homology
 from orbimorse.errors import DimensionMismatch, NotAComplex
 from orbimorse.exact_linalg import (
     HomologyGroup,
@@ -141,7 +146,6 @@ class TestSmithNormalForm:
         for read in ("U", "D", "V") * 4:
             m = random_matrix(rng)
             snf = smith_normal_form(m)
-            # the factors alone may have run _eliminate on a leftover block
             before = len(eliminated)
             getattr(snf, read)
             assert eliminated[before:] == [m]
@@ -290,7 +294,7 @@ class TestFactorsOnly:
 
     @pytest.mark.parametrize("rows,factors", [
         ([[2, 0], [0, 3]], (1, 6)),         # Z/2 + Z/3 = Z/6
-        ([[2, 3], [3, 2]], (1, 5)),         # no dividing pivot: dense finish
+        ([[2, 3], [3, 2]], (1, 5)),         # no dividing pivot: Euclid steps
         ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
         ([[0, 2], [2, 0], [0, 0]], (2, 2)),
     ])
@@ -299,19 +303,14 @@ class TestFactorsOnly:
         assert exact_linalg._factors_only(m.rows, m.cols, m.entries) == factors
         self.assert_same_factors(m)
 
-    def test_dense_finish_runs_only_on_the_leftover_block(self, monkeypatch):
-        blocks = []
-        real = exact_linalg._eliminate
+    def test_factors_never_call_eliminate(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("_eliminate ran for invariant factors")
 
-        def counted(matrix):
-            blocks.append(matrix)
-            return real(matrix)
-
-        monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+        monkeypatch.setattr(exact_linalg, "_eliminate", refuse)
         m = IntegerMatrix.from_rows([[1, 5, 0], [0, 2, 3], [0, 3, 2]])
         assert exact_linalg._factors_only(m.rows, m.cols, m.entries) == (
             1, 1, 5)
-        assert blocks == [IntegerMatrix.from_rows([[2, 3], [3, 2]])]
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_shapes(self, shape):
@@ -323,3 +322,62 @@ class TestFactorsOnly:
         for complex_ in double_suspension_complexes(space(), random.Random(23)):
             for boundary in complex_.boundaries:
                 self.assert_same_factors(boundary)
+
+
+def fraction_echelon(rows):
+    """Rank and determinant (of a square input) by Gaussian elimination
+    over ``Fraction``, independent of the package."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a[0]) if a else 0
+    rank_, det = 0, Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(rank_, len(a)) if a[i][col]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank_:
+            a[rank_], a[pivot] = a[pivot], a[rank_]
+            det = -det
+        det *= a[rank_][col]
+        for i in range(rank_ + 1, len(a)):
+            k = a[i][col] / a[rank_][col]
+            if k:
+                a[i] = [x - k * y for x, y in zip(a[i], a[rank_])]
+        rank_ += 1
+    return rank_, det
+
+
+class TestHomologyWithoutTransforms:
+    """Complexes on which no entry divides its row and column: homology
+    reads factors from the sparse elimination, never from ``_eliminate``."""
+
+    @pytest.mark.parametrize("rows,groups", [
+        ([[2, 3], [3, 2]], ((0, (5,)), (0, ()))),
+        (witness_rows(), ((1, (11,) * 7 + (462,)), (1, ()))),
+    ], ids=["two-by-two", "witness"])
+    def test_groups(self, monkeypatch, rows, groups):
+        def refuse(matrix):
+            raise AssertionError("homology ran _eliminate")
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", refuse)
+        m = IntegerMatrix.from_rows(rows)
+        complex_ = FreeChainComplex(
+            0, ([f"m{i}" for i in range(m.rows)],
+                [f"s{j}" for j in range(m.cols)]),
+            (IntegerMatrix.zeros(0, m.rows), m))
+        h0, h1 = homology(complex_)
+        assert ((h0.betti, h0.torsion), (h1.betti, h1.torsion)) == groups
+        # d1 is the only map: H0 = Z^(rows - r) + torsion of order the gcd
+        # of the r x r minors, H1 = Z^(cols - r)
+        r = fraction_echelon(rows)[0]
+        minors = 0
+        for keep_rows in combinations(range(m.rows), r):
+            for keep_cols in combinations(range(m.cols), r):
+                det = fraction_echelon([[rows[i][j] for j in keep_cols]
+                                        for i in keep_rows])[1]
+                assert det.denominator == 1
+                minors = gcd(minors, det.numerator)
+        order = 1
+        for t in h0.torsion:
+            order *= t
+        assert (h0.betti, h1.betti, order) == (m.rows - r, m.cols - r, minors)
