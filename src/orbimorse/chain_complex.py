@@ -81,22 +81,22 @@ class FreeChainComplex:
         """Complex from degree 0 with ``generators[k]`` the labels in degree
         k.  Each incidence ``(degree, source, target, value)`` puts ``value``
         at the row of ``target`` one degree down and the column of
-        ``source``; every other entry is zero.  Labels need only be unique
-        within their degree."""
+        ``source``; every other entry is zero, and when an incidence
+        repeats the last one wins.  Labels need only be unique within their
+        degree.  Each boundary is filled row by row with its nonzeros only
+        (``IntegerMatrix.from_row_dicts``)."""
         gens = [tuple(labels) for labels in generators]
         where = [{label: i for i, label in enumerate(labels)} for labels in gens]
-        rows = [0] + [len(labels) for labels in gens[:-1]]
-        entries = [[0] * (r * len(labels)) for r, labels in zip(rows, gens)]
+        rows = [[]] + [[{} for _ in labels] for labels in gens[:-1]]
         for degree, source, target, value in incidences:
             if not (0 < degree < len(gens) and source in where[degree]
                     and target in where[degree - 1]):
                 raise ShapeMismatch(
                     f"incidence {source!r} -> {target!r} out of degree "
                     f"{degree} does not join two generators")
-            entries[degree][where[degree - 1][target] * len(gens[degree])
-                            + where[degree][source]] = value
-        return cls(0, gens, [IntegerMatrix(r, len(labels), tuple(flat))
-                             for r, labels, flat in zip(rows, gens, entries)])
+            rows[degree][where[degree - 1][target]][where[degree][source]] = value
+        return cls(0, gens, [IntegerMatrix.from_row_dicts(len(labels), dicts)
+                             for labels, dicts in zip(gens, rows)])
 
     def boundary(self, degree):
         """Matrix of the boundary map out of ``degree``."""
@@ -122,11 +122,11 @@ def verify_complex(complex_):
         product = composition(complex_.boundaries[k - 1],
                               complex_.boundaries[k])
         if not product.is_zero():
-            first = next(i for i, x in enumerate(product.entries) if x)
-            row, col = divmod(first, product.cols)
+            row = next(i for i, pairs in enumerate(product.nonzeros) if pairs)
+            col, value = product.nonzeros[row][0]
             failures.append(BoundaryWitness(
                 degree=complex_.min_degree + k, row=row, col=col,
-                value=product.entries[first]))
+                value=value))
     verdict = ComplexVerdict(ok=not failures, failures=tuple(failures))
     object.__setattr__(complex_, "_verdict", verdict)
     return verdict

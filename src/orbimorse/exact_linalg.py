@@ -3,14 +3,16 @@ boundary maps.
 
 Everything here runs on Python's arbitrary-precision integers: invariant
 factors blow up quickly during reduction, so fixed-width arithmetic is not
-an option.  Matrices are immutable; all functions are pure.  A matrix's
-Smith decomposition is computed once and stored on the matrix it came
-from, so later calls on the same matrix (``rank`` and
-``smith_normal_form`` of one boundary map) reuse it; the stored result
-lives exactly as long as that matrix.  Homology reads only invariant
-factors, which are canonical, so they come from a sparse elimination that
-pivots wherever it likes; the documented pivot rule governs only U, D and
-V, computed on first read.
+an option.  Matrices are immutable and store only their nonzeros, row by
+row; products, zero tests and the factors-only elimination read those
+rows, and dense values are computed only when a caller asks for them.
+All functions are pure.  A matrix's Smith decomposition is computed once
+and stored on the matrix it came from, so later calls on the same matrix
+(``rank`` and ``smith_normal_form`` of one boundary map) reuse it; the
+stored result lives exactly as long as that matrix.  Homology reads only
+invariant factors, which are canonical, so they come from a sparse
+elimination that pivots wherever it likes; the documented pivot rule
+governs only U, D and V, computed on first read from the dense rows.
 """
 
 from __future__ import annotations
@@ -32,29 +34,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """A rows x cols matrix of Python ints stored row-major.
+def _require_ints(values):
+    """Raise ``DimensionMismatch`` at the first value that is not an int;
+    a bool is not taken for one."""
+    if not {int}.issuperset(map(type, values)):
+        for x in values:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise DimensionMismatch(f"non-integer entry {x!r}")
 
-    Empty matrices (zero rows or zero columns) are legal and represent
-    zero maps, which occur at the top and bottom degrees of a complex.
+
+def _pairs(row):
+    """The nonzero items of a row dict ``{col: value}``, columns increasing."""
+    if 0 in row.values():
+        row = {j: x for j, x in row.items() if x}
+    return tuple(sorted(row.items()))
+
+
+@dataclass(frozen=True, init=False)
+class IntegerMatrix:
+    """A rows x cols matrix of Python ints stored as its nonzeros.
+
+    ``nonzeros[i]`` is row i as a tuple of ``(col, value)`` pairs, columns
+    increasing and every value nonzero, so equal matrices have equal
+    fields however they were built.  Dense values (``entries``, ``row``,
+    ``to_rows``, indexing) are computed only when read.  Empty matrices
+    (zero rows or zero columns) are legal and represent zero maps, which
+    occur at the top and bottom degrees of a complex.
     """
 
     rows: int
     cols: int
-    entries: tuple = ()
+    nonzeros: tuple
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows, cols, entries=()):
+        if rows < 0 or cols < 0:
             raise DimensionMismatch("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols}"
-                f" entries, got {len(self.entries)}")
-        if not {int}.issuperset(map(type, self.entries)):
-            for x in self.entries:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise DimensionMismatch(f"non-integer entry {x!r}")
+                f"{rows}x{cols} matrix needs {rows * cols}"
+                f" entries, got {len(entries)}")
+        _require_ints(entries)
+        self.__dict__.update(rows=rows, cols=cols, nonzeros=tuple(
+            tuple((j, x) for j, x in enumerate(entries[i * cols:(i + 1) * cols])
+                  if x) for i in range(rows)))
+
+    @classmethod
+    def _of(cls, rows, cols, nonzeros):
+        """Matrix with these rows of pairs, taken as they are."""
+        matrix = cls.__new__(cls)
+        matrix.__dict__.update(rows=rows, cols=cols, nonzeros=nonzeros)
+        return matrix
 
     @classmethod
     def from_rows(cls, rows_data):
@@ -66,24 +95,37 @@ class IntegerMatrix:
         return cls(rows, cols, tuple(chain.from_iterable(rows_data)))
 
     @classmethod
+    def from_row_dicts(cls, cols, row_dicts):
+        """Matrix whose row i holds the values of ``row_dicts[i]``, a dict
+        ``{col: value}``; zero values give no entry."""
+        _require_ints([x for d in row_dicts for x in d.values()])
+        return cls._of(len(row_dicts), cols, tuple(map(_pairs, row_dicts)))
+
+    @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls._of(rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+        return cls._of(n, n, tuple(((i, 1),) for i in range(n)))
 
     def __getitem__(self, key):
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return dict(self.nonzeros[i]).get(j, 0)
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        dense = dict(self.nonzeros[i])
+        return tuple(dense.get(j, 0) for j in range(self.cols))
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
+
+    @property
+    def entries(self):
+        """Row-major dense values, computed on each read."""
+        return tuple(chain.from_iterable(map(self.row, range(self.rows))))
 
     def __matmul__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -91,23 +133,20 @@ class IntegerMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # Sparse in both factors: row i of the product adds x * y at
-        # column j for each nonzero x = self[i, k] and y = other[k, j].
-        width = other.cols
-        right = [[(j, y) for j, y in enumerate(other.row(k)) if y]
-                 for k in range(other.rows)]
+        # Row i of the product adds x * y at column j for each nonzero
+        # x = self[i, k] and y = other[k, j].
+        right = other.nonzeros
         out = []
-        for i in range(self.rows):
-            acc = [0] * width
-            for x, nonzero in zip(self.row(i), right):
-                if x:
-                    for j, y in nonzero:
-                        acc[j] += x * y
-            out.extend(acc)
-        return IntegerMatrix(self.rows, width, tuple(out))
+        for pairs in self.nonzeros:
+            acc = {}
+            for k, x in pairs:
+                for j, y in right[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(_pairs(acc))
+        return IntegerMatrix._of(self.rows, other.cols, tuple(out))
 
     def is_zero(self):
-        return not any(self.entries)
+        return not any(self.nonzeros)
 
     def diagonal(self):
         return [self[i, i] for i in range(min(self.rows, self.cols))]
@@ -149,7 +188,7 @@ class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D diagonal, the nonzero
     diagonal entries positive and forming a divisibility chain.
 
-    Holds the shape and entries of A, not A itself, which stores this
+    Holds the shape and nonzeros of A, not A itself, which stores this
     object.  ``invariant_factors`` is computed when the decomposition is
     made.  U, D and V follow the pivot rule of ``smith_normal_form``; the
     first read of any of them runs that elimination and stores all three.
@@ -157,18 +196,18 @@ class SmithDecomposition:
 
     rows: int
     cols: int
-    entries: tuple = field(repr=False)
+    nonzeros: tuple = field(repr=False)
     invariant_factors: tuple = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "invariant_factors", _factors_only(
-            self.rows, self.cols, self.entries))
+            self.rows, self.cols, self.nonzeros))
 
     def _transforms(self):
         stored = self.__dict__.get("_udv")
         if stored is None:
-            stored = _eliminate(IntegerMatrix(self.rows, self.cols,
-                                              self.entries))
+            stored = _eliminate(IntegerMatrix._of(self.rows, self.cols,
+                                                  self.nonzeros))
             object.__setattr__(self, "_udv", stored)
         return stored
 
@@ -236,20 +275,21 @@ def smith_normal_form(matrix):
     """
     stored = matrix.__dict__.get("_smith")
     if stored is None:
-        stored = SmithDecomposition(matrix.rows, matrix.cols, matrix.entries)
+        stored = SmithDecomposition(matrix.rows, matrix.cols, matrix.nonzeros)
         object.__setattr__(matrix, "_smith", stored)
     return stored
 
 
-def _factors_only(rows, cols, entries):
-    """Invariant factors of the ``rows`` x ``cols`` matrix with these
-    row-major entries, by sparse elimination without transforms.
+def _factors_only(rows, cols, nonzeros):
+    """Invariant factors of the ``rows`` x ``cols`` matrix whose row i has
+    the ``(col, value)`` pairs ``nonzeros[i]`` (``IntegerMatrix.nonzeros``),
+    by sparse elimination without transforms.
 
-    Rows are dicts ``{col: value}`` and ``where[col]`` holds the rows with
-    a nonzero there.  The first remaining row pivots on its least |entry|,
-    ties going to the sparsest column, so a row with a unit takes the
-    unit whose column is sparsest (a unit pivot is an algebraic Morse
-    pair).  Euclid's algorithm then isolates the pivot p: row operations
+    Rows are copied into dicts ``{col: value}``, so the caller's rows are
+    never changed, and ``where[col]`` holds the rows with a nonzero there.
+    The first remaining row pivots on its least |entry|, ties going to the
+    sparsest column, so a row with a unit takes the unit whose column is
+    sparsest (a unit pivot is an algebraic Morse pair).  Euclid's algorithm then isolates the pivot p: row operations
     leave every other entry of its column a remainder mod p, and if one
     is nonzero the least of them becomes the pivot; once p is alone in
     its column, column operations, which touch its row only, leave every
@@ -258,15 +298,11 @@ def _factors_only(rows, cols, entries):
     alone in its row and column is recorded as |p|.  The recorded
     diagonal is then put into a divisibility chain by (gcd, lcm) passes.
     """
-    a = {}
+    a = {i: dict(pairs) for i, pairs in enumerate(nonzeros) if pairs}
     where = [set() for _ in range(cols)]
-    for i in range(rows):
-        row = {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols])
-               if x}
-        if row:
-            a[i] = row
-            for j in row:
-                where[j].add(i)
+    for i, row in a.items():
+        for j in row:
+            where[j].add(i)
     diagonal = []
 
     def least(row):

@@ -1,14 +1,18 @@
 import random
+import tracemalloc
 
 import pytest
 
+from conftest import make_witness
+from orbimorse import exact_linalg
 from orbimorse.chain_complex import (
+    BoundaryWitness,
     FreeChainComplex,
     euler_characteristic,
     homology,
     verify_complex,
 )
-from orbimorse.errors import NotAComplex, ShapeMismatch
+from orbimorse.errors import DimensionMismatch, NotAComplex, ShapeMismatch
 from orbimorse.exact_linalg import IntegerMatrix
 from orbimorse.morse_datum import coinvariant_complex, invariant_complex
 
@@ -110,6 +114,66 @@ class TestFromIncidences:
         with pytest.raises(ShapeMismatch):
             FreeChainComplex.from_incidences([["a"], ["e", "a"]], [incidence])
 
+    def test_values(self):
+        def boundary(*incidences):
+            return FreeChainComplex.from_incidences(
+                [["a", "b"], ["e"]], incidences).boundaries[1]
+
+        for bad in (1.5, True):
+            with pytest.raises(DimensionMismatch):
+                boundary((1, "e", "a", bad))
+        # a zero value, or a zero written last, gives a zero entry
+        assert boundary((1, "e", "a", 0)) == IntegerMatrix.zeros(2, 1)
+        assert boundary((1, "e", "a", 5), (1, "e", "a", 0)).nonzeros == (
+            (), ())
+        # a repeated incidence keeps its last value
+        assert boundary((1, "e", "b", 4), (1, "e", "a", 2),
+                        (1, "e", "b", -3)) == IntegerMatrix.from_rows(
+                            [[2], [-3]])
+
+    def test_same_matrix_as_from_rows(self):
+        def naive(a, b, width):
+            return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+                     for j in range(width)] for i in range(len(a))]
+
+        rng = random.Random(4021)
+        values = (0, 0, 0, 1, -1, 2, -3, 6)
+        for _ in range(300):
+            rows, cols, other = (rng.randint(0, 6) for _ in range(3))
+            dense = [[rng.choice(values) for _ in range(cols)]
+                     for _ in range(rows)]
+            incidences = [(1, f"c{j}", f"r{i}", dense[i][j])
+                          for i in range(rows) for j in range(cols)
+                          if dense[i][j] or rng.random() < 0.3]
+            rng.shuffle(incidences)
+            # a decoy before some incidences, which the later value overwrites
+            for at in sorted(rng.sample(range(len(incidences)),
+                                        len(incidences) // 3), reverse=True):
+                decoy = incidences[at][:3] + (rng.choice(values),)
+                incidences.insert(rng.randint(0, at), decoy)
+            built = FreeChainComplex.from_incidences(
+                [[f"r{i}" for i in range(rows)],
+                 [f"c{j}" for j in range(cols)]], incidences).boundaries[1]
+            direct = IntegerMatrix(rows, cols, tuple(
+                x for row in dense for x in row))
+            for m in ([IntegerMatrix.from_rows(dense)] if rows else []) + [
+                    direct]:
+                assert m == built and hash(m) == hash(built)
+            assert built.to_rows() == dense
+            assert exact_linalg._factors_only(
+                built.rows, built.cols, built.nonzeros) == (
+                    exact_linalg._eliminate(direct)[3])
+            right = [[rng.choice(values) for _ in range(other)]
+                     for _ in range(cols)]
+            left = [[rng.choice(values) for _ in range(rows)]
+                    for _ in range(other)]
+            assert (built @ IntegerMatrix(cols, other, tuple(
+                x for row in right for x in row))).to_rows() == naive(
+                    dense, right, other)
+            assert (IntegerMatrix(other, rows, tuple(
+                x for row in left for x in row)) @ built).to_rows() == naive(
+                    left, dense, cols)
+
 
 class TestHomology:
     def test_zero_boundaries_ranks(self):
@@ -146,9 +210,9 @@ class TestHomology:
         eliminated = []
         real = exact_linalg._factors_only
 
-        def counted(rows, cols, entries):
-            eliminated.append((rows, cols, entries))
-            return real(rows, cols, entries)
+        def counted(rows, cols, nonzeros):
+            eliminated.append((rows, cols, nonzeros))
+            return real(rows, cols, nonzeros)
 
         monkeypatch.setattr(exact_linalg, "_factors_only", counted)
         complex_ = torus_complex().chain_complex()
@@ -156,7 +220,7 @@ class TestHomology:
         assert [(g.betti, g.torsion) for g in groups] == [
             (1, ()), (2, ()), (1, ())]
         for boundary in complex_.boundaries:
-            assert sum(e is boundary.entries
+            assert sum(e is boundary.nonzeros
                        and (r, c) == (boundary.rows, boundary.cols)
                        for r, c, e in eliminated) == 1
         # besides the boundaries, only the zero map into the top degree
@@ -191,6 +255,64 @@ class TestHomology:
         c = FreeChainComplex(0, (), ())
         assert homology(c) == ()
         assert euler_characteristic(c) == 0
+
+
+def path_complex(n):
+    """n vertices joined in a path by n - 1 edges."""
+    return FreeChainComplex.from_incidences(
+        [[f"v{i}" for i in range(n)], [f"e{i}" for i in range(n - 1)]],
+        [(1, f"e{i}", f"v{i}", -1) for i in range(n - 1)]
+        + [(1, f"e{i}", f"v{i + 1}", 1) for i in range(n - 1)])
+
+
+class TestSparseStorage:
+    def test_long_path_stays_small(self):
+        # a dense boundary holds 2000 x 1999 entries: a ~60 MB peak
+        tracemalloc.start()
+        try:
+            groups = homology(path_complex(2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(g.betti, g.torsion) for g in groups] == [(1, ()), (0, ())]
+        assert peak < 8 * 2 ** 20
+
+    def test_homology_reads_no_dense_values(self, bean, monkeypatch):
+        from orbimorse.simplicial_oracle import torus_complex
+
+        def refused(*args):
+            raise AssertionError("a dense value was read")
+
+        monkeypatch.setattr(IntegerMatrix, "entries", property(refused))
+        for name in ("row", "to_rows", "__getitem__"):
+            monkeypatch.setattr(IntegerMatrix, name, refused)
+        assert [(g.betti, g.torsion) for g in homology(
+            torus_complex().chain_complex())] == [(1, ()), (2, ()), (1, ())]
+        assert [(g.betti, g.torsion) for g in homology(
+            invariant_complex(bean))] == [(1, (2,)), (0, ()), (1, ())]
+        # d1 @ d2 == [[0], [2]]: the witness is in the second row
+        c = FreeChainComplex.from_incidences(
+            [["a0", "a1"], ["b0", "b1"], ["c"]],
+            [(1, "b0", "a1", 1), (1, "b1", "a1", 1),
+             (2, "c", "b0", 3), (2, "c", "b1", -1)])
+        with pytest.raises(NotAComplex):
+            homology(c)
+        assert verify_complex(c).failures == (
+            BoundaryWitness(degree=2, row=1, col=0, value=2),)
+
+    def test_homology_leaves_its_matrices_as_they_were(self, bean):
+        from orbimorse.simplicial_oracle import projective_plane
+
+        for complex_ in (projective_plane().chain_complex(),
+                         invariant_complex(bean),
+                         invariant_complex(make_witness())):
+            copies = [IntegerMatrix(b.rows, b.cols, b.entries)
+                      for b in complex_.boundaries]
+            homology(complex_)
+            assert list(complex_.boundaries) == copies
+            for b in complex_.boundaries:
+                assert exact_linalg.smith_normal_form(b).nonzeros is (
+                    b.nonzeros)
 
 
 class TestEulerCharacteristic:

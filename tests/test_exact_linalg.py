@@ -212,6 +212,23 @@ class TestIntegerMatrix:
             product = a @ b
             assert product == naive(a, b) == IntegerMatrix.zeros(m, n)
 
+    def test_immutable(self):
+        m = IntegerMatrix.from_rows([[3, 0], [0, -1]])
+        for name in ("rows", "cols", "nonzeros"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, getattr(m, name))
+        with pytest.raises(TypeError):
+            m.nonzeros[0][0] = (1, 4)
+        assert rank(m) == 2
+        assert m == IntegerMatrix.from_rows([[3, 0], [0, -1]])
+        rng = random.Random(808)
+        for _ in range(200):
+            m = random_matrix(rng)
+            factors = smith_normal_form(m).invariant_factors
+            assert m == IntegerMatrix.from_rows(m.to_rows())
+            assert exact_linalg._factors_only(
+                m.rows, m.cols, m.nonzeros) == factors
+
     def test_determinant(self):
         assert IntegerMatrix.from_rows([[2, 4], [6, 8]]).determinant() == -8
         assert IntegerMatrix.identity(4).determinant() == 1
@@ -281,7 +298,7 @@ class TestFactorsOnly:
 
     @staticmethod
     def assert_same_factors(m):
-        assert exact_linalg._factors_only(m.rows, m.cols, m.entries) == (
+        assert exact_linalg._factors_only(m.rows, m.cols, m.nonzeros) == (
             exact_linalg._eliminate(m)[3])
 
     def test_random_small_matrices(self):
@@ -300,7 +317,7 @@ class TestFactorsOnly:
     ])
     def test_pinned(self, rows, factors):
         m = IntegerMatrix.from_rows(rows)
-        assert exact_linalg._factors_only(m.rows, m.cols, m.entries) == factors
+        assert exact_linalg._factors_only(m.rows, m.cols, m.nonzeros) == factors
         self.assert_same_factors(m)
 
     def test_factors_never_call_eliminate(self, monkeypatch):
@@ -309,7 +326,7 @@ class TestFactorsOnly:
 
         monkeypatch.setattr(exact_linalg, "_eliminate", refuse)
         m = IntegerMatrix.from_rows([[1, 5, 0], [0, 2, 3], [0, 3, 2]])
-        assert exact_linalg._factors_only(m.rows, m.cols, m.entries) == (
+        assert exact_linalg._factors_only(m.rows, m.cols, m.nonzeros) == (
             1, 1, 5)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
