@@ -46,20 +46,31 @@ __all__ = [
 # --------------------------------------------------------------------------
 # datum files
 
-def _require_keys(obj, required, optional, context):
+def _context(what, index=None, key=None):
+    """Where a bad value sits: ``what``, ``what[index]``, ``what.key`` or
+    ``what[index].key``.  Callers pass the parts and the string is made
+    only for an error message, so checking a good record formats none."""
+    if index is not None:
+        what = f"{what}[{index}]"
+    return what if key is None else f"{what}.{key}"
+
+
+def _require_keys(obj, required, optional, what, index=None):
     if not isinstance(obj, dict):
-        raise ParseError(f"{context}: expected an object, got {type(obj).__name__}")
+        raise ParseError(f"{_context(what, index)}: expected an object,"
+                         f" got {type(obj).__name__}")
     for key in required:
         if key not in obj:
-            raise ParseError(f"{context}: missing key {key!r}")
+            raise ParseError(f"{_context(what, index)}: missing key {key!r}")
     for key in obj:
         if key not in required and key not in optional:
-            raise ParseError(f"{context}: unknown key {key!r}")
+            raise ParseError(f"{_context(what, index)}: unknown key {key!r}")
 
 
-def _as_int(value, context):
+def _as_int(value, what, index=None, key=None):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{context}: expected an integer, got {value!r}")
+        raise ParseError(f"{_context(what, index, key)}: expected an integer,"
+                         f" got {value!r}")
     return value
 
 
@@ -94,24 +105,24 @@ def datum_from_json(text):
 
     points = []
     for i, raw in enumerate(_as_list(data["points"], "points")):
-        _require_keys(raw, ("id", "index", "stab"), ("stable",), f"points[{i}]")
+        _require_keys(raw, ("id", "index", "stab"), ("stable",), "points", i)
         stable = raw.get("stable", True)
         if not isinstance(stable, bool):
             raise ParseError(f"points[{i}]: stable must be true or false")
         points.append(CriticalPointRecord(
             id=str(raw["id"]),
-            index=_as_int(raw["index"], f"points[{i}].index"),
-            stab_order=_as_int(raw["stab"], f"points[{i}].stab"),
+            index=_as_int(raw["index"], "points", i, "index"),
+            stab_order=_as_int(raw["stab"], "points", i, "stab"),
             stable=stable))
 
     flows = []
     for i, raw in enumerate(_as_list(data["flows"], "flows")):
-        _require_keys(raw, ("from", "to", "count"), (), f"flows[{i}]")
+        _require_keys(raw, ("from", "to", "count"), (), "flows", i)
         count = raw["count"]
         if count == "unknown":
             count = None
         elif count is not None:
-            count = _as_int(count, f"flows[{i}].count")
+            count = _as_int(count, "flows", i, "count")
         flows.append(FlowCount(str(raw["from"]), str(raw["to"]), count))
 
     return MorseDatum(points=tuple(points), flows=tuple(flows),

@@ -63,7 +63,6 @@ __all__ = [
     "quotient_to_datum",
 ]
 
-_CAPTURE_RADIUS = 1e-9        # distance at which a trajectory has arrived
 _STALL_SPEED = 1e-12          # below this the flow is considered parked
 _MAX_STEPS = 20000
 
@@ -73,9 +72,13 @@ class Tolerances:
     """Numeric thresholds; defaults assume unit-scale surfaces in double
     precision.
 
-    No field sizes the census steps: each RK4 step is sized by a bound on
-    how fast the projected flow changes where the trajectory is (see
-    ``FlowLineCounter``).
+    Two lengths place points: positions closer than ``dedup_tol`` are the
+    same point (Newton's duplicates, the orbit partition, a lift's
+    stabilizer, the end of a census branch), and a position farther than
+    ``escape_radius`` from the origin is lost (Newton retires it, the
+    census raises).  No field sizes the census steps: each RK4 step is
+    sized by a bound on how fast the projected flow changes where the
+    trajectory is (see ``FlowLineCounter``).
     """
 
     newton_tol: float = 1e-12
@@ -458,11 +461,12 @@ def _newton_critical_points(surface, seeds):
     Only live rows are iterated, for at most 80 rounds, and the residual is
     evaluated once per round, at the points just stepped to.  A row leaves
     the batch once its max-norm residual is below ``newton_tol``, or when
-    its clipped step turns it non-finite, takes it out of |x| <= 50 or does
-    not lower its merit |res|^2 (Nocedal & Wright, Numerical Optimization,
-    2nd ed., sec. 11.2).  Retired rows are not restarted, and a seed whose
-    level gradient vanishes or is not finite never enters.  The residual
-    filter over all rows at the end alone decides which points are returned.
+    its clipped step takes it farther than ``escape_radius`` from the
+    origin (or turns it non-finite) or does not lower its merit |res|^2
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 11.2).
+    Retired rows are not restarted, and a seed whose level gradient
+    vanishes or is not finite never enters.  The residual filter over all
+    rows at the end alone decides which points are returned.
     """
     def residual(x, lam, g=None, mg=None):
         if g is None:
@@ -478,6 +482,7 @@ def _newton_critical_points(surface, seeds):
     lam = np.divide(np.einsum("ij,ij->i", mg, g), gg,
                     out=np.zeros(len(x)), where=enters)
     tol = surface.tolerances.newton_tol
+    escape = surface.tolerances.escape_radius
     g, res = residual(x[live], lam[live], g[live], mg[live])
 
     for _ in range(80):
@@ -498,7 +503,7 @@ def _newton_critical_points(surface, seeds):
         step = np.clip(delta, -0.5, 0.5)
         x[live] = xl = xl + step[:, :3]
         lam[live] = laml = laml + step[:, 3]
-        inside = np.isfinite(xl).all(axis=1) & (np.linalg.norm(xl, axis=1) <= 50.0)
+        inside = np.linalg.norm(xl, axis=1) <= escape  # False if not finite
         live, merit = live[inside], np.einsum("ij,ij->i", res, res)[inside]
         g, res = residual(xl[inside], laml[inside])
         lower = np.einsum("ij,ij->i", res, res) < merit  # False if not finite
@@ -542,22 +547,6 @@ def _tangent_data(surface, pos):
              for vec in (eigvecs[0, k] * t1 + eigvecs[1, k] * t2
                          for k in range(2) if eigvals[k] < 0)]
     return tuple(float(e) for e in eigvals), np.array(frame).reshape(-1, 3)
-
-
-def _stab_elements(surface, pos):
-    tol = surface.tolerances.stab_tol
-    return tuple(i for i, g in enumerate(surface.group)
-                 if np.linalg.norm(g @ pos - pos) < tol)
-
-
-def _is_stable(surface, stab_idx, frame):
-    tol = surface.tolerances.stab_tol
-    for i in stab_idx:
-        g = surface.group[i]
-        for v in frame:
-            if np.max(np.abs(g @ v - v)) > tol:
-                return False
-    return True
 
 
 def find_critical_orbits(surface, extra_seeds=None):
@@ -610,8 +599,12 @@ def find_critical_orbits(surface, extra_seeds=None):
             axis=1)
 
         eigenvalues, frame = _tangent_data(surface, rep)
-        stabs = [_stab_elements(surface, pos) for pos in lift_positions]
-        stable = _is_stable(surface, stabs[0], frame)
+        moved = np.einsum("gij,lj->lgi", group, lift_positions)
+        fixed = (np.linalg.norm(moved - lift_positions[:, None], axis=2)
+                 < tols.dedup_tol)
+        stabs = [tuple(int(i) for i in np.flatnonzero(f)) for f in fixed]
+        stable = not any(np.any(np.abs(frame @ group[i].T - frame)
+                                > tols.stab_tol) for i in stabs[0])
         pts = [NumericCriticalPoint(
             position=pos.copy(), index=len(frame), stab_elements=stab,
             negative_frame=frame @ group[gi].T,
@@ -684,6 +677,9 @@ class FlowLineCounter:
     orientation of the tangent plane.  The census is integrated as one
     batch on the first count and cached.
 
+    A branch starts ``shoot_offset`` from its saddle and ends within
+    ``dedup_tol`` of a lift, so a smaller offset raises BadParams.
+
     Each RK4 step of a branch is 1.5 / L(x), with L the ``_local_rate``
     bound at the branch's current position: RK4 damps a mode of decay rate
     k only for steps h with h k below ~2.8, and L bounds every such k near
@@ -706,6 +702,9 @@ class FlowLineCounter:
         self.surface = surface
         self.orbits = list(orbits)
         self.tols = surface.tolerances
+        if self.tols.shoot_offset <= self.tols.dedup_tol:
+            raise BadParams(f"shoot_offset {self.tols.shoot_offset} must"
+                            f" exceed dedup_tol {self.tols.dedup_tol}")
         self.lifts = [(oi, p) for oi, orbit in enumerate(self.orbits)
                       for p in orbit.points]
         self.lift_positions = np.array([p.position for _, p in self.lifts])
@@ -794,11 +793,12 @@ class FlowLineCounter:
 
     def _endpoints(self, starts, branches):
         """Follow each start along the projected negative gradient, or
-        against it on an ascending branch, until it settles at a critical
-        lift or the value rule (``_value_rule``) decides its lift, all rows
-        as one RK4 batch; returns the lift per start.  A failure names the
-        branch of its first row, where that row was and how far from the
-        nearest lift."""
+        against it on an ascending branch, until it is within ``dedup_tol``
+        of a critical lift or the value rule (``_value_rule``) decides its
+        lift, all rows as one RK4 batch; returns the lift per start.  A row
+        that stalls farther than ``dedup_tol`` from every lift, escapes past
+        ``escape_radius`` or runs out of steps raises, naming its branch,
+        where it was and how far from the nearest lift."""
         s = self.surface
         x = np.array(starts, dtype=float)
         direction = np.array([-1.0 if up else 1.0 for *_, up in branches])
@@ -827,12 +827,11 @@ class FlowLineCounter:
             k1 = sign * k1
             speed = np.linalg.norm(k1, axis=1)
 
-            stalled = (dmin >= _CAPTURE_RADIUS) & (speed < _STALL_SPEED)
-            stranded = stalled & (dmin >= self.tols.dedup_tol)
+            done = dmin < self.tols.dedup_tol
+            stranded = ~done & (speed < _STALL_SPEED)
             if np.any(stranded):
                 raise lost("a trajectory stalled away from every critical"
                            " point", live[np.argmax(stranded)])
-            done = (dmin < _CAPTURE_RADIUS) | stalled
             ends[live[done]] = nearest[done]
             if rule is not None:
                 limit, target = rule
@@ -922,18 +921,16 @@ def _orbit_bump(point, orbits, width, amplitude):
             "numerical stabilization needs an index-1 point whose descending"
             " line is reversed by the stabilizer")
 
-    centers = None
-    for orbit in orbits:
-        for p in orbit.points:
-            if np.linalg.norm(p.position - point.position) < 1e-9:
-                centers = np.array([q.position for q in orbit.points])
-    if centers is None:
+    orbit = next((o for o in orbits if any(p is point for p in o.points)),
+                 None)
+    if orbit is None:
         raise UnsupportedProfile("the point does not belong to the orbit list")
+    centers = np.array([p.position for p in orbit.points])
 
     all_positions = np.concatenate(
         [[p.position for p in o.points] for o in orbits])
     d = np.linalg.norm(all_positions[None] - centers[:, None], axis=2)
-    nearest = float(d[d > 1e-9].min())
+    nearest = float(d[d > 0].min())
 
     lam = abs(min(point.eigenvalues))
     if width is None:

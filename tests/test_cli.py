@@ -68,6 +68,45 @@ class TestDatumFiles:
                  "points": [{"id": "a", "index": 0, "stab": 1}],
                  "flows": [{"from": "a", "to": "a", "count": True}]}))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["points"][1].update(index=0.5),
+         "points[1].index: expected an integer, got 0.5"),
+        (lambda d: d["points"][0].update(stab="2"),
+         "points[0].stab: expected an integer, got '2'"),
+        (lambda d: d["points"][2].update(x=1), "points[2]: unknown key 'x'"),
+        (lambda d: d["points"][1].pop("id"), "points[1]: missing key 'id'"),
+        (lambda d: d["points"].__setitem__(1, [1]),
+         "points[1]: expected an object, got list"),
+        (lambda d: d["points"][0].update(stable=1),
+         "points[0]: stable must be true or false"),
+        (lambda d: d["flows"][0].pop("count"),
+         "flows[0]: missing key 'count'"),
+        (lambda d: d["flows"][1].update(count=True),
+         "flows[1].count: expected an integer, got True"),
+        (lambda d: d["flows"][1].update(weight=2),
+         "flows[1]: unknown key 'weight'"),
+        (lambda d: d["flows"].__setitem__(0, "a->b"),
+         "flows[0]: expected an object, got str"),
+        (lambda d: d.update(ambient_dimension=2.0),
+         "ambient_dimension: expected an integer, got 2.0"),
+        (lambda d: d.update(points=5), "points: expected a list, got int"),
+        (lambda d: d.update(flows={}), "flows: expected a list, got dict"),
+        (lambda d: d.update(extra=1), "datum file: unknown key 'extra'"),
+        (lambda d: d.pop("flows"), "datum file: missing key 'flows'"),
+    ])
+    def test_bad_record_messages(self, edit, message):
+        data = {"schema_version": "1",
+                "points": [{"id": "a", "index": 0, "stab": 1},
+                           {"id": "b", "index": 1, "stab": 1},
+                           {"id": "c", "index": 2, "stab": 1}],
+                "flows": [{"from": "b", "to": "a", "count": 1},
+                          {"from": "c", "to": "b", "count": 0}]}
+        datum_from_json(json.dumps(data))
+        edit(data)
+        with pytest.raises(ParseError) as info:
+            datum_from_json(json.dumps(data))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("points,flows", [
         (5, []), ([], 5), ([], None), (None, []), ({"a": 1}, []), ([], "ab"),
     ])
@@ -359,6 +398,18 @@ class TestFlowCommand:
         out_path = str(tmp_path / "o.json")
         assert main(["flow", path, "--out", out_path]) == 0
         assert "2 points" in capsys.readouterr().out
+
+    def test_shoot_offset_within_dedup_tol(self, tmp_path, capsys):
+        # each value is a valid tolerance; together they are a domain error
+        path = write_text(tmp_path, json.dumps(
+            {"schema_version": "1",
+             "surface": {"kind": "torus"},
+             "tolerances": {"shoot_offset": 1e-7}}), "tol.json")
+        out_path = tmp_path / "o.json"
+        assert main(["flow", path, "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: shoot_offset 1e-07 must exceed dedup_tol 1e-06\n")
+        assert not out_path.exists()
 
     def test_unsupported_stabilization_profile(self, tmp_path, capsys):
         # the half-turn acts by -1 on the whole descending plane of the

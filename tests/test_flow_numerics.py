@@ -645,7 +645,8 @@ class TestCensusWork:
     def test_gradients_per_step(self, monkeypatch, epsilon_run):
         # RK4 evaluates each gradient four times a step, and once more
         # where every branch has ended; the local rate reads its gradient
-        # norms off the first of the four (it took a fifth pair, 311 calls)
+        # norms off the first of the four (it took a fifth pair, 311 calls).
+        # Branches end within dedup_tol of a lift (at 1e-9 it took 62 steps)
         surface, counts = counted_fields(epsilon_run.surface, ("morse_grad",))
         steps = []
         rate = fn._local_rate
@@ -657,8 +658,8 @@ class TestCensusWork:
         monkeypatch.setattr(fn, "_local_rate", counted_rate)
         assert fn.quotient_to_datum(surface, epsilon_run.orbits) == (
             epsilon_run.datum)
-        assert len(steps) == 62
-        assert len(counts["morse_grad"]) == 4 * 62 + 1
+        assert len(steps) == 47
+        assert len(counts["morse_grad"]) == 4 * 47 + 1
 
 
 def counted_velocity(monkeypatch):
@@ -700,10 +701,10 @@ class TestValueRule:
     which must still raise."""
 
     @staticmethod
-    def census(surface, orbits, stab_tol=None):
-        if stab_tol is not None:
+    def census(surface, orbits, **tolerances):
+        if tolerances:
             surface = dataclasses.replace(
-                surface, tolerances=fn.Tolerances(stab_tol=stab_tol))
+                surface, tolerances=fn.Tolerances(**tolerances))
         counter = fn.FlowLineCounter(surface, orbits)
         counts = counts_of(fn.quotient_to_datum(surface, orbits, counter))
         return counter._census, counts
@@ -715,8 +716,10 @@ class TestValueRule:
         assert self.census(surface, orbits) == self.census(
             surface, orbits, stab_tol=100.0)
 
+    # branches end within dedup_tol of a lift; ended at 1e-9, the
+    # antipodal census took 79 steps and the epsilon sphere's 62
     @pytest.mark.parametrize("make, steps", [
-        (antipodal_sphere_surface, 79), (None, 62)],
+        (antipodal_sphere_surface, 60), (None, 47)],
         ids=["antipodal_sphere", "epsilon_sphere"])
     def test_shared_extremes_decide_nothing(self, monkeypatch, epsilon_run,
                                             make, steps):
@@ -766,6 +769,42 @@ class TestValueRule:
         calls.clear()
         assert ruled == self.census(surface, orbits, stab_tol=100.0)
         assert (ruled_rows < sum(calls)) == fires
+
+
+class TestCaptureDistance:
+    """A census branch ends once it is within ``dedup_tol`` of a lift, the
+    distance at which two critical positions are the same point.  Ending
+    the branches of the same orbits at 1e-9 instead gives the ends to
+    compare against."""
+
+    @pytest.mark.parametrize("kind, value", [
+        ("torus", 0.02), ("torus", 0.25), ("torus", 0.5), ("epsilon", 0.55),
+        ("epsilon", 0.8), ("epsilon", 1.5), ("antipodal_sphere", None)])
+    def test_ends_equal_ends_at_a_smaller_distance(self, kind, value):
+        if kind == "epsilon":
+            raw = fn.epsilon_sphere_surface(epsilon=value)
+            surface, orbits = fn.stabilize_all(
+                raw, fn.find_critical_orbits(raw))
+        else:
+            surface = (fn.torus_surface(tilt=value) if kind == "torus"
+                       else antipodal_sphere_surface())
+            orbits = fn.find_critical_orbits(surface)
+        census = TestValueRule.census
+        assert census(surface, orbits) == census(
+            surface, orbits, dedup_tol=1e-9)
+
+    @pytest.mark.parametrize("offset", [1e-7, 1e-6])
+    def test_offset_within_the_distance_rejected(self, monkeypatch, offset):
+        # a branch started within dedup_tol of its saddle would end there
+        # at step 0 and read as a saddle connection
+        surface = fn.torus_surface(
+            tolerances=fn.Tolerances(shoot_offset=offset))
+        orbits = fn.find_critical_orbits(surface)
+        calls = counted_velocity(monkeypatch)
+        with pytest.raises(BadParams, match=(
+                f"shoot_offset {offset} must exceed dedup_tol 1e-06")):
+            fn.quotient_to_datum(surface, orbits)
+        assert calls == []
 
 
 def default_seeds(surface):
