@@ -74,6 +74,13 @@ def _as_int(value, what, index=None, key=None):
     return value
 
 
+def _as_label(value, what, index, key):
+    if not isinstance(value, str):
+        raise ParseError(f"{_context(what, index, key)}: expected a string,"
+                         f" got {value!r}")
+    return value
+
+
 def _as_list(value, context):
     if not isinstance(value, list):
         raise ParseError(f"{context}: expected a list, got {type(value).__name__}")
@@ -110,7 +117,7 @@ def datum_from_json(text):
         if not isinstance(stable, bool):
             raise ParseError(f"points[{i}]: stable must be true or false")
         points.append(CriticalPointRecord(
-            id=str(raw["id"]),
+            id=_as_label(raw["id"], "points", i, "id"),
             index=_as_int(raw["index"], "points", i, "index"),
             stab_order=_as_int(raw["stab"], "points", i, "stab"),
             stable=stable))
@@ -123,7 +130,8 @@ def datum_from_json(text):
             count = None
         elif count is not None:
             count = _as_int(count, "flows", i, "count")
-        flows.append(FlowCount(str(raw["from"]), str(raw["to"]), count))
+        flows.append(FlowCount(_as_label(raw["from"], "flows", i, "from"),
+                               _as_label(raw["to"], "flows", i, "to"), count))
 
     return MorseDatum(points=tuple(points), flows=tuple(flows),
                       ambient_dimension=ambient)

@@ -9,10 +9,10 @@ rows, and dense values are computed only when a caller asks for them.
 All functions are pure.  A matrix's Smith decomposition is computed once
 and stored on the matrix it came from, so later calls on the same matrix
 (``rank`` and ``smith_normal_form`` of one boundary map) reuse it; the
-stored result lives exactly as long as that matrix.  Homology reads only
-invariant factors, which are canonical, so they come from a sparse
-elimination that pivots wherever it likes; the documented pivot rule
-governs only U, D and V, computed on first read from the dense rows.
+stored result lives exactly as long as that matrix.  One sparse
+elimination gives both: homology reads only the invariant factors, and
+U, D and V come from the same loop, run again with its operations
+recorded, on the first read of any of them.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ class SmithDecomposition:
 
     Holds the shape and nonzeros of A, not A itself, which stores this
     object.  ``invariant_factors`` is computed when the decomposition is
-    made.  U, D and V follow the pivot rule of ``smith_normal_form``; the
-    first read of any of them runs that elimination and stores all three.
+    made.  The first read of U, D or V runs the same sparse elimination
+    again, recording its operations, and stores all three.
     """
 
     rows: int
@@ -206,8 +206,8 @@ class SmithDecomposition:
     def _transforms(self):
         stored = self.__dict__.get("_udv")
         if stored is None:
-            stored = _eliminate(IntegerMatrix._of(self.rows, self.cols,
-                                                  self.nonzeros))
+            stored = _factors_only(self.rows, self.cols, self.nonzeros,
+                                   transforms=True)
             object.__setattr__(self, "_udv", stored)
         return stored
 
@@ -264,14 +264,13 @@ class HomologyGroup:
 def smith_normal_form(matrix):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    The invariant factors are canonical, so they come from a sparse
-    elimination free to pivot anywhere (``_factors_only``).  U, D and V
-    are computed on first read under a fixed pivot rule: smallest nonzero
-    absolute value in the remaining block, ties broken by row-major
-    position.  This keeps entry growth moderate and makes them
-    deterministic.  The decomposition is stored on ``matrix`` (immutable,
-    so it cannot go stale) and returned as is by later calls on the same
-    matrix.
+    The invariant factors come from a sparse elimination
+    (``_factors_only``); U, D and V come from the same elimination, run
+    with its operations recorded on the first read of any of them.  The
+    factors are canonical; U and V are not, but the same matrix always
+    gives the same ones.  The decomposition is stored on ``matrix``
+    (immutable, so it cannot go stale) and returned as is by later calls
+    on the same matrix.
     """
     stored = matrix.__dict__.get("_smith")
     if stored is None:
@@ -280,29 +279,43 @@ def smith_normal_form(matrix):
     return stored
 
 
-def _factors_only(rows, cols, nonzeros):
+def _factors_only(rows, cols, nonzeros, transforms=False):
     """Invariant factors of the ``rows`` x ``cols`` matrix whose row i has
     the ``(col, value)`` pairs ``nonzeros[i]`` (``IntegerMatrix.nonzeros``),
-    by sparse elimination without transforms.
+    by sparse elimination; with ``transforms`` set, its U, D and V instead
+    (``SmithDecomposition``).
 
     Rows are copied into dicts ``{col: value}``, so the caller's rows are
     never changed, and ``where[col]`` holds the rows with a nonzero there.
     The first remaining row pivots on its least |entry|, ties going to the
     sparsest column, so a row with a unit takes the unit whose column is
-    sparsest (a unit pivot is an algebraic Morse pair).  Euclid's algorithm then isolates the pivot p: row operations
-    leave every other entry of its column a remainder mod p, and if one
-    is nonzero the least of them becomes the pivot; once p is alone in
-    its column, column operations, which touch its row only, leave every
-    other entry of its row a remainder mod p, and the least nonzero one
-    becomes the pivot.  Each restart is at a smaller |p|, and a pivot
-    alone in its row and column is recorded as |p|.  The recorded
-    diagonal is then put into a divisibility chain by (gcd, lcm) passes.
+    sparsest (a unit pivot is an algebraic Morse pair).  Euclid's
+    algorithm then isolates the pivot p: row operations leave every other
+    entry of its column a remainder mod p, and if one is nonzero the
+    least of them becomes the pivot; once p is alone in its column,
+    column operations, which touch its row only, leave every other entry
+    of its row a remainder mod p, and the least nonzero one becomes the
+    pivot.  Each restart is at a smaller |p|, and a pivot alone in its row
+    and column is recorded.  The pivots, units first, are then put into a
+    divisibility chain by (gcd, lcm) passes.
+
+    Recording keeps U and the transpose of V as one row dict per row:
+    each row operation is done on U's rows, each column operation on
+    Vt's.  The pivots are then moved onto the diagonal with their signs
+    moved into U, and each (gcd, lcm) pass on diagonal entries a and b
+    with x*a + y*b = g is the Bezout transform
+    [[x, y], [-b/g, a/g]] @ diag(a, b) @ [[1, -y*b/g], [1, x*a/g]]
+    = diag(g, a*b/g).
     """
     a = {i: dict(pairs) for i, pairs in enumerate(nonzeros) if pairs}
     where = [set() for _ in range(cols)]
     for i, row in a.items():
         for j in row:
             where[j].add(i)
+    if transforms:
+        u = [{i: 1} for i in range(rows)]
+        vt = [{j: 1} for j in range(cols)]
+        pivots = []
     diagonal = []
 
     def least(row):
@@ -321,6 +334,8 @@ def _factors_only(rows, cols, nonzeros):
                 k = target[j] // p
                 if not k:
                     continue
+                if transforms:
+                    u[r] = _combine(1, u[r], -k, u[i])
                 for c, x in row.items():
                     y = target.get(c, 0) - k * x
                     if y:
@@ -333,9 +348,15 @@ def _factors_only(rows, cols, nonzeros):
                 if not target:
                     del a[r]
             if not where[j]:
+                if transforms:
+                    for c, x in row.items():
+                        if c != j and x // p:
+                            vt[c] = _combine(1, vt[c], -(x // p), vt[j])
                 row = {c: x % p for c, x in row.items() if x % p}
                 if not row:
                     diagonal.append(abs(p))
+                    if transforms:
+                        pivots.append((i, j, p))
                     break
                 row[j] = p
             # a remainder is left in p's column or row: pivot on the least
@@ -348,122 +369,54 @@ def _factors_only(rows, cols, nonzeros):
                 j = least(row)
 
     # units need no pass: they head the chain as they are
-    others = [p for p in diagonal if p != 1]
-    for s in range(len(others)):
-        for t in range(s + 1, len(others)):
-            d = gcd(others[s], others[t])
-            others[s], others[t] = d, others[s] // d * others[t]
-    return (1,) * (len(diagonal) - len(others)) + tuple(others)
-
-
-def _eliminate(matrix):
-    """The elimination behind U, D and V: returns them and the invariant
-    factors, in that order."""
-    m, n = matrix.rows, matrix.cols
-    a = matrix.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    # V is kept transposed, so its column operations are row operations.
-    vt = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    # Rows above the current pivot t are zero in every column >= t, and
-    # column operations only touch columns >= t, so they skip those rows.
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in a[t:]:
-                r[i], r[j] = r[j], r[i]
-            vt[i], vt[j] = vt[j], vt[i]
-
-    def add_row(dst, src, k):
-        # row dst += k * row src, mirrored on U
-        if k:
-            a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-            u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        # col dst += k * col src, mirrored on V
-        if k:
-            for r in a[t:]:
-                if r[src]:
-                    r[dst] += k * r[src]
-            vt[dst] = [x + k * y for x, y in zip(vt[dst], vt[src])]
-
-    for t in range(min(m, n)):
-        best = _pivot(a, t, m, n)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-
-        while True:
-            dirty = False
-            # clear the column below the pivot
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        # remainder is strictly smaller: promote it
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
+    units = diagonal.count(1)
+    diagonal = [1] * units + [p for p in diagonal if p != 1]
+    if transforms:
+        # pivot (i, j, p) moves to row and column t of the diagonal, its
+        # sign into U; the rows and columns of no pivot, all zero, follow
+        pivots.sort(key=lambda pivot: abs(pivot[2]) != 1)
+        done = {i for i, _, _ in pivots}
+        u = [u[i] if p > 0 else _combine(-1, u[i], 0, {})
+             for i, _, p in pivots] + [
+                 u[i] for i in range(rows) if i not in done]
+        done = {j for _, j, _ in pivots}
+        vt = [vt[j] for _, j, _ in pivots] + [
+            vt[j] for j in range(cols) if j not in done]
+    for s in range(units, len(diagonal)):
+        for t in range(s + 1, len(diagonal)):
+            d, e = diagonal[s], diagonal[t]
+            g = gcd(d, e)
+            if g == d:
                 continue
-            # clear the row right of the pivot
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # cross is clear; force the pivot to divide the rest of the block
-            offender = _first_not_divisible(a, t, m)
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-
-    d = IntegerMatrix.from_rows(a) if m else IntegerMatrix.zeros(0, n)
-    factors = tuple(a[i][i] for i in range(min(m, n)) if a[i][i] != 0)
-    return (IntegerMatrix.from_rows(u) if m else IntegerMatrix.zeros(0, 0),
-            d,
-            IntegerMatrix.from_rows(zip(*vt)) if n else IntegerMatrix.zeros(0, 0),
-            factors)
+            if transforms:
+                # x*d + y*e = g
+                dg, eg = d // g, e // g
+                x = pow(dg, -1, eg)
+                y = (1 - x * dg) // eg
+                u[s], u[t] = (_combine(x, u[s], y, u[t]),
+                              _combine(-eg, u[s], dg, u[t]))
+                vt[s], vt[t] = (_combine(1, vt[s], 1, vt[t]),
+                                _combine(-y * eg, vt[s], x * dg, vt[t]))
+            diagonal[s], diagonal[t] = g, d // g * e
+    if not transforms:
+        return tuple(diagonal)
+    v = [{} for _ in range(cols)]
+    for c, column in enumerate(vt):
+        for r, x in column.items():
+            v[r][c] = x
+    return (IntegerMatrix._of(rows, rows, tuple(map(_pairs, u))),
+            IntegerMatrix._of(rows, cols, tuple(
+                ((t, diagonal[t]),) if t < len(diagonal) else ()
+                for t in range(rows))),
+            IntegerMatrix._of(cols, cols, tuple(map(_pairs, v))))
 
 
-def _pivot(a, t, m, n):
-    """Position of the smallest nonzero absolute value in the block right
-    of and below (t, t), first in row-major order; None if it is zero."""
-    best = at = None
-    for i in range(t, m):
-        ai = a[i]
-        for j in range(t, n):
-            x = ai[j]
-            if x and (best is None or abs(x) < best):
-                best, at = abs(x), (i, j)
-                if best == 1:       # no nonzero entry is smaller
-                    return at
-    return at
-
-
-def _first_not_divisible(a, t, m):
-    """First row below t with an entry right of t that the pivot a[t][t]
-    does not divide, or None."""
-    p = a[t][t]
-    if abs(p) == 1:
-        return None
-    for i in range(t + 1, m):
-        # p divides every entry of the row iff it divides their gcd
-        if gcd(*a[i][t + 1:]) % p:
-            return i
-    return None
+def _combine(k, row, m, other):
+    """The row dict ``k * row + m * other``; zeros may stay in it."""
+    out = {c: k * x for c, x in row.items()}
+    for c, x in other.items():
+        out[c] = out.get(c, 0) + m * x
+    return out
 
 
 def rank(matrix):

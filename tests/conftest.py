@@ -47,10 +47,31 @@ def make_bean():
 
 def witness_rows():
     """A 12 x 12 matrix in which no entry divides its row and column, and
-    on which the dense elimination behind U, D and V stalls on entry
-    growth: A[i][j] = 2 + (3i^2 + 5j^2 + 7ij + i + 2j) mod 11."""
+    on which a dense elimination under a least-|entry| pivot rule stalls
+    on entry growth: A[i][j] = 2 + (3i^2 + 5j^2 + 7ij + i + 2j) mod 11."""
     return [[2 + (3 * i * i + 5 * j * j + 7 * i * j + i + 2 * j) % 11
              for j in range(12)] for i in range(12)]
+
+
+def assert_valid_decomposition(matrix, snf):
+    """U @ matrix @ V == D with U and V unimodular and D the Smith form:
+    diagonal, its nonzero entries the invariant factors in a divisibility
+    chain."""
+    assert snf.U @ matrix @ snf.V == snf.D
+    assert abs(snf.U.determinant()) == 1
+    assert abs(snf.V.determinant()) == 1
+    diag = snf.D.diagonal()
+    # diagonal, nonnegative, nonzero entries first and chained by divisibility
+    for i in range(snf.D.rows):
+        for j in range(snf.D.cols):
+            if i != j:
+                assert snf.D[i, j] == 0
+    assert all(d >= 0 for d in diag)
+    factors = snf.invariant_factors
+    assert list(factors) == [d for d in diag if d != 0]
+    assert all(d == 0 for d in diag[len(factors):])
+    for a, b in zip(factors, factors[1:]):
+        assert b % a == 0
 
 
 def make_witness():
@@ -64,6 +85,21 @@ def make_witness():
                         for i in range(12)]),
         flows=tuple(FlowCount(f"s{j}", f"m{i}", rows[i][j])
                     for j in range(12) for i in range(12)))
+
+
+@pytest.fixture()
+def refuse_transforms(monkeypatch):
+    """Fail the test if anything asks the elimination for U, D and V."""
+    from orbimorse import exact_linalg
+
+    real = exact_linalg._factors_only
+
+    def factors_only(rows, cols, nonzeros, transforms=False):
+        if transforms:
+            raise AssertionError("U, D and V were computed")
+        return real(rows, cols, nonzeros)
+
+    monkeypatch.setattr(exact_linalg, "_factors_only", factors_only)
 
 
 @pytest.fixture()

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import make_witness
+from conftest import assert_valid_decomposition, make_witness
 from orbimorse import exact_linalg
 from orbimorse.chain_complex import (
     BoundaryWitness,
@@ -13,7 +13,7 @@ from orbimorse.chain_complex import (
     verify_complex,
 )
 from orbimorse.errors import DimensionMismatch, NotAComplex, ShapeMismatch
-from orbimorse.exact_linalg import IntegerMatrix
+from orbimorse.exact_linalg import IntegerMatrix, smith_normal_form
 from orbimorse.morse_datum import coinvariant_complex, invariant_complex
 
 
@@ -160,9 +160,11 @@ class TestFromIncidences:
                     direct]:
                 assert m == built and hash(m) == hash(built)
             assert built.to_rows() == dense
+            snf = smith_normal_form(direct)
+            assert_valid_decomposition(direct, snf)
             assert exact_linalg._factors_only(
                 built.rows, built.cols, built.nonzeros) == (
-                    exact_linalg._eliminate(direct)[3])
+                    snf.invariant_factors)
             right = [[rng.choice(values) for _ in range(other)]
                      for _ in range(cols)]
             left = [[rng.choice(values) for _ in range(rows)]
@@ -226,14 +228,9 @@ class TestHomology:
         # besides the boundaries, only the zero map into the top degree
         assert len(eliminated) == len(complex_.boundaries) + 1
 
-    def test_no_transforms_are_computed(self, bean, monkeypatch):
-        from orbimorse import exact_linalg
+    def test_no_transforms_are_computed(self, bean, refuse_transforms):
         from orbimorse.simplicial_oracle import torus_complex
 
-        def refused(matrix):
-            raise AssertionError("homology computed U, D and V")
-
-        monkeypatch.setattr(exact_linalg, "_eliminate", refused)
         assert [(g.betti, g.torsion) for g in homology(
             torus_complex().chain_complex())] == [(1, ()), (2, ()), (1, ())]
         assert [(g.betti, g.torsion) for g in homology(

@@ -87,6 +87,24 @@ class TestDatumFiles:
          "flows[1]: unknown key 'weight'"),
         (lambda d: d["flows"].__setitem__(0, "a->b"),
          "flows[0]: expected an object, got str"),
+        (lambda d: d["points"][1].update(id=None),
+         "points[1].id: expected a string, got None"),
+        (lambda d: d["points"][2].update(id=3),
+         "points[2].id: expected a string, got 3"),
+        (lambda d: d["points"][0].update(id=["a"]),
+         "points[0].id: expected a string, got ['a']"),
+        (lambda d: d["flows"][0].update({"from": None}),
+         "flows[0].from: expected a string, got None"),
+        (lambda d: d["flows"][1].update({"from": 2}),
+         "flows[1].from: expected a string, got 2"),
+        (lambda d: d["flows"][0].update({"from": ["b"]}),
+         "flows[0].from: expected a string, got ['b']"),
+        (lambda d: d["flows"][1].update(to=None),
+         "flows[1].to: expected a string, got None"),
+        (lambda d: d["flows"][0].update(to=1.0),
+         "flows[0].to: expected a string, got 1.0"),
+        (lambda d: d["flows"][1].update(to=["b"]),
+         "flows[1].to: expected a string, got ['b']"),
         (lambda d: d.update(ambient_dimension=2.0),
          "ambient_dimension: expected an integer, got 2.0"),
         (lambda d: d.update(points=5), "points: expected a list, got int"),

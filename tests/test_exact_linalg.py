@@ -1,11 +1,17 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import witness_rows
+from conftest import assert_valid_decomposition, make_witness, witness_rows
 from orbimorse import exact_linalg
 from orbimorse.chain_complex import FreeChainComplex, homology
 from orbimorse.errors import DimensionMismatch, NotAComplex
@@ -58,24 +64,6 @@ def rank_by_fraction_free_elimination(matrix):
         if r == m:
             break
     return r
-
-
-def assert_valid_decomposition(matrix, snf):
-    assert snf.U @ matrix @ snf.V == snf.D
-    assert abs(snf.U.determinant()) == 1
-    assert abs(snf.V.determinant()) == 1
-    diag = snf.D.diagonal()
-    # diagonal, nonnegative, nonzero entries first and chained by divisibility
-    for i in range(snf.D.rows):
-        for j in range(snf.D.cols):
-            if i != j:
-                assert snf.D[i, j] == 0
-    assert all(d >= 0 for d in diag)
-    factors = snf.invariant_factors
-    assert list(factors) == [d for d in diag if d != 0]
-    assert all(d == 0 for d in diag[len(factors):])
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0
 
 
 class TestSmithNormalForm:
@@ -134,24 +122,52 @@ class TestSmithNormalForm:
         assert m == IntegerMatrix.from_rows([[2, 4], [6, 8]])
 
     def test_transforms_are_computed_once_on_first_read(self, monkeypatch):
-        eliminated = []
-        real = exact_linalg._eliminate
+        recorded = []
+        real = exact_linalg._factors_only
 
-        def counted(matrix):
-            eliminated.append(matrix)
-            return real(matrix)
+        def counted(rows, cols, nonzeros, transforms=False):
+            if transforms:
+                recorded.append(nonzeros)
+            return real(rows, cols, nonzeros, transforms)
 
-        monkeypatch.setattr(exact_linalg, "_eliminate", counted)
+        monkeypatch.setattr(exact_linalg, "_factors_only", counted)
         rng = random.Random(12)
         for read in ("U", "D", "V") * 4:
             m = random_matrix(rng)
+            before = len(recorded)
             snf = smith_normal_form(m)
-            before = len(eliminated)
+            assert len(recorded) == before
             getattr(snf, read)
-            assert eliminated[before:] == [m]
+            assert len(recorded) == before + 1
+            assert recorded[-1] is m.nonzeros
             assert_valid_decomposition(m, snf)
             assert smith_normal_form(m) is snf
-            assert len(eliminated) == before + 1
+            assert len(recorded) == before + 1
+
+    def test_witness_transforms_within_time_bound(self):
+        # In a child process, so that a stalled elimination fails the test
+        # after 10 s instead of hanging the run.
+        script = (
+            "import json, sys\n"
+            "from orbimorse.exact_linalg import IntegerMatrix,"
+            " smith_normal_form\n"
+            "snf = smith_normal_form(IntegerMatrix.from_rows("
+            "json.loads(sys.argv[1])))\n"
+            "print(json.dumps([snf.U.to_rows(), snf.D.to_rows(),"
+            " snf.V.to_rows()]))\n")
+        rows = witness_rows()
+        src = os.path.dirname(os.path.dirname(exact_linalg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(rows)],
+            capture_output=True, text=True, timeout=10, env=env, check=True)
+        u, d, v = map(IntegerMatrix.from_rows, json.loads(done.stdout))
+        m = IntegerMatrix.from_rows(rows)
+        snf = SimpleNamespace(U=u, D=d, V=v, invariant_factors=(
+            exact_linalg._factors_only(m.rows, m.cols, m.nonzeros)))
+        assert snf.invariant_factors == (1, 1, 1) + (11,) * 7 + (462,)
+        assert_valid_decomposition(m, snf)
 
 
 class TestRank:
@@ -294,12 +310,14 @@ def double_suspension_complexes(space, rng):
 
 
 class TestFactorsOnly:
-    """The sparse factors-only elimination against ``_eliminate``."""
+    """The sparse elimination's factors against its own certificate: U, D
+    and V recorded by the same loop, checked by ``assert_valid_decomposition``
+    (U @ A @ V == D, |det U| = |det V| = 1 by the Bareiss determinant, D a
+    divisibility chain), whose nonzero diagonal must be the factors."""
 
     @staticmethod
     def assert_same_factors(m):
-        assert exact_linalg._factors_only(m.rows, m.cols, m.nonzeros) == (
-            exact_linalg._eliminate(m)[3])
+        assert_valid_decomposition(m, smith_normal_form(m))
 
     def test_random_small_matrices(self):
         rng = random.Random(20261018)
@@ -320,14 +338,18 @@ class TestFactorsOnly:
         assert exact_linalg._factors_only(m.rows, m.cols, m.nonzeros) == factors
         self.assert_same_factors(m)
 
-    def test_factors_never_call_eliminate(self, monkeypatch):
-        def refuse(matrix):
-            raise AssertionError("_eliminate ran for invariant factors")
+    def test_factors_never_record_transforms(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a transform was recorded for factors")
 
-        monkeypatch.setattr(exact_linalg, "_eliminate", refuse)
+        monkeypatch.setattr(exact_linalg, "_combine", refuse)
         m = IntegerMatrix.from_rows([[1, 5, 0], [0, 2, 3], [0, 3, 2]])
         assert exact_linalg._factors_only(m.rows, m.cols, m.nonzeros) == (
             1, 1, 5)
+        assert smith_normal_form(m).invariant_factors == (1, 1, 5)
+        # the refusal is live: recording U on this matrix combines rows
+        with pytest.raises(AssertionError, match="recorded"):
+            smith_normal_form(m).U
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_shapes(self, shape):
@@ -339,6 +361,67 @@ class TestFactorsOnly:
         for complex_ in double_suspension_complexes(space(), random.Random(23)):
             for boundary in complex_.boundaries:
                 self.assert_same_factors(boundary)
+
+
+def away_from(n, groups):
+    """Betti numbers and torsion of ``groups`` tensored with Z[1/n]: every
+    prime of n divided out of each invariant factor, ones dropped (the
+    result is again a divisibility chain)."""
+    out = []
+    for group in groups:
+        torsion = []
+        for t in group.torsion:
+            g = gcd(t, n)
+            while g > 1:
+                t //= g
+                g = gcd(t, n)
+            if t > 1:
+                torsion.append(t)
+        out.append((group.betti, tuple(torsion)))
+    return out
+
+
+class TestRationalGate:
+    """The invariant boundary is S @ d @ S^-1, S the diagonal of stabilizer
+    orders, so over Z[1/N], N = lcm(stab), the two complexes are
+    isomorphic: equal Betti numbers, and equal p-torsion for every prime p
+    not dividing N."""
+
+    @staticmethod
+    def raised_witness(stab):
+        """The witness datum with minimum m_i given stabilizer ``stab(i)``."""
+        witness = make_witness()
+        return MorseDatum(
+            [replace(p, stab_order=stab(int(p.id[1:])))
+             if p.id.startswith("m") else p for p in witness.points],
+            witness.flows)
+
+    @pytest.mark.parametrize("stab", [
+        lambda i: 2 ** (1 + i % 2), lambda i: 2, lambda i: 4,
+        lambda i: 4 if i % 3 else 2,
+    ], ids=["alternating", "twos", "fours", "mixed"])
+    def test_witness(self, stab):
+        datum = self.raised_witness(stab)
+        co = homology(coinvariant_complex(datum))
+        inv = homology(invariant_complex(datum))
+        assert co[0].describe() == " + ".join(
+            ["Z"] + ["Z/11"] * 7 + ["Z/462"])
+        assert away_from(4, inv) == away_from(4, co)
+        assert inv != co
+
+    def test_witness_invariant_pinned(self):
+        datum = self.raised_witness(lambda i: 2 ** (1 + i % 2))
+        assert homology(invariant_complex(datum))[0].describe() == " + ".join(
+            ["Z"] + ["Z/2"] * 3 + ["Z/22"] * 3 + ["Z/44"] * 4 + ["Z/1848"])
+
+    @pytest.mark.parametrize("space", [torus_complex, projective_plane],
+                             ids=["torus", "rp2"])
+    def test_double_suspensions(self, space):
+        # every stabilizer order is a power of 2
+        co, inv, _ = double_suspension_complexes(space(), random.Random(23))
+        co, inv = homology(co), homology(inv)
+        assert away_from(2, inv) == away_from(2, co)
+        assert inv != co
 
 
 def fraction_echelon(rows):
@@ -366,17 +449,14 @@ def fraction_echelon(rows):
 
 class TestHomologyWithoutTransforms:
     """Complexes on which no entry divides its row and column: homology
-    reads factors from the sparse elimination, never from ``_eliminate``."""
+    reads factors from the sparse elimination and never asks it for U, D
+    and V."""
 
     @pytest.mark.parametrize("rows,groups", [
         ([[2, 3], [3, 2]], ((0, (5,)), (0, ()))),
         (witness_rows(), ((1, (11,) * 7 + (462,)), (1, ()))),
     ], ids=["two-by-two", "witness"])
-    def test_groups(self, monkeypatch, rows, groups):
-        def refuse(matrix):
-            raise AssertionError("homology ran _eliminate")
-
-        monkeypatch.setattr(exact_linalg, "_eliminate", refuse)
+    def test_groups(self, refuse_transforms, rows, groups):
         m = IntegerMatrix.from_rows(rows)
         complex_ = FreeChainComplex(
             0, ([f"m{i}" for i in range(m.rows)],
