@@ -137,18 +137,35 @@ def datum_from_json(text):
                       ambient_dimension=ambient)
 
 
+# A JSON string holds no raw line break, so with ",\n" between items the
+# encoder's only ",\n{" falls between two records and its only ',\n"'
+# between two fields of one record.
+_RECORDS = json.JSONEncoder(separators=(",\n", ": "))
+
+
+def _record_lines(key, records):
+    """``"key": [...]`` with one record per line."""
+    if not records:
+        return f'  "{key}": []'
+    lines = (_RECORDS.encode(records)[1:-1]
+             .replace(',\n"', ', "').replace(",\n{", ",\n    {"))
+    return f'  "{key}": [\n    {lines}\n  ]'
+
+
 def datum_to_json(datum):
-    data = {"schema_version": SCHEMA_VERSION}
+    """The text of a datum file: one point or flow record per line."""
+    fields = [f'  "schema_version": {json.dumps(SCHEMA_VERSION)}']
     if datum.ambient_dimension is not None:
-        data["ambient_dimension"] = datum.ambient_dimension
-    data["points"] = [
+        fields.append(
+            f'  "ambient_dimension": {json.dumps(datum.ambient_dimension)}')
+    fields.append(_record_lines("points", [
         {"id": p.id, "index": p.index, "stab": p.stab_order, "stable": p.stable}
-        for p in datum.points]
-    data["flows"] = [
+        for p in datum.points]))
+    fields.append(_record_lines("flows", [
         {"from": f.source, "to": f.target,
          "count": f.count if f.known else "unknown"}
-        for f in datum.flows]
-    return json.dumps(data, indent=2) + "\n"
+        for f in datum.flows]))
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def load_datum_file(path):

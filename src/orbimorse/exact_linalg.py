@@ -224,10 +224,11 @@ class SmithDecomposition:
         return self._transforms()[2]
 
     def __eq__(self, other):
+        # the same A always gives the same U, D and V, and they give A back
         if not isinstance(other, SmithDecomposition):
             return NotImplemented
-        return (self.invariant_factors == other.invariant_factors
-                and self._transforms() == other._transforms())
+        return ((self.rows, self.cols, self.nonzeros)
+                == (other.rows, other.cols, other.nonzeros))
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.invariant_factors))
@@ -297,7 +298,7 @@ def _factors_only(rows, cols, nonzeros, transforms=False):
     of its row a remainder mod p, and the least nonzero one becomes the
     pivot.  Each restart is at a smaller |p|, and a pivot alone in its row
     and column is recorded.  The pivots, units first, are then put into a
-    divisibility chain by (gcd, lcm) passes.
+    divisibility chain by (gcd, lcm) passes, unless they already form one.
 
     Recording keeps U and the transpose of V as one row dict per row:
     each row operation is done on U's rows, each column operation on
@@ -382,22 +383,25 @@ def _factors_only(rows, cols, nonzeros, transforms=False):
         done = {j for _, j, _ in pivots}
         vt = [vt[j] for _, j, _ in pivots] + [
             vt[j] for j in range(cols) if j not in done]
-    for s in range(units, len(diagonal)):
-        for t in range(s + 1, len(diagonal)):
-            d, e = diagonal[s], diagonal[t]
-            g = gcd(d, e)
-            if g == d:
-                continue
-            if transforms:
-                # x*d + y*e = g
-                dg, eg = d // g, e // g
-                x = pow(dg, -1, eg)
-                y = (1 - x * dg) // eg
-                u[s], u[t] = (_combine(x, u[s], y, u[t]),
-                              _combine(-eg, u[s], dg, u[t]))
-                vt[s], vt[t] = (_combine(1, vt[s], 1, vt[t]),
-                                _combine(-y * eg, vt[s], x * dg, vt[t]))
-            diagonal[s], diagonal[t] = g, d // g * e
+    # pivots that already divide one another in order need no pass: there
+    # every pair it visits has g == d
+    if any(e % d for d, e in zip(diagonal[units:], diagonal[units + 1:])):
+        for s in range(units, len(diagonal)):
+            for t in range(s + 1, len(diagonal)):
+                d, e = diagonal[s], diagonal[t]
+                g = gcd(d, e)
+                if g == d:
+                    continue
+                if transforms:
+                    # x*d + y*e = g
+                    dg, eg = d // g, e // g
+                    x = pow(dg, -1, eg)
+                    y = (1 - x * dg) // eg
+                    u[s], u[t] = (_combine(x, u[s], y, u[t]),
+                                  _combine(-eg, u[s], dg, u[t]))
+                    vt[s], vt[t] = (_combine(1, vt[s], 1, vt[t]),
+                                    _combine(-y * eg, vt[s], x * dg, vt[t]))
+                diagonal[s], diagonal[t] = g, d // g * e
     if not transforms:
         return tuple(diagonal)
     v = [{} for _ in range(cols)]

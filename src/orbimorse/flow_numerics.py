@@ -458,6 +458,9 @@ def check_surface(surface):
 def _newton_critical_points(surface, seeds):
     """Batched Newton iteration on (grad f = lambda grad F, F = 0).
 
+    Seeds are projected onto the surface, and a projection within
+    ``dedup_tol`` of an earlier one is dropped, the earlier one kept (where
+    the level gradient is radial, all radii along a direction meet there).
     Only live rows are iterated, for at most 80 rounds, and the residual is
     evaluated once per round, at the points just stepped to.  A row leaves
     the batch once its max-norm residual is below ``newton_tol``, or when
@@ -475,18 +478,31 @@ def _newton_critical_points(surface, seeds):
                                   surface.level(x)[:, None]], axis=1)
 
     x = _project_batch(surface, seeds)
+    # Sorted stably by the first coordinate of their cells of side
+    # dedup_tol / sqrt(3), neighbouring rows in one cell form runs, each
+    # headed by its earliest row; a row within dedup_tol of its run's head
+    # is dropped.  A repeat the runs miss is only iterated again.
+    tols = surface.tolerances
+    cell = np.floor(x / (tols.dedup_tol / np.sqrt(3)))
+    order = np.argsort(cell[:, 0], kind="stable")
+    cell = cell[order]
+    repeat = np.all(cell[1:] == cell[:-1], axis=1)
+    if repeat.any():
+        xs = x[order]
+        first = np.maximum.accumulate(
+            np.where(repeat, 0, np.arange(1, len(x))))
+        repeat &= np.linalg.norm(xs[1:] - xs[first], axis=1) < tols.dedup_tol
+        x = np.delete(x, order[1:][repeat], axis=0)
     g, mg = surface.level_grad(x), surface.morse_grad(x)
     gg = np.einsum("ij,ij->i", g, g)
     enters = gg > 0.0  # False for a vanishing or non-finite level gradient
     live = np.flatnonzero(enters)
     lam = np.divide(np.einsum("ij,ij->i", mg, g), gg,
                     out=np.zeros(len(x)), where=enters)
-    tol = surface.tolerances.newton_tol
-    escape = surface.tolerances.escape_radius
     g, res = residual(x[live], lam[live], g[live], mg[live])
 
     for _ in range(80):
-        keep = np.max(np.abs(res), axis=1) >= tol  # False if not finite
+        keep = np.max(np.abs(res), axis=1) >= tols.newton_tol  # NaN: False
         live, g, res = live[keep], g[keep], res[keep]
         if not len(live):
             break
@@ -503,13 +519,13 @@ def _newton_critical_points(surface, seeds):
         step = np.clip(delta, -0.5, 0.5)
         x[live] = xl = xl + step[:, :3]
         lam[live] = laml = laml + step[:, 3]
-        inside = np.linalg.norm(xl, axis=1) <= escape  # False if not finite
+        inside = np.linalg.norm(xl, axis=1) <= tols.escape_radius
         live, merit = live[inside], np.einsum("ij,ij->i", res, res)[inside]
         g, res = residual(xl[inside], laml[inside])
         lower = np.einsum("ij,ij->i", res, res) < merit  # False if not finite
         live, g, res = live[lower], g[lower], res[lower]
 
-    ok = np.max(np.abs(residual(x, lam)[1]), axis=1) < tol
+    ok = np.max(np.abs(residual(x, lam)[1]), axis=1) < tols.newton_tol
     return x[ok]
 
 
@@ -563,10 +579,8 @@ def find_critical_orbits(surface, extra_seeds=None):
     check_surface(surface)
     tols = surface.tolerances
     dirs = _fibonacci_directions(tols.seed_count)
-    seeds = np.concatenate([r * dirs for r in tols.seed_radii], axis=0)
-    if extra_seeds is not None and len(extra_seeds):
-        seeds = np.concatenate([seeds, np.asarray(extra_seeds, dtype=float)],
-                               axis=0)
+    extra = [] if extra_seeds is None else [np.reshape(extra_seeds, (-1, 3))]
+    seeds = np.concatenate([r * dirs for r in tols.seed_radii] + extra)
 
     found = _newton_critical_points(surface, seeds)
     points = found[_first_of_clusters(found, tols.dedup_tol)]

@@ -45,6 +45,41 @@ class TestDatumFiles:
         path = write_datum(tmp_path, datum)
         assert load_datum_file(path) == datum
 
+    def test_one_record_per_line(self):
+        from orbimorse.morse_datum import CriticalPointRecord, FlowCount, MorseDatum
+
+        # labels holding the layout's own separators, a line break and a
+        # character outside ASCII must not move a line
+        odd = 'q}, {"x",\n'
+        datum = MorseDatum(
+            points=(CriticalPointRecord(odd, 0, 3),
+                    CriticalPointRecord("pé", 1, 1, stable=False)),
+            flows=(FlowCount("pé", odd, -1),
+                   FlowCount("pé", odd, None)),
+            ambient_dimension=2)
+        text = datum_to_json(datum)
+        assert text == (
+            '{\n'
+            '  "schema_version": "1",\n'
+            '  "ambient_dimension": 2,\n'
+            '  "points": [\n'
+            '    {"id": "q}, {\\"x\\",\\n", "index": 0, "stab": 3,'
+            ' "stable": true},\n'
+            '    {"id": "p\\u00e9", "index": 1, "stab": 1, "stable": false}\n'
+            '  ],\n'
+            '  "flows": [\n'
+            '    {"from": "p\\u00e9", "to": "q}, {\\"x\\",\\n", "count": -1},\n'
+            '    {"from": "p\\u00e9", "to": "q}, {\\"x\\",\\n",'
+            ' "count": "unknown"}\n'
+            '  ]\n'
+            '}\n')
+        assert datum_from_json(text) == datum
+        empty = MorseDatum(points=(), flows=())
+        text = datum_to_json(empty)
+        assert text == ('{\n  "schema_version": "1",\n  "points": [],\n'
+                        '  "flows": []\n}\n')
+        assert datum_from_json(text) == empty
+
     def test_parse_errors(self):
         with pytest.raises(ParseError):
             datum_from_json("not json at all {")

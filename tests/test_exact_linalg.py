@@ -113,7 +113,19 @@ class TestSmithNormalForm:
             m = random_matrix(rng)
             first = smith_normal_form(m)
             second = smith_normal_form(IntegerMatrix(m.rows, m.cols, m.entries))
-            assert first == second
+            assert first is not second
+            assert (first.U, first.D, first.V) == (second.U, second.D, second.V)
+
+    def test_equality_computes_no_transforms(self, refuse_transforms):
+        # equal decompositions are those of equal matrices; equal factors
+        # alone do not make them equal
+        first = smith_normal_form(IntegerMatrix.from_rows([[1, 0], [0, 2]]))
+        same = smith_normal_form(IntegerMatrix.from_rows([[1, 0], [0, 2]]))
+        swapped = smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 1]]))
+        assert first is not same
+        assert first == same and hash(first) == hash(same)
+        assert first.invariant_factors == swapped.invariant_factors
+        assert first != swapped
 
     def test_decomposition_is_stored_on_the_matrix(self):
         m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
@@ -350,6 +362,27 @@ class TestFactorsOnly:
         # the refusal is live: recording U on this matrix combines rows
         with pytest.raises(AssertionError, match="recorded"):
             smith_normal_form(m).U
+
+    def test_chain_needs_no_pass(self, monkeypatch):
+        # every pivot of 2 I is 2, already a divisibility chain: the
+        # (gcd, lcm) pass visited all 79,800 pairs of the 400 pivots
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return gcd(a, b)
+
+        monkeypatch.setattr(exact_linalg, "gcd", counted)
+        n = 400
+        m = IntegerMatrix.from_rows(
+            [[2 * (i == j) for j in range(n)] for i in range(n)])
+        assert exact_linalg._factors_only(n, n, m.nonzeros) == (2,) * n
+        assert calls == []
+        # out of order the pass runs: 6 = lcm(2, 3) after 1 = gcd(2, 3)
+        m = IntegerMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 6]])
+        assert exact_linalg._factors_only(3, 3, m.nonzeros) == (1, 6, 6)
+        assert calls
+        self.assert_same_factors(m)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_shapes(self, shape):

@@ -1020,6 +1020,64 @@ class TestNewtonCompleteness:
         assert len(complete) >= 3
 
 
+class TestDistinctSeeds:
+    """Newton iterates each projected seed once: a projection within
+    ``dedup_tol`` of an earlier one is dropped, the earlier one kept."""
+
+    @pytest.mark.parametrize("make", [
+        fn.torus_surface, fn.sphere_surface,
+        lambda: fn.epsilon_sphere_surface(epsilon=0.8),
+    ], ids=["torus", "sphere", "epsilon-0.8"])
+    def test_repeated_seeds_add_nothing(self, make):
+        surface = make()
+        seeds = default_seeds(surface)
+        assert np.array_equal(
+            fn._newton_critical_points(surface, np.concatenate([seeds, seeds])),
+            fn._newton_critical_points(surface, seeds))
+
+    @pytest.mark.parametrize("make", [
+        fn.sphere_surface, lambda: fn.epsilon_sphere_surface(epsilon=0.8),
+    ], ids=["sphere", "epsilon-0.8"])
+    def test_radial_gradient_leaves_the_first_radius(self, make):
+        # the level gradient is radial, so every radius along a direction
+        # projects onto the point of the first
+        surface = make()
+        tols = surface.tolerances
+        first = tols.seed_radii[0] * fn._fibonacci_directions(tols.seed_count)
+        assert np.array_equal(
+            fn._newton_critical_points(surface, default_seeds(surface)),
+            fn._newton_critical_points(surface, first))
+
+    def test_distinct_rows_solved(self, monkeypatch):
+        # every seed row was iterated before: 1,100 in the sphere's first
+        # round, 5,525 and 5,283 row solves in the two epsilon passes
+        rows = counted_solve(monkeypatch)
+        fn.find_critical_orbits(fn.sphere_surface())
+        assert rows[0] == 220
+        surface = fn.epsilon_sphere_surface(epsilon=0.8)
+        rows.clear()
+        orbits = fn.find_critical_orbits(surface)
+        assert sum(rows) <= 1200
+        rows.clear()
+        fn.stabilize_all(surface, orbits)
+        assert sum(rows) <= 1200
+
+    def test_farther_than_dedup_tol_stays(self, monkeypatch):
+        # unit vectors lie on the sphere; each pair is 1.01 dedup_tol apart
+        surface = fn.sphere_surface()
+        step = 1.01 * surface.tolerances.dedup_tol
+        rng = np.random.default_rng(5)
+        dirs = fn._fibonacci_directions(50)
+        offsets = np.cross(dirs, rng.normal(size=(50, 3)))
+        offsets *= step / np.linalg.norm(offsets, axis=1)[:, None]
+        moved = fn._project_batch(surface, dirs + offsets)
+        assert np.all(np.linalg.norm(moved - fn._project_batch(
+            surface, dirs), axis=1) > surface.tolerances.dedup_tol)
+        rows = counted_solve(monkeypatch)
+        fn._newton_critical_points(surface, np.concatenate([dirs, moved]))
+        assert rows[0] == 100
+
+
 class TestOneBump:
     def test_one_bump_evaluation_per_field_call(self, monkeypatch, epsilon_run):
         # both unstable poles are bumped, each field evaluates them together
