@@ -199,6 +199,9 @@ def load_surface_file(path):
         raise ParseError(f"unsupported schema_version {data['schema_version']!r}")
     surface = data["surface"]
     _require_keys(surface, ("kind",), ("params",), "surface")
+    if not isinstance(surface["kind"], str):
+        raise ParseError(
+            f"surface.kind: expected a string, got {surface['kind']!r}")
     group = data.get("group", [])
     if not isinstance(group, list) or not all(isinstance(g, str) for g in group):
         raise ParseError("group must be a list of generator names")

@@ -245,6 +245,9 @@ def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
     if tilt == 0:
         raise BadParams("tilt must be nonzero: the plain height function is"
                         " degenerate on a torus of revolution")
+    if not 0 < minor < major:
+        raise BadParams(f"need 0 < minor < major, got {minor} and {major}:"
+                        " otherwise the torus is not a smooth surface")
 
     def rho(x):
         return np.maximum(np.hypot(x[:, 0], x[:, 1]), 1e-9)
@@ -704,12 +707,14 @@ class FlowLineCounter:
     whose f is below every critical value but the lowest, by more than
     ``stab_tol`` (the margin within which ``check_surface`` calls two
     values of f equal), can only end at the lowest lift; an ascending row
-    above every value but the highest ends at the highest lift.  The rule
-    relies on the critical set being complete, which
+    above every value but the highest ends at the highest lift.  The values
+    of the row's own saddle orbit are left out: f leaves that value
+    strictly from the first step, so no lift of the orbit can be the end.
+    The rule relies on the critical set being complete, which
     ``find_critical_orbits`` checks (a minimum, a maximum and the Euler
-    count).  It cannot fire while a saddle's value lies between f(x) and
-    the extreme value, so a saddle connection still reaches the saddle and
-    raises.
+    count).  It cannot fire while another saddle's value lies between f(x)
+    and the extreme value, even one within ``stab_tol`` of the row's own,
+    so a saddle connection still reaches the saddle and raises.
     """
 
     def __init__(self, surface, orbits):
@@ -819,7 +824,8 @@ class FlowLineCounter:
         ends = np.full(len(x), -1)
         live = np.arange(len(x))
         escape = self.tols.escape_radius
-        rule = self._value_rule(direction)
+        rule = self._value_rule(direction,
+                                np.array([oi for oi, *_ in branches]))
 
         def lost(what, row):
             oi, _, sign, up = branches[row]
@@ -876,29 +882,36 @@ class FlowLineCounter:
         raise lost(f"{len(live)} trajectories failed to settle within the"
                    " step budget", live[0])
 
-    def _value_rule(self, direction):
-        """Per row of ``direction`` (1 descending, -1 ascending), a limit
-        and a target lift: a row whose direction times f is below its limit
-        ends at its target.  None when no row can be decided so.
+    def _value_rule(self, direction, sources):
+        """Per row of ``direction`` (1 descending, -1 ascending) and of
+        ``sources`` (the row's saddle orbit), a limit and a target lift: a
+        row whose direction times f is below its limit ends at its target.
+        None when no row can be decided so.
 
-        The target is the lift lowest in direction times f, the limit the
-        second lowest such value less ``stab_tol``; a row gets them only
-        where that gap exceeds ``stab_tol``.  The lifts of an orbit share
-        their value, so an extreme value is unique only at an orbit of one
-        lift; without such a minimum or maximum, f is not evaluated."""
+        Among the lifts outside the row's own orbit, the target is the lift
+        lowest in direction times f, the limit the second lowest such value
+        less ``stab_tol``; a row gets them only where that gap exceeds
+        ``stab_tol``.  Direction times f falls strictly along a branch from
+        its saddle's value, which every lift of the saddle's orbit shares,
+        so none of them can be its end; every other orbit counts, even at
+        that value.  The lifts of an orbit share their value, so an extreme
+        value is unique only at an orbit of one lift; without such a
+        minimum or maximum, f is not evaluated."""
         if not {0, 2} & {o.index for o in self.orbits if len(o.points) == 1}:
             return None
         values = self.surface.morse(self.lift_positions)
+        lift_orbits = np.array([oi for oi, _ in self.lifts])
         margin = self.tols.stab_tol
         limit = np.full(len(direction), -np.inf)
         target = np.full(len(direction), -1)
-        for d in (1.0, -1.0):
-            v = d * values
+        for d, oi in set(zip(direction.tolist(), sources.tolist())):
+            others = np.flatnonzero(lift_orbits != oi)
+            v = d * values[others]
             lowest, second = np.argsort(v)[:2]
             if v[second] - v[lowest] > margin:
-                rows = direction == d
+                rows = (direction == d) & (sources == oi)
                 limit[rows] = v[second] - margin
-                target[rows] = lowest
+                target[rows] = others[lowest]
         return (limit, target) if np.isfinite(limit).any() else None
 
 

@@ -385,6 +385,26 @@ class TestFlowCommand:
             {"schema_version": "1", "surface": {"kind": "moebius"}}), "bad.json")
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 1
 
+    @pytest.mark.parametrize("kind", [["torus"], 3, None],
+                             ids=["list", "number", "null"])
+    def test_surface_kind_not_a_string(self, tmp_path, capsys, kind):
+        # a list kind used to escape from the builder lookup as a TypeError
+        path = write_text(tmp_path, json.dumps(
+            {"schema_version": "1", "surface": {"kind": kind}}), "bad.json")
+        assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: surface.kind: expected a string, got {kind!r}\n")
+
+    def test_singular_torus(self, tmp_path, capsys):
+        # a spindle torus used to run the census for ~15 s before failing
+        path = self.surface_path(tmp_path, "torus", (), {"major": 0.5})
+        out_path = tmp_path / "o.json"
+        assert main(["flow", path, "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: bad surface parameters")
+        assert "need 0 < minor < major" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "key", ["nope", "shoot_directions", "bisect_width", "integrate_step"])
     def test_unknown_tolerance_key(self, tmp_path, capsys, key):

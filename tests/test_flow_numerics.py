@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import warnings
 
 import numpy as np
@@ -121,6 +122,18 @@ class TestSurfaceChecks:
     def test_degenerate_height_rejected(self):
         with pytest.raises(BadParams):
             fn.torus_surface(tilt=0.0)
+
+    @pytest.mark.parametrize("params", [
+        {"major": 0.5}, {"major": 1.0}, {"minor": 0.0}],
+        ids=["spindle", "horn", "no-tube"])
+    def test_singular_torus_rejected(self, params):
+        # a spindle or horn torus meets its axis and a tube of radius 0 is a
+        # circle: neither is a smooth surface.  The spindle's census ran to
+        # the step budget and failed after ~15 s
+        start = time.perf_counter()
+        with pytest.raises(BadParams, match="need 0 < minor < major"):
+            fn.torus_surface(**params)
+        assert time.perf_counter() - start < 1.0
 
     def test_degenerate_critical_point_detected(self):
         # plain height on the torus of revolution is critical along two
@@ -570,12 +583,16 @@ class TestCensusWork:
         # step is the RK4 stability bound at the local rate of the flow, and
         # a branch ends once f has passed every critical value but its
         # end's; integrated to the capture radius the census took 199 steps.
-        # The last call finds every branch ended and takes no step.
+        # A branch's own saddle orbit is no candidate end, so the ascending
+        # branches of the upper saddle and the descending ones of the lower
+        # end at step 0 (counting that value, they crept away from their
+        # saddle for 18 steps).  The last call finds every branch ended and
+        # takes no step.
         surface = fn.torus_surface(tilt=0.25)
         orbits = fn.find_critical_orbits(surface)
         calls = counted_velocity(monkeypatch)
         fn.quotient_to_datum(surface, orbits)
-        assert len(calls) == 4 * 18 + 1
+        assert len(calls) == 4 * 9 + 1
 
     def test_small_tilt_census_step_count(self, monkeypatch):
         # the critical values crowd together at a small tilt; integrated to
@@ -662,6 +679,18 @@ class TestCensusWork:
         assert len(counts["morse_grad"]) == 4 * 47 + 1
 
 
+def surface_and_orbits(kind, value):
+    """A torus of tilt ``value``, a stabilized epsilon sphere of epsilon
+    ``value``, the sphere or the antipodal sphere, with its orbits."""
+    if kind == "epsilon":
+        raw = fn.epsilon_sphere_surface(epsilon=value)
+        return fn.stabilize_all(raw, fn.find_critical_orbits(raw))
+    surface = {"torus": lambda: fn.torus_surface(tilt=value),
+               "sphere": fn.sphere_surface,
+               "antipodal_sphere": antipodal_sphere_surface}[kind]()
+    return surface, fn.find_critical_orbits(surface)
+
+
 def counted_velocity(monkeypatch):
     """Record the batch size of every ``_velocity`` call."""
     calls = []
@@ -693,12 +722,13 @@ def counted_fields(surface, names):
 
 
 class TestValueRule:
-    """A branch that has passed every critical value but one ends at that
-    lift without being integrated to the capture radius.  A tolerance
-    ``stab_tol`` above every gap between critical values switches the rule
-    off, which gives the integrated ends to compare against.  The rule is
-    active on the surface of ``TestTorus::test_saddle_connection_detected``,
-    which must still raise."""
+    """A branch that has passed every critical value but one, its own
+    saddle orbit's aside, ends at that lift without being integrated to the
+    capture radius.  A tolerance ``stab_tol`` above every gap between
+    critical values switches the rule off, which gives the integrated ends
+    to compare against.  The rule is active on the surface of
+    ``TestTorus::test_saddle_connection_detected``, which must still
+    raise."""
 
     @staticmethod
     def census(surface, orbits, **tolerances):
@@ -709,12 +739,73 @@ class TestValueRule:
         counts = counts_of(fn.quotient_to_datum(surface, orbits, counter))
         return counter._census, counts
 
-    @pytest.mark.parametrize("tilt", [0.02, 0.05, 0.1, 0.25, 0.4, 0.5])
-    def test_value_ends_equal_integrated_ends(self, tilt):
-        surface = fn.torus_surface(tilt=tilt)
-        orbits = fn.find_critical_orbits(surface)
+    @pytest.mark.parametrize("kind, value", [
+        *(pytest.param("torus", tilt, id=str(tilt))
+          for tilt in (0.02, 0.05, 0.1, 0.25, 0.4, 0.5)),
+        *(pytest.param("epsilon", epsilon, id=f"epsilon-{epsilon}")
+          for epsilon in (0.55, 0.8, 1.5)),
+        pytest.param("sphere", None, id="sphere"),
+        pytest.param("antipodal_sphere", None, id="antipodal_sphere")])
+    def test_value_ends_equal_integrated_ends(self, kind, value):
+        surface, orbits = surface_and_orbits(kind, value)
         assert self.census(surface, orbits) == self.census(
             surface, orbits, stab_tol=100.0)
+
+    @pytest.mark.parametrize("tilt, steps", [(0.02, 10), (0.25, 9), (0.5, 8)])
+    def test_own_orbit_decides_nothing(self, monkeypatch, tilt, steps):
+        # f moves strictly away from a saddle's value along its branches, so
+        # no lift of the saddle's orbit is a candidate end: the four branches
+        # that had to pass their own saddle's value by stab_tol (the
+        # ascending ones of the upper saddle, the descending ones of the
+        # lower) end at step 0, after one velocity batch of all 8 rows.  At
+        # tilt 0.02 they took 327 steps, at 0.25 they took 18.
+        surface = fn.torus_surface(tilt=tilt)
+        orbits = fn.find_critical_orbits(surface)
+        calls = counted_velocity(monkeypatch)
+        fn.quotient_to_datum(surface, orbits)
+        assert calls[:2] == [8, 4]
+        assert len(calls) == 4 * steps + 1
+
+    def test_near_saddle_value_still_counts(self, monkeypatch, torus_run):
+        # f raised at saddle1's lift to 5e-9 above saddle0, within stab_tol:
+        # the ascending rows of saddle0 leave only their own orbit out, so
+        # they must still pass saddle1's value by stab_tol and none ends at
+        # its start (leaving out every value near their own would end them)
+        surface, orbits = torus_run.surface, torus_run.orbits
+        assert [o.label for o in orbits[1:3]] == ["saddle0", "saddle1"]
+        lifts = np.array([o.representative.position for o in orbits])
+        values = surface.morse(lifts)
+        raised = values[1] + 5e-9 - values[2]
+
+        def morse(x):
+            at = (np.linalg.norm(x - lifts[2], axis=1)
+                  < surface.tolerances.dedup_tol)
+            return surface.morse(x) + np.where(at, raised, 0.0)
+
+        near = dataclasses.replace(surface, morse=morse)
+        assert 0 < morse(lifts)[2] - values[1] < near.tolerances.stab_tol
+        shots, rules = [], []
+        endpoints = fn.FlowLineCounter._endpoints
+        value_rule = fn.FlowLineCounter._value_rule
+
+        def recorded_endpoints(self, starts, branches):
+            shots.append((starts, branches))
+            return endpoints(self, starts, branches)
+
+        def recorded_rule(self, *rows):
+            rules.append(value_rule(self, *rows))
+            return rules[-1]
+
+        monkeypatch.setattr(fn.FlowLineCounter, "_endpoints",
+                            recorded_endpoints)
+        monkeypatch.setattr(fn.FlowLineCounter, "_value_rule", recorded_rule)
+        fn.quotient_to_datum(near, orbits)
+        (starts, branches), = shots
+        (limit, _), = rules
+        rows = np.array([oi == 1 and up for oi, *_, up in branches])
+        assert rows.sum() == 2
+        assert np.all(limit[rows] == -morse(lifts)[2] - near.tolerances.stab_tol)
+        assert np.all(-morse(starts[rows]) >= limit[rows])
 
     # branches end within dedup_tol of a lift; ended at 1e-9, the
     # antipodal census took 79 steps and the epsilon sphere's 62
@@ -781,14 +872,7 @@ class TestCaptureDistance:
         ("torus", 0.02), ("torus", 0.25), ("torus", 0.5), ("epsilon", 0.55),
         ("epsilon", 0.8), ("epsilon", 1.5), ("antipodal_sphere", None)])
     def test_ends_equal_ends_at_a_smaller_distance(self, kind, value):
-        if kind == "epsilon":
-            raw = fn.epsilon_sphere_surface(epsilon=value)
-            surface, orbits = fn.stabilize_all(
-                raw, fn.find_critical_orbits(raw))
-        else:
-            surface = (fn.torus_surface(tilt=value) if kind == "torus"
-                       else antipodal_sphere_surface())
-            orbits = fn.find_critical_orbits(surface)
+        surface, orbits = surface_and_orbits(kind, value)
         census = TestValueRule.census
         assert census(surface, orbits) == census(
             surface, orbits, dedup_tol=1e-9)
