@@ -8,8 +8,8 @@ are 0 for success, 1 for a domain failure, 2 for a parse failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import re
 import sys
 
@@ -84,14 +84,6 @@ def _as_label(value, what, index, key):
 def _as_list(value, context):
     if not isinstance(value, list):
         raise ParseError(f"{context}: expected a list, got {type(value).__name__}")
-    return value
-
-
-def _as_positive(value, context):
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value <= 0):
-        raise ParseError(
-            f"{context}: expected a positive number, got {value!r}")
     return value
 
 
@@ -205,48 +197,20 @@ def load_surface_file(path):
     group = data.get("group", [])
     if not isinstance(group, list) or not all(isinstance(g, str) for g in group):
         raise ParseError("group must be a list of generator names")
-    tolerances = None
-    if "tolerances" in data:
-        tolerances = flow_numerics.Tolerances(
-            **_tolerance_overrides(data["tolerances"]))
     params = surface.get("params", {})
     if not isinstance(params, dict):
         raise ParseError(
             f"surface.params: expected an object, got {type(params).__name__}")
-    for key, value in params.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ParseError(
-                f"surface.params.{key}: expected a finite number, got {value!r}")
-    try:
+    tolerances = data.get("tolerances", {})
+    _require_keys(tolerances, (), {
+        f.name for f in dataclasses.fields(flow_numerics.Tolerances)},
+        "tolerances")
+    try:  # the library checks the values
         return flow_numerics.surface_from_spec(
-            surface["kind"], params, tuple(group), tolerances)
+            surface["kind"], params, group,
+            flow_numerics.Tolerances(**tolerances))
     except BadParams as exc:
-        raise ParseError(f"bad surface parameters: {exc}") from None
-
-
-def _tolerance_overrides(overrides):
-    """Checked Tolerances fields of a surface file: seed_count a positive
-    integer, seed_radii a non-empty list of positive numbers, every other
-    field a positive (finite) number."""
-    valid = {f.name for f in
-             flow_numerics.Tolerances.__dataclass_fields__.values()}
-    _require_keys(overrides, (), valid, "tolerances")
-    checked = {}
-    for key, value in overrides.items():
-        context = f"tolerances.{key}"
-        if key == "seed_count":
-            if _as_int(value, context) < 1:
-                raise ParseError(
-                    f"{context}: expected a positive integer, got {value!r}")
-        elif key == "seed_radii":
-            if not _as_list(value, context):
-                raise ParseError(f"{context}: expected a non-empty list")
-            value = tuple(_as_positive(r, context) for r in value)
-        else:
-            _as_positive(value, context)
-        checked[key] = value
-    return checked
+        raise ParseError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,8 @@ group action.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,6 @@ from .morse_datum import (
     FlowCount,
     MorseDatum,
     coinvariant_complex,
-    invariant_complex,
     validate,
 )
 
@@ -76,9 +77,15 @@ class Tolerances:
     same point (Newton's duplicates, the orbit partition, a lift's
     stabilizer, the end of a census branch), and a position farther than
     ``escape_radius`` from the origin is lost (Newton retires it, the
-    census raises).  No field sizes the census steps: each RK4 step is
-    sized by a bound on how fast the projected flow changes where the
-    trajectory is (see ``FlowLineCounter``).
+    census raises).  A saddle branch starts ``10 * dedup_tol`` from its
+    saddle.  No field sizes the census steps: each RK4 step is sized by a
+    bound on how fast the projected flow changes where the trajectory is
+    (see ``FlowLineCounter``).
+
+    Every field is checked on construction, and a bad value raises
+    BadParams naming it: ``seed_count`` is a positive integer,
+    ``seed_radii`` a non-empty sequence of positive finite numbers (stored
+    as a tuple), and every other field a positive finite number.
     """
 
     newton_tol: float = 1e-12
@@ -88,7 +95,39 @@ class Tolerances:
     seed_count: int = 220
     seed_radii: tuple = (0.6, 1.0, 1.8, 2.6, 3.2)
     degeneracy_tol: float = 1e-7
-    shoot_offset: float = 1e-5
+
+    def __post_init__(self):
+        for name, value in list(vars(self).items()):
+            context = f"tolerances.{name}"
+            if name == "seed_radii":
+                if not isinstance(value, (list, tuple, np.ndarray)):
+                    raise BadParams(f"{context}: expected a list, got"
+                                    f" {type(value).__name__}")
+                if not len(value):
+                    raise BadParams(f"{context}: expected a non-empty list")
+                object.__setattr__(self, name, tuple(
+                    _number(r, context, positive=True) for r in value))
+            elif name != "seed_count":
+                _number(value, context, positive=True)
+            elif (not isinstance(value, numbers.Integral)
+                  or isinstance(value, bool) or value < 1):
+                raise BadParams(
+                    f"{context}: expected a positive integer, got {value!r}")
+
+
+def _number(value, context, positive=False):
+    """A finite real number (not a bool), positive if asked; anything else
+    raises BadParams naming ``context``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or positive and value <= 0):
+        kind = "positive" if positive else "finite"
+        raise BadParams(f"{context}: expected a {kind} number, got {value!r}")
+    return value
+
+
+def _finite(**params):
+    for name, value in params.items():
+        _number(value, f"surface parameter {name}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +206,8 @@ def _group_key(g):
 
 def group_from_generators(names):
     """Close a set of named generators under multiplication."""
+    if isinstance(names, str):
+        raise BadParams(f"expected generator names, got the string {names!r}")
     mats = [np.eye(3)]
     for name in names:
         try:
@@ -242,6 +283,7 @@ def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
     a pair of circles), so the Morse function is z + tilt * x, whose four
     critical points sit in the y = 0 plane at closed-form positions.
     """
+    _finite(tilt=tilt, major=major, minor=minor)
     if tilt == 0:
         raise BadParams("tilt must be nonzero: the plain height function is"
                         " degenerate on a torus of revolution")
@@ -291,6 +333,7 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
     """Unit sphere with f = z + epsilon (x^2 - y^2), invariant under the
     half-turn about the z-axis.  For epsilon > 1/2 the poles are saddles
     whose descending line is reversed by the half-turn."""
+    _finite(epsilon=epsilon)
 
     def morse(x):
         return x[:, 2] + epsilon * (x[:, 0] ** 2 - x[:, 1] ** 2)
@@ -324,12 +367,13 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
 
 
 def surface_from_spec(kind, params=None, group=(), tolerances=None):
-    """A built-in surface by kind name; an unknown kind raises
-    UnknownBuiltin, a parameter the kind does not take BadParams."""
+    """A built-in surface by kind name; anything but a kind name raises
+    UnknownBuiltin, a parameter the kind does not take or one that is not
+    a finite number BadParams."""
     builders = {"sphere": (sphere_surface, ()),
                 "torus": (torus_surface, ("tilt", "major", "minor")),
                 "epsilon_sphere": (epsilon_sphere_surface, ("epsilon",))}
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in builders:
         raise UnknownBuiltin(f"unknown surface kind {kind!r}; choose from "
                              f"{sorted(builders)}")
     build, names = builders[kind]
@@ -340,8 +384,8 @@ def surface_from_spec(kind, params=None, group=(), tolerances=None):
                         f"{', '.join(unknown)}; its parameters: "
                         f"{', '.join(names) or 'none'}")
     if kind == "epsilon_sphere":
-        group = tuple(group) or ("rotation_pi_z",)
-    return build(tolerances=tolerances, group=tuple(group), **params)
+        group = group or ("rotation_pi_z",)
+    return build(tolerances=tolerances, group=group, **params)
 
 
 # --------------------------------------------------------------------------
@@ -586,13 +630,14 @@ def find_critical_orbits(surface, extra_seeds=None):
     seeds = np.concatenate([r * dirs for r in tols.seed_radii] + extra)
 
     found = _newton_critical_points(surface, seeds)
-    points = found[_first_of_clusters(found, tols.dedup_tol)]
 
     # Close the set under the group action: the image of a critical point
-    # under an invariance is a critical point exactly.
+    # under an invariance is a critical point exactly.  The found points
+    # come before their images, so the first point of each cluster is a
+    # found one.
     group = np.array(surface.group)
     closed = np.concatenate(
-        [points, np.einsum("gij,pj->pgi", group, points).reshape(-1, 3)])
+        [found, np.einsum("gij,pj->pgi", group, found).reshape(-1, 3)])
     closed = closed[_first_of_clusters(closed, tols.dedup_tol)]
 
     # Partition into orbits: the first uncovered point in sorted order is a
@@ -692,10 +737,8 @@ class FlowLineCounter:
     are constant along flows and fix the descending directions of a stable
     point.  Signs are local because the linearized flow preserves the
     orientation of the tangent plane.  The census is integrated as one
-    batch on the first count and cached.
-
-    A branch starts ``shoot_offset`` from its saddle and ends within
-    ``dedup_tol`` of a lift, so a smaller offset raises BadParams.
+    batch on the first count and cached.  A branch starts ``10 * dedup_tol``
+    from its saddle, outside the distance ``dedup_tol`` that ends it.
 
     Each RK4 step of a branch is 1.5 / L(x), with L the ``_local_rate``
     bound at the branch's current position: RK4 damps a mode of decay rate
@@ -703,27 +746,18 @@ class FlowLineCounter:
     x, so steps are short only where the flow changes fast.
 
     A branch also ends, before it is captured, once critical values decide
-    its end: f falls strictly along a descending line, so a descending row
-    whose f is below every critical value but the lowest, by more than
-    ``stab_tol`` (the margin within which ``check_surface`` calls two
-    values of f equal), can only end at the lowest lift; an ascending row
-    above every value but the highest ends at the highest lift.  The values
-    of the row's own saddle orbit are left out: f leaves that value
-    strictly from the first step, so no lift of the orbit can be the end.
-    The rule relies on the critical set being complete, which
-    ``find_critical_orbits`` checks (a minimum, a maximum and the Euler
-    count).  It cannot fire while another saddle's value lies between f(x)
-    and the extreme value, even one within ``stab_tol`` of the row's own,
-    so a saddle connection still reaches the saddle and raises.
+    its end (``_value_rule``).  That relies on the critical set being
+    complete, which ``find_critical_orbits`` checks (a minimum, a maximum
+    and the Euler count), and cannot happen while another saddle's value
+    lies between f(x) and the extreme value, even one within ``stab_tol``
+    of the row's own, so a saddle connection still reaches the saddle and
+    raises.
     """
 
     def __init__(self, surface, orbits):
         self.surface = surface
         self.orbits = list(orbits)
         self.tols = surface.tolerances
-        if self.tols.shoot_offset <= self.tols.dedup_tol:
-            raise BadParams(f"shoot_offset {self.tols.shoot_offset} must"
-                            f" exceed dedup_tol {self.tols.dedup_tol}")
         self.lifts = [(oi, p) for oi, orbit in enumerate(self.orbits)
                       for p in orbit.points]
         self.lift_positions = np.array([p.position for _, p in self.lifts])
@@ -771,7 +805,7 @@ class FlowLineCounter:
         the arrival direction against u, which is +1 on the +a branch.
         """
         s = self.surface
-        offset = self.tols.shoot_offset
+        offset = 10 * self.tols.dedup_tol
         level_grads = s.level_grad(self.lift_positions)
         starts, branches = [], []
         for lift, (oi, p) in enumerate(self.lifts):
@@ -891,7 +925,8 @@ class FlowLineCounter:
         Among the lifts outside the row's own orbit, the target is the lift
         lowest in direction times f, the limit the second lowest such value
         less ``stab_tol``; a row gets them only where that gap exceeds
-        ``stab_tol``.  Direction times f falls strictly along a branch from
+        ``stab_tol`` (the margin within which ``check_surface`` calls two
+        values of f equal).  Direction times f falls strictly along a branch from
         its saddle's value, which every lift of the saddle's orbit shares,
         so none of them can be its end; every other orbit counts, even at
         that value.  The lifts of an orbit share their value, so an extreme
@@ -1039,8 +1074,9 @@ def stabilize_all(surface, orbits):
 def quotient_to_datum(surface, orbits, counter=None):
     """Build the Morse datum of the quotient: one critical point per
     orbit with the stabilizer order of its lifts, and one signed count per
-    index-gap-1 pair of orbits.  The result is checked: it must validate
-    and both of its boundary operators must square to zero."""
+    index-gap-1 pair of orbits.  The result must validate and its
+    coinvariant boundary d must square to zero; the invariant boundary is
+    S d S^-1, S the diagonal of stabilizer orders, so it then does too."""
     unstable = sorted(o.label for o in orbits if not o.stable)
     if unstable:
         raise UnstableEndpoint(f"unstable points: {', '.join(unstable)}")
@@ -1062,7 +1098,6 @@ def quotient_to_datum(surface, orbits, counter=None):
             f"numerically produced datum is invalid: {report.violations}")
     try:
         coinvariant_complex(datum)
-        invariant_complex(datum)
     except BoundarySquaredNonzero as exc:
         raise BoundarySquaredNonzero(
             "numerically counted flows are inconsistent; a saddle branch "

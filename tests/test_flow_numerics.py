@@ -1,5 +1,10 @@
 import dataclasses
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 import time
 import warnings
 
@@ -10,6 +15,7 @@ from orbimorse import flow_numerics as fn
 from orbimorse.chain_complex import homology
 from orbimorse.errors import (
     BadParams,
+    BoundarySquaredNonzero,
     BrokenFlowDetected,
     BumpTooWide,
     DegenerateCritical,
@@ -77,6 +83,80 @@ class TestSurfaceFromSpec:
         assert len(fn.surface_from_spec("epsilon_sphere", {}).group) == 2
         with pytest.raises(UnknownBuiltin):
             fn.surface_from_spec("moebius")
+
+
+class TestInputValues:
+    """A tolerance or surface parameter of the wrong value raises BadParams
+    naming it, and a kind that is not a kind name UnknownBuiltin, within a
+    second: none hangs, escapes as a bare Python or numpy error, or is
+    blamed on the seed grid."""
+
+    @pytest.mark.parametrize(
+        "kind, params, group, tolerances, error, named", [
+        ("torus", {}, (), {"degeneracy_tol": math.nan}, BadParams,
+         "tolerances.degeneracy_tol: expected a positive number, got nan"),
+        ("torus", {}, (), {"seed_radii": ()}, BadParams,
+         "tolerances.seed_radii: expected a non-empty list"),
+        ("torus", {"tilt": math.nan}, (), {}, BadParams,
+         "surface parameter tilt: expected a finite number, got nan"),
+        ("epsilon_sphere", {"epsilon": math.nan}, (), {}, BadParams,
+         "surface parameter epsilon: expected a finite number, got nan"),
+        ("torus", {}, (), {"newton_tol": math.nan}, BadParams,
+         "tolerances.newton_tol: expected a positive number, got nan"),
+        ("torus", {}, (), {"escape_radius": -1}, BadParams,
+         "tolerances.escape_radius: expected a positive number, got -1"),
+        ("torus", {}, (), {"seed_count": 0}, BadParams,
+         "tolerances.seed_count: expected a positive integer, got 0"),
+        ("torus", {}, (), {"stab_tol": -1}, BadParams,
+         "tolerances.stab_tol: expected a positive number, got -1"),
+        ("torus", {"tilt": "0.3"}, (), {}, BadParams,
+         "surface parameter tilt: expected a finite number, got '0.3'"),
+        ("sphere", {}, "antipodal", {}, BadParams,
+         "expected generator names, got the string 'antipodal'"),
+        (["torus"], {}, (), {}, UnknownBuiltin,
+         "unknown surface kind ['torus']"),
+    ], ids=["degeneracy_tol", "seed_radii", "tilt", "epsilon", "newton_tol",
+            "escape_radius", "seed_count", "stab_tol", "tilt-string",
+            "group-string", "kind-list"])
+    def test_rejected(self, kind, params, group, tolerances, error, named):
+        start = time.perf_counter()
+        with pytest.raises(error, match=re.escape(named)):
+            fn.find_critical_orbits(fn.surface_from_spec(
+                kind, params, group, fn.Tolerances(**tolerances)))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("dedup_tol", [0, -1])
+    def test_dedup_tol_rejected_within_time_bound(self, dedup_tol):
+        # In a child process: the duplicate merge never ended at
+        # dedup_tol <= 0, and a hang must fail the test after 10 s.
+        script = (
+            "import json, sys\n"
+            "from orbimorse import flow_numerics as fn\n"
+            "from orbimorse.errors import BadParams\n"
+            "try:\n"
+            "    fn.find_critical_orbits(fn.torus_surface(tolerances="
+            "fn.Tolerances(dedup_tol=json.loads(sys.argv[1]))))\n"
+            "except BadParams as exc:\n"
+            "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(fn.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(dedup_tol)],
+            capture_output=True, text=True, timeout=10, env=env, check=True)
+        assert done.stdout == ("tolerances.dedup_tol: expected a positive"
+                               f" number, got {dedup_tol}\n")
+
+    def test_tolerances_stored_checked(self):
+        tols = fn.Tolerances(seed_radii=[1, 2.5], seed_count=np.int64(8))
+        assert tols.seed_radii == (1, 2.5)
+        assert dataclasses.replace(tols) == tols
+        assert len(dataclasses.fields(fn.Tolerances)) == 7
+        for value in (True, 2.0, "8"):
+            with pytest.raises(BadParams, match="tolerances.seed_count"):
+                fn.Tolerances(seed_count=value)
+        with pytest.raises(BadParams, match="tolerances.seed_radii"):
+            fn.Tolerances(seed_radii=[1.0, math.inf])
 
 
 class TestSurfaceChecks:
@@ -322,6 +402,23 @@ class TestEpsilonSphere:
         assert sum(len(o.points) for o in new_orbits) == 8
         still_unstable = [o.label for o in new_orbits if not o.stable]
         assert still_unstable == ["south_pole"]
+
+    def test_inconsistent_counts_named(self, monkeypatch, epsilon_run):
+        # max0 -> saddle0 counts 0 and saddle0 -> min0 counts -1, so a count
+        # of 1 for the first squares the boundary to -1 at max0 -> min0.
+        # (No single count can do that on the torus, whose counts are all
+        # zero: every entry of the square is a product of two counts.)
+        count = fn.FlowLineCounter.count
+
+        def miscounted(self, source, target):
+            wrong = (source.label, target.label) == ("max0", "saddle0")
+            return count(self, source, target) + wrong
+
+        monkeypatch.setattr(fn.FlowLineCounter, "count", miscounted)
+        with pytest.raises(BoundarySquaredNonzero, match=(
+                "probably settled at the wrong critical point")):
+            fn.quotient_to_datum(epsilon_run.surface, epsilon_run.orbits,
+                                 epsilon_run.counter)
 
     def test_quotient_homology(self, epsilon_run):
         datum = epsilon_run.datum
@@ -877,18 +974,29 @@ class TestCaptureDistance:
         assert census(surface, orbits) == census(
             surface, orbits, dedup_tol=1e-9)
 
-    @pytest.mark.parametrize("offset", [1e-7, 1e-6])
-    def test_offset_within_the_distance_rejected(self, monkeypatch, offset):
+    @pytest.mark.parametrize("dedup_tol", [1e-6, 1e-9])
+    def test_start_ten_distances_from_the_saddle(self, monkeypatch, torus_run,
+                                                 dedup_tol):
         # a branch started within dedup_tol of its saddle would end there
         # at step 0 and read as a saddle connection
-        surface = fn.torus_surface(
-            tolerances=fn.Tolerances(shoot_offset=offset))
-        orbits = fn.find_critical_orbits(surface)
-        calls = counted_velocity(monkeypatch)
-        with pytest.raises(BadParams, match=(
-                f"shoot_offset {offset} must exceed dedup_tol 1e-06")):
-            fn.quotient_to_datum(surface, orbits)
-        assert calls == []
+        surface = dataclasses.replace(
+            torus_run.surface, tolerances=fn.Tolerances(dedup_tol=dedup_tol))
+        projected = []
+        project = fn._project_batch
+
+        def recorded(surface, pts):
+            projected.append(np.array(pts))
+            return project(surface, pts)
+
+        monkeypatch.setattr(fn, "_project_batch", recorded)
+        fn.FlowLineCounter(surface, torus_run.orbits)._saddle_census()
+        saddles = np.array([p.position for o in torus_run.orbits
+                            if o.index == 1 for p in o.points])
+        starts = projected[0]
+        assert len(starts) == 4 * len(saddles)
+        np.testing.assert_allclose(np.linalg.norm(
+            starts[:, None] - saddles[None], axis=2).min(axis=1),
+            10 * dedup_tol, rtol=1e-9)
 
 
 def default_seeds(surface):
