@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,17 +206,17 @@ def _group_key(g):
 
 
 def group_from_generators(names):
-    """Close a set of named generators under multiplication."""
-    if isinstance(names, str):
-        raise BadParams(f"expected generator names, got the string {names!r}")
+    """Close a set of named generators under multiplication; anything but a
+    list or tuple of names from GENERATOR_NAMES raises BadParams."""
+    if not isinstance(names, (list, tuple)):
+        got = f"the string {names!r}" if isinstance(names, str) else names
+        raise BadParams(f"group: expected generator names, got {got}")
     mats = [np.eye(3)]
     for name in names:
-        try:
-            mats.append(np.array(GENERATOR_NAMES[name], dtype=float))
-        except KeyError:
-            raise BadParams(
-                f"unknown generator {name!r}; choose from "
-                f"{sorted(GENERATOR_NAMES)}") from None
+        if not isinstance(name, str) or name not in GENERATOR_NAMES:
+            raise BadParams(f"group: unknown generator {name!r}; choose from "
+                            f"{sorted(GENERATOR_NAMES)}")
+        mats.append(np.array(GENERATOR_NAMES[name], dtype=float))
 
     elements = {_group_key(g): g for g in mats}
     changed = True
@@ -263,9 +264,7 @@ def sphere_surface(tolerances=None, group=()):
         return x[:, 2].copy()
 
     def morse_grad(x):
-        g = np.zeros_like(x)
-        g[:, 2] = 1.0
-        return g
+        return np.full(x.shape, (0.0, 0.0, 1.0))
 
     return ImplicitQuotientSurface(
         name="sphere", level=_sphere_level, level_grad=_sphere_level_grad,
@@ -303,8 +302,7 @@ def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
         return np.stack([s * x[:, 0], s * x[:, 1], 2.0 * x[:, 2]], axis=1)
 
     def hess(x):
-        p = rho(x)
-        p3 = p ** 3
+        p3 = rho(x) ** 3
         out = np.zeros((x.shape[0], 3, 3))
         out[:, 0, 0] = 2.0 - 2.0 * major * x[:, 1] ** 2 / p3
         out[:, 1, 1] = 2.0 - 2.0 * major * x[:, 0] ** 2 / p3
@@ -316,10 +314,7 @@ def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
         return x[:, 2] + tilt * x[:, 0]
 
     def morse_grad(x):
-        g = np.zeros_like(x)
-        g[:, 0] = tilt
-        g[:, 2] = 1.0
-        return g
+        return np.full(x.shape, (tilt, 0.0, 1.0))
 
     return ImplicitQuotientSurface(
         name="torus", level=value, level_grad=grad, level_hess=hess,
@@ -334,6 +329,7 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
     half-turn about the z-axis.  For epsilon > 1/2 the poles are saddles
     whose descending line is reversed by the half-turn."""
     _finite(epsilon=epsilon)
+    hess = np.diag([2.0 * epsilon, -2.0 * epsilon, 0.0])
 
     def morse(x):
         return x[:, 2] + epsilon * (x[:, 0] ** 2 - x[:, 1] ** 2)
@@ -344,16 +340,12 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
                          np.ones(x.shape[0])], axis=1)
 
     def morse_hess(x):
-        out = np.zeros((x.shape[0], 3, 3))
-        out[:, 0, 0] = 2.0 * epsilon
-        out[:, 1, 1] = -2.0 * epsilon
-        return out
+        return np.full((x.shape[0], 3, 3), hess)
 
     def namer(pos):
-        if np.linalg.norm(pos - np.array([0.0, 0.0, 1.0])) < 1e-4:
-            return "north_pole"
-        if np.linalg.norm(pos - np.array([0.0, 0.0, -1.0])) < 1e-4:
-            return "south_pole"
+        for name, z in (("north_pole", 1.0), ("south_pole", -1.0)):
+            if np.linalg.norm(pos - np.array([0.0, 0.0, z])) < 1e-4:
+                return name
         return None
 
     return ImplicitQuotientSurface(
@@ -368,8 +360,8 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
 
 def surface_from_spec(kind, params=None, group=(), tolerances=None):
     """A built-in surface by kind name; anything but a kind name raises
-    UnknownBuiltin, a parameter the kind does not take or one that is not
-    a finite number BadParams."""
+    UnknownBuiltin, and ``params`` that is not a mapping, a parameter the
+    kind does not take or one that is not a finite number BadParams."""
     builders = {"sphere": (sphere_surface, ()),
                 "torus": (torus_surface, ("tilt", "major", "minor")),
                 "epsilon_sphere": (epsilon_sphere_surface, ("epsilon",))}
@@ -377,8 +369,10 @@ def surface_from_spec(kind, params=None, group=(), tolerances=None):
         raise UnknownBuiltin(f"unknown surface kind {kind!r}; choose from "
                              f"{sorted(builders)}")
     build, names = builders[kind]
-    params = dict(params or {})
-    unknown = sorted(set(params) - set(names))
+    params = {} if params is None else params
+    if not isinstance(params, Mapping):
+        raise BadParams(f"params: expected a mapping, got {params!r}")
+    unknown = sorted(str(p) for p in set(params) - set(names))
     if unknown:
         raise BadParams(f"surface kind {kind!r} does not take "
                         f"{', '.join(unknown)}; its parameters: "
@@ -399,24 +393,30 @@ def _fibonacci_directions(n):
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
+def _level_step(surface, x):
+    """The Newton step along the level gradient towards F = 0 at each row,
+    F grad F / |grad F|^2; zero where the level gradient vanishes."""
+    g = surface.level_grad(x)
+    denom = np.maximum(np.einsum("ij,ij->i", g, g), 1e-300)
+    return (surface.level(x) / denom)[:, None] * g
+
+
 def _project_batch(surface, pts):
-    """Newton steps along the level gradient back onto the surface.
+    """``_level_step`` repeated until each row is on the surface.
 
     Only live rows are stepped, for at most 60 rounds, and every step is
     taken.  A row leaves after a step no shorter than its previous one (a
     non-finite length counts as not shorter): its steps have stopped
-    shrinking, which on a converging row happens at roundoff.  A row whose
-    level gradient vanishes takes zero steps and stays put.
+    shrinking, which on a converging row happens at roundoff.  This serves
+    points that may start far from the surface: seeds, check samples and
+    census starts; a census step is corrected once (``FlowLineCounter``).
     """
     x = np.array(pts, dtype=float)
     live = np.arange(len(x))
     last = np.full(len(x), np.inf)
     for _ in range(60):
-        xl = x[live]
-        g = surface.level_grad(xl)
-        denom = np.maximum(np.einsum("ij,ij->i", g, g), 1e-300)
-        step = (surface.level(xl) / denom)[:, None] * g
-        x[live] = xl - step
+        step = _level_step(surface, x[live])
+        x[live] -= step
         length = np.linalg.norm(step, axis=1)
         shorter = length < last  # False if not finite
         live, last = live[shorter], length[shorter]
@@ -443,8 +443,8 @@ def _local_rate(surface, x, level_norm, morse_norm):
     gradient norms at the rows.  At a critical point, where
     grad f = lambda grad F, it is at least the largest |tangent-Hessian
     eigenvalue|."""
-    level_hess = np.abs(np.linalg.eigvalsh(surface.level_hess(x))).max(axis=1)
-    morse_hess = np.abs(np.linalg.eigvalsh(surface.morse_hess(x))).max(axis=1)
+    level_hess, morse_hess = np.abs(np.linalg.eigvalsh(np.stack(
+        [surface.level_hess(x), surface.morse_hess(x)]))).max(axis=2)
     return morse_hess + morse_norm * level_hess / level_norm
 
 
@@ -485,8 +485,7 @@ def check_surface(surface):
 
     samples = _fibonacci_directions(1000)
     pts = _project_batch(surface, samples)
-    on_surface = np.abs(surface.level(pts)) < 1e-9
-    pts = pts[on_surface]
+    pts = pts[np.abs(surface.level(pts)) < 1e-9]
     if len(pts) < len(samples) // 2:
         raise BadParams("could not project the sample grid onto the surface")
     f_vals = surface.morse(pts)
@@ -743,15 +742,17 @@ class FlowLineCounter:
     Each RK4 step of a branch is 1.5 / L(x), with L the ``_local_rate``
     bound at the branch's current position: RK4 damps a mode of decay rate
     k only for steps h with h k below ~2.8, and L bounds every such k near
-    x, so steps are short only where the flow changes fast.
+    x, so steps are short only where the flow changes fast.  One Newton
+    correction (``_level_step``) after each step returns the row towards
+    F = 0 (Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4):
+    a step leaves the surface by |F| up to ~1e-1, the next step starts
+    within ~2e-4, below the step's own error along the surface, so
+    projecting to roundoff would buy nothing the next step keeps.
 
     A branch also ends, before it is captured, once critical values decide
-    its end (``_value_rule``).  That relies on the critical set being
-    complete, which ``find_critical_orbits`` checks (a minimum, a maximum
-    and the Euler count), and cannot happen while another saddle's value
-    lies between f(x) and the extreme value, even one within ``stab_tol``
-    of the row's own, so a saddle connection still reaches the saddle and
-    raises.
+    its end (``_value_rule``), which relies on the complete critical set
+    that ``find_critical_orbits`` checks; a saddle connection still reaches
+    its saddle and raises.
     """
 
     def __init__(self, surface, orbits):
@@ -821,8 +822,7 @@ class FlowLineCounter:
                 starts.append(p.position + sign * offset * a)
                 branches.append((oi, lift, sign, True))
         census = {oi: [] for oi in range(len(self.orbits))}
-        ends = self._endpoints(_project_batch(s, np.array(starts)),
-                               branches)
+        ends = self._endpoints(_project_batch(s, np.array(starts)), branches)
         for (oi, lift, sign, up), end in zip(branches, ends):
             ti, hit = self.lifts[end]
             label = self.orbits[oi].label
@@ -911,8 +911,8 @@ class FlowLineCounter:
             k2 = sign * _velocity(s, xl + 0.5 * dt * k1)[0]
             k3 = sign * _velocity(s, xl + 0.5 * dt * k2)[0]
             k4 = sign * _velocity(s, xl + dt * k3)[0]
-            x[live] = _project_batch(
-                s, xl + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+            xl = xl + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            x[live] = xl - _level_step(s, xl)
         raise lost(f"{len(live)} trajectories failed to settle within the"
                    " step budget", live[0])
 

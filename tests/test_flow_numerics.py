@@ -125,6 +125,28 @@ class TestInputValues:
                 kind, params, group, fn.Tolerances(**tolerances)))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("build, named", [
+        (lambda: fn.surface_from_spec("torus", "tilt"),
+         "params: expected a mapping, got 'tilt'"),
+        (lambda: fn.surface_from_spec("torus", [1, 2]),
+         "params: expected a mapping, got [1, 2]"),
+        (lambda: fn.surface_from_spec("torus", 5),
+         "params: expected a mapping, got 5"),
+        (lambda: fn.group_from_generators(5),
+         "group: expected generator names, got 5"),
+        (lambda: fn.group_from_generators(None),
+         "group: expected generator names, got None"),
+        (lambda: fn.group_from_generators([["x"]]),
+         "group: unknown generator ['x']; choose from"),
+        (lambda: fn.sphere_surface(group=None),
+         "group: expected generator names, got None"),
+    ], ids=["params-string", "params-list", "params-number", "group-number",
+            "group-none", "group-nested-list", "sphere-group-none"])
+    def test_wrong_shape_rejected(self, build, named):
+        # each escaped as a bare ValueError or TypeError
+        with pytest.raises(BadParams, match=re.escape(named)):
+            build()
+
     @pytest.mark.parametrize("dedup_tol", [0, -1])
     def test_dedup_tol_rejected_within_time_bound(self, dedup_tol):
         # In a child process: the duplicate merge never ended at
@@ -774,6 +796,47 @@ class TestCensusWork:
             epsilon_run.datum)
         assert len(steps) == 47
         assert len(counts["morse_grad"]) == 4 * 47 + 1
+
+
+class TestCensusCorrection:
+    """Each census step is followed by one Newton correction along the
+    level gradient; only the census starts are projected to roundoff."""
+
+    @pytest.mark.parametrize("kind, value", [("torus", 0.25),
+                                             ("epsilon", 0.8)])
+    def test_one_projection_per_census(self, monkeypatch, kind, value):
+        # projecting after every step as well took 10 projections on the
+        # torus and 48 on the stabilized epsilon sphere, 3-7 rounds each
+        surface, orbits = surface_and_orbits(kind, value)
+        calls = []
+        project = fn._project_batch
+
+        def counted(surface, pts):
+            calls.append(len(pts))
+            return project(surface, pts)
+
+        monkeypatch.setattr(fn, "_project_batch", counted)
+        fn.quotient_to_datum(surface, orbits)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind, value", [
+        ("torus", 0.02), ("torus", 0.25), ("torus", 0.5), ("epsilon", 0.55),
+        ("epsilon", 0.8), ("epsilon", 1.5)])
+    def test_steps_start_near_the_surface(self, monkeypatch, kind, value):
+        # an RK4 step leaves the surface by |F| up to 8e-2 on the torus and
+        # 1.1e-2 on the epsilon sphere; after one correction every step
+        # starts within 2.0e-4 and 3.0e-5
+        surface, orbits = surface_and_orbits(kind, value)
+        starts = []
+        rate = fn._local_rate
+
+        def recorded(surface, x, *norms):
+            starts.append(np.abs(surface.level(x)))
+            return rate(surface, x, *norms)
+
+        monkeypatch.setattr(fn, "_local_rate", recorded)
+        fn.quotient_to_datum(surface, orbits)
+        assert np.concatenate(starts).max() <= 1e-3
 
 
 def surface_and_orbits(kind, value):

@@ -1,0 +1,124 @@
+"""Digests of the numerical pipeline on its reference cases.
+
+Prints one line per case: its name, the sha256 of ``repr`` of the datum
+``quotient_to_datum`` builds (or of the type and message of the
+``OrbimorseError`` the case raises), and the sha256 of the position and
+eigenvalue bytes of every critical lift found on the way.  Two checkouts
+that print the same lines build equal datums from byte-equal lifts:
+
+    PYTHONPATH=src python3 tools/reference_digest.py > before.txt
+    (change the code)
+    PYTHONPATH=src python3 tools/reference_digest.py > after.txt
+    diff before.txt after.txt
+
+The cases: the torus at 25 tilts from 0.02 to 0.5, the stabilized epsilon
+sphere at 20 values of epsilon from 0.55 to 1.5, the sphere, an
+antipodally symmetric sphere, the sphere with the antipodal group (its
+height is not invariant), and, on the stabilized epsilon = 0.8 sphere,
+each orbit's orientation flipped in turn and the first descending
+direction of each saddle and of the maximum negated on every lift.  Any
+error that is not an ``OrbimorseError`` propagates and fails the run.
+"""
+
+import functools
+import hashlib
+
+import numpy as np
+
+from orbimorse import flow_numerics as fn
+from orbimorse.errors import OrbimorseError
+
+
+def antipodal_sphere_surface():
+    """The unit sphere with f = z^2 + x^2 / 2, invariant under x -> -x."""
+
+    def morse(x):
+        return x[:, 2] ** 2 + 0.5 * x[:, 0] ** 2
+
+    def morse_grad(x):
+        return np.stack(
+            [x[:, 0], np.zeros(x.shape[0]), 2.0 * x[:, 2]], axis=1)
+
+    def morse_hess(x):
+        out = np.zeros((x.shape[0], 3, 3))
+        out[:, 0, 0] = 1.0
+        out[:, 2, 2] = 2.0
+        return out
+
+    return fn.ImplicitQuotientSurface(
+        name="antipodal_sphere", level=fn._sphere_level,
+        level_grad=fn._sphere_level_grad, level_hess=fn._sphere_level_hess,
+        morse=morse, morse_grad=morse_grad, morse_hess=morse_hess,
+        group=fn.group_from_generators(("antipodal",)),
+        euler_characteristic=2)
+
+
+def solve(make, edit=None):
+    """Build the surface, find (and if needed stabilize) its orbits, apply
+    ``edit`` to them and build the datum; returns the datum (or the error)
+    and every orbit list found."""
+    found = []
+    try:
+        surface = make()
+        found.append(fn.find_critical_orbits(surface))
+        if any(not o.stable for o in found[-1]):
+            surface, orbits = fn.stabilize_all(surface, found[-1])
+            found.append(orbits)
+        if edit is not None:
+            edit(found[-1])
+        return repr(fn.quotient_to_datum(surface, found[-1])), found
+    except OrbimorseError as exc:
+        return f"{type(exc).__name__}: {exc}", found
+
+
+def flip_orientation(label):
+    def edit(orbits):
+        orbit = next(o for o in orbits if o.label == label)
+        orbit.representative.orientation *= -1
+    return edit
+
+
+def flip_frame(label):
+    def edit(orbits):
+        for point in next(o for o in orbits if o.label == label).points:
+            point.negative_frame = point.negative_frame.copy()
+            point.negative_frame[0] *= -1
+    return edit
+
+
+def cases():
+    for tilt in np.linspace(0.02, 0.5, 25):
+        yield (f"torus-{tilt:.2f}",
+               lambda t=float(tilt): fn.torus_surface(tilt=t), None)
+    for value in np.linspace(0.55, 1.5, 20):
+        yield (f"epsilon-{value:.2f}",
+               lambda e=float(value): fn.epsilon_sphere_surface(epsilon=e),
+               None)
+    yield "sphere", fn.sphere_surface, None
+    yield "antipodal_sphere", antipodal_sphere_surface, None
+    yield ("sphere-antipodal-group",
+           lambda: fn.sphere_surface(group=("antipodal",)), None)
+    epsilon = functools.partial(fn.epsilon_sphere_surface, epsilon=0.8)
+    for label in ("max0", "saddle0", "saddle1", "min0", "north_pole",
+                  "south_pole"):
+        yield (f"epsilon-0.80-orientation-{label}", epsilon,
+               flip_orientation(label))
+    for label in ("max0", "saddle0", "saddle1"):
+        yield f"epsilon-0.80-frame-{label}", epsilon, flip_frame(label)
+
+
+def main():
+    for name, make, edit in cases():
+        datum, found = solve(make, edit)
+        lifts = hashlib.sha256()
+        for orbits in found:
+            for orbit in orbits:
+                for point in orbit.points:
+                    lifts.update(np.asarray(point.position).tobytes())
+                    lifts.update(np.asarray(point.eigenvalues).tobytes())
+        print(name, hashlib.sha256(datum.encode()).hexdigest(),
+              lifts.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
