@@ -194,8 +194,9 @@ def load_surface_file(path):
     if not isinstance(surface["kind"], str):
         raise ParseError(
             f"surface.kind: expected a string, got {surface['kind']!r}")
-    group = data.get("group", [])
-    if not isinstance(group, list) or not all(isinstance(g, str) for g in group):
+    group = data.get("group")  # absent: the kind's default group
+    if "group" in data and not (isinstance(group, list) and all(
+            isinstance(g, str) for g in group)):
         raise ParseError("group must be a list of generator names")
     params = surface.get("params", {})
     if not isinstance(params, dict):

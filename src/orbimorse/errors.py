@@ -104,11 +104,6 @@ class UnsupportedProfile(OrbimorseError):
     descending line is reversed by the stabilizer."""
 
 
-class BumpTooWide(OrbimorseError):
-    """The requested bump width exceeds half the distance to the nearest
-    other critical point."""
-
-
 # --- simplicial complexes ------------------------------------------------
 
 class InvalidComplex(OrbimorseError):

@@ -30,7 +30,6 @@ from .errors import (
     BadParams,
     BoundarySquaredNonzero,
     BrokenFlowDetected,
-    BumpTooWide,
     DegenerateCritical,
     NonConvergentTrajectory,
     SeedGridExhausted,
@@ -59,7 +58,6 @@ __all__ = [
     "group_from_generators",
     "check_surface",
     "find_critical_orbits",
-    "count_flow_lines",
     "stabilize_numeric",
     "stabilize_all",
     "quotient_to_datum",
@@ -358,10 +356,12 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
         point_namer=namer)
 
 
-def surface_from_spec(kind, params=None, group=(), tolerances=None):
+def surface_from_spec(kind, params=None, group=None, tolerances=None):
     """A built-in surface by kind name; anything but a kind name raises
     UnknownBuiltin, and ``params`` that is not a mapping, a parameter the
-    kind does not take or one that is not a finite number BadParams."""
+    kind does not take or one that is not a finite number BadParams.
+    ``group`` None gives the kind's default group, and an empty list the
+    trivial one."""
     builders = {"sphere": (sphere_surface, ()),
                 "torus": (torus_surface, ("tilt", "major", "minor")),
                 "epsilon_sphere": (epsilon_sphere_surface, ("epsilon",))}
@@ -377,9 +377,9 @@ def surface_from_spec(kind, params=None, group=(), tolerances=None):
         raise BadParams(f"surface kind {kind!r} does not take "
                         f"{', '.join(unknown)}; its parameters: "
                         f"{', '.join(names) or 'none'}")
-    if kind == "epsilon_sphere":
-        group = group or ("rotation_pi_z",)
-    return build(tolerances=tolerances, group=group, **params)
+    if group is not None:
+        params = {**params, "group": group}
+    return build(tolerances=tolerances, **params)
 
 
 # --------------------------------------------------------------------------
@@ -629,34 +629,24 @@ def find_critical_orbits(surface, extra_seeds=None):
     seeds = np.concatenate([r * dirs for r in tols.seed_radii] + extra)
 
     found = _newton_critical_points(surface, seeds)
-
-    # Close the set under the group action: the image of a critical point
-    # under an invariance is a critical point exactly.  The found points
-    # come before their images, so the first point of each cluster is a
-    # found one.
-    group = np.array(surface.group)
-    closed = np.concatenate(
-        [found, np.einsum("gij,pj->pgi", group, found).reshape(-1, 3)])
-    closed = closed[_first_of_clusters(closed, tols.dedup_tol)]
+    found = found[_first_of_clusters(found, tols.dedup_tol)]
 
     # Partition into orbits: the first uncovered point in sorted order is a
-    # representative, the distinct points of [rep; g @ rep] are its lifts.
-    identity_index = next(
-        (i for i, g in enumerate(surface.group)
-         if np.max(np.abs(g - np.eye(3))) < tols.stab_tol), None)
-    if identity_index is None:
-        raise BadParams("the group does not contain the identity")
-    closed = closed[np.lexsort(np.round(closed, 9).T[::-1])]
-    covered = np.zeros(len(closed), dtype=bool)
+    # representative, the distinct points of [rep; g @ rep] are its lifts,
+    # so an orbit is complete once Newton finds any one of its lifts.
+    group = np.array(surface.group)  # closed, by check_surface: I is in it
+    identity_index = int(np.argmin(np.abs(group - np.eye(3)).max(axis=(1, 2))))
+    found = found[np.lexsort(np.round(found, 9).T[::-1])]
+    covered = np.zeros(len(found), dtype=bool)
     orbits = []
     while not covered.all():
-        rep = closed[np.argmax(~covered)]
+        rep = found[np.argmax(~covered)]
         candidates = np.concatenate([rep[None], group @ rep])
         keep = _first_of_clusters(candidates, tols.dedup_tol)
         lift_positions = candidates[keep]
         lift_elems = (identity_index, *(int(k) - 1 for k in keep[1:]))
         covered |= np.any(np.linalg.norm(
-            closed[:, None] - lift_positions[None], axis=2) < tols.dedup_tol,
+            found[:, None] - lift_positions[None], axis=2) < tols.dedup_tol,
             axis=1)
 
         eigenvalues, frame = _tangent_data(surface, rep)
@@ -950,17 +940,10 @@ class FlowLineCounter:
         return (limit, target) if np.isfinite(limit).any() else None
 
 
-def count_flow_lines(surface, orbits, from_orbit, to_orbit):
-    """Signed count of flow lines between two stable orbits with index gap
-    one.  Convenience wrapper; reuse a FlowLineCounter to share trajectory
-    work across pairs."""
-    return FlowLineCounter(surface, orbits).count(from_orbit, to_orbit)
-
-
 # --------------------------------------------------------------------------
 # numerical stabilization
 
-def stabilize_numeric(surface, point, orbits, width=None, amplitude=None):
+def stabilize_numeric(surface, point, orbits):
     """Subtract an orbit of radial bumps to stabilize an index-1 point
     whose descending line is reversed by its stabilizer.
 
@@ -968,16 +951,17 @@ def stabilize_numeric(surface, point, orbits, width=None, amplitude=None):
     and creates two new index-1 points on the former descending line; when
     the stabilizer swaps them they form one free orbit.  The modified
     function stays group invariant because the bump is summed over the
-    whole orbit of centers.
+    whole orbit of centers.  Its width w is a quarter of the distance from
+    the centers to the nearest other critical lift, and its amplitude
+    2 lambda w^2, twice what flips the point's descending eigenvalue
+    -lambda.
     """
-    centers, width, amplitude = _orbit_bump(point, orbits, width, amplitude)
-    return _bumped(surface, [(centers, width, amplitude)])
+    return _bumped(surface, [_orbit_bump(point, orbits)])
 
 
-def _orbit_bump(point, orbits, width, amplitude):
+def _orbit_bump(point, orbits):
     """Centers (the lifts of the point's orbit), width and amplitude of the
-    bumps that stabilize ``point``; defaults and gates as documented on
-    ``stabilize_numeric``."""
+    bumps that stabilize ``point``, by the rule on ``stabilize_numeric``."""
     if point.index != 1 or point.stable:
         raise UnsupportedProfile(
             "numerical stabilization needs an index-1 point whose descending"
@@ -994,20 +978,8 @@ def _orbit_bump(point, orbits, width, amplitude):
     d = np.linalg.norm(all_positions[None] - centers[:, None], axis=2)
     nearest = float(d[d > 0].min())
 
-    lam = abs(min(point.eigenvalues))
-    if width is None:
-        width = 0.25 * nearest
-    if width > 0.5 * nearest:
-        raise BumpTooWide(
-            f"bump width {width} exceeds half the nearest critical distance"
-            f" {nearest}")
-    if amplitude is None:
-        amplitude = 2.0 * lam * width ** 2
-    if amplitude <= lam * width ** 2:
-        raise BadParams(
-            f"amplitude {amplitude} must exceed {lam * width ** 2} to flip"
-            " the point into a local minimum")
-    return centers, width, amplitude
+    width = 0.25 * nearest
+    return centers, width, 2.0 * abs(min(point.eigenvalues)) * width ** 2
 
 
 def _bump_parts(x, centers, a2, amplitudes):
@@ -1050,19 +1022,18 @@ def _bumped(surface, bumps):
 def stabilize_all(surface, orbits):
     """Stabilize every unstable orbit with the bumps of stabilize_numeric,
     all subtracted as one bump, and rerun the critical-point search,
-    seeding it with the old lifts plus points along each former
-    descending line where the new saddles appear."""
-    unstable = [o for o in orbits if not o.stable]
-    seeds = [p.position for o in orbits for p in o.points]
+    seeding it with each old representative plus points along its former
+    descending line where the new saddles appear; the orbit partition
+    supplies the other lifts."""
+    seeds = [o.representative.position for o in orbits]
     bumps = []
-    for orbit in unstable:
-        bumps.append(_orbit_bump(orbit.representative, orbits, None, None))
-        width = bumps[-1][1]
-        for p in orbit.points:
-            v = p.negative_frame[0]
-            for t in (0.4, 0.8, 1.2, 1.6, 2.2, 3.0):
-                seeds.append(p.position + t * width * v)
-                seeds.append(p.position - t * width * v)
+    for orbit in (o for o in orbits if not o.stable):
+        p = orbit.representative
+        bumps.append(_orbit_bump(p, orbits))
+        width, v = bumps[-1][1], p.negative_frame[0]
+        for t in (0.4, 0.8, 1.2, 1.6, 2.2, 3.0):
+            seeds.append(p.position + t * width * v)
+            seeds.append(p.position - t * width * v)
     current = _bumped(surface, bumps) if bumps else surface
     new_orbits = find_critical_orbits(current, extra_seeds=np.array(seeds))
     return current, new_orbits

@@ -8,6 +8,7 @@ from orbimorse.cli import (
     dump_datum_file,
     load_datum_file,
     load_facet_file,
+    load_surface_file,
     main,
     parse_sphere_datum_spec,
 )
@@ -498,6 +499,39 @@ class TestFlowCommand:
              "group": ["rotation_pi_z"]}), "badgroup.json")
         assert main(["flow", path, "--out", str(tmp_path / "o.json")]) == 1
         assert "not group invariant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group, order", [
+        (None, 2), ([], 1), (["rotation_pi_z"], 2), (["identity"], 1)],
+        ids=["absent", "empty", "half-turn", "identity"])
+    def test_group_default_only_when_absent(self, tmp_path, group, order):
+        # an empty list used to be replaced by epsilon_sphere's half-turn
+        data = {"schema_version": "1", "surface": {"kind": "epsilon_sphere"}}
+        if group is not None:
+            data["group"] = group
+        path = write_text(tmp_path, json.dumps(data), "eps.json")
+        assert len(load_surface_file(path).group) == order
+
+    @pytest.mark.parametrize("group", [None, "rotation_pi_z", [3]],
+                             ids=["null", "string", "number-in-list"])
+    def test_group_not_a_list_of_names(self, tmp_path, group):
+        path = write_text(tmp_path, json.dumps(
+            {"schema_version": "1", "surface": {"kind": "sphere"},
+             "group": group}), "badgroup.json")
+        with pytest.raises(ParseError, match="group must be a list"):
+            load_surface_file(path)
+
+    def test_epsilon_sphere_with_trivial_group(self, tmp_path):
+        # without the half-turn the poles are ordinary saddles: two maxima,
+        # two saddles and two minima upstairs, all stable, and a line from
+        # each maximum to each saddle and from each saddle to each minimum
+        path = self.surface_path(tmp_path, "epsilon_sphere", (),
+                                 {"epsilon": 0.8})
+        out_path = str(tmp_path / "eps_datum.json")
+        assert main(["flow", path, "--out", out_path]) == 0
+        datum = load_datum_file(out_path)
+        assert sorted((p.index, p.stab_order) for p in datum.points) == [
+            (0, 1), (0, 1), (1, 1), (1, 1), (2, 1), (2, 1)]
+        assert len(datum.flows) == 8
 
 
 class TestFacetFiles:

@@ -17,7 +17,6 @@ from orbimorse.errors import (
     BadParams,
     BoundarySquaredNonzero,
     BrokenFlowDetected,
-    BumpTooWide,
     DegenerateCritical,
     NonConvergentTrajectory,
     SeedGridExhausted,
@@ -83,6 +82,15 @@ class TestSurfaceFromSpec:
         assert len(fn.surface_from_spec("epsilon_sphere", {}).group) == 2
         with pytest.raises(UnknownBuiltin):
             fn.surface_from_spec("moebius")
+
+    @pytest.mark.parametrize("kind, group, order", [
+        ("epsilon_sphere", None, 2), ("epsilon_sphere", [], 1),
+        ("epsilon_sphere", (), 1), ("sphere", None, 1),
+        ("sphere", ["antipodal"], 2)])
+    def test_group_default_only_for_none(self, kind, group, order):
+        # an empty group used to be replaced by epsilon_sphere's half-turn,
+        # though epsilon_sphere_surface(group=()) gives the trivial group
+        assert len(fn.surface_from_spec(kind, {}, group).group) == order
 
 
 class TestInputValues:
@@ -279,7 +287,7 @@ class TestSphere:
         surface = fn.sphere_surface()
         orbits = fn.find_critical_orbits(surface)
         with pytest.raises(BadParams):
-            fn.count_flow_lines(surface, orbits, orbits[0], orbits[1])
+            fn.FlowLineCounter(surface, orbits).count(orbits[0], orbits[1])
 
     def test_euler_mismatch_detected(self):
         surface = dataclasses.replace(fn.sphere_surface(),
@@ -458,7 +466,7 @@ class TestEpsilonSphere:
         north = next(o for o in orbits if o.label == "north_pole")
         min0 = next(o for o in orbits if o.label == "min0")
         with pytest.raises(UnstableEndpoint):
-            fn.count_flow_lines(surface, orbits, north, min0)
+            fn.FlowLineCounter(surface, orbits).count(north, min0)
 
 
 class TestStabilizeNumericGates:
@@ -468,21 +476,6 @@ class TestStabilizeNumericGates:
         with pytest.raises(UnsupportedProfile):
             fn.stabilize_numeric(epsilon_run.raw_surface,
                                  stable_orbit.representative, orbits)
-
-    def test_bump_too_wide(self, epsilon_run):
-        orbits = epsilon_run.pre_orbits
-        north = next(o for o in orbits if o.label == "north_pole")
-        with pytest.raises(BumpTooWide):
-            fn.stabilize_numeric(epsilon_run.raw_surface,
-                                 north.representative, orbits, width=10.0)
-
-    def test_amplitude_gate(self, epsilon_run):
-        orbits = epsilon_run.pre_orbits
-        north = next(o for o in orbits if o.label == "north_pole")
-        with pytest.raises(BadParams):
-            fn.stabilize_numeric(epsilon_run.raw_surface,
-                                 north.representative, orbits,
-                                 width=0.2, amplitude=1e-9)
 
 
 class TestOrientationIndependence:
@@ -528,14 +521,6 @@ class TestCounterReuse:
         with pytest.raises(BadParams, match=message):
             epsilon_run.counter.count(known, "nosuch")
 
-    def test_counts_match_convenience_function(self, epsilon_run):
-        labels = {o.label: o for o in epsilon_run.orbits}
-        source, target = labels["saddle0"], labels["min0"]
-        direct = fn.count_flow_lines(epsilon_run.surface, epsilon_run.orbits,
-                                     source, target)
-        cached = epsilon_run.counter.count(source, target)
-        assert direct == cached
-
 
 class TestFrameConsistency:
     def test_lift_frames_are_pushforwards_of_the_representative(self, epsilon_run):
@@ -553,6 +538,53 @@ class TestFrameConsistency:
                                        atol=1e-9)
                     assert np.allclose(rep.negative_frame @ g.T,
                                        point.negative_frame, atol=1e-9)
+
+
+class TestOrbitsFromRepresentatives:
+    def test_one_lift_per_orbit_suffices(self, monkeypatch, epsilon_run):
+        # the partition builds every lift as a distinct point of
+        # [rep; g @ rep], so Newton finding one lift per orbit is enough:
+        # keeping only the points with x + y >= -1e-9 drops one lift of
+        # each two-lift orbit (the half-turn negates x and y) and keeps
+        # the poles, which lie on the axis
+        newton = fn._newton_critical_points
+        kept = []
+
+        def one_lift(surface, seeds):
+            found = newton(surface, seeds)
+            kept.append(found[found[:, 0] + found[:, 1] >= -1e-9])
+            return kept[-1]
+
+        monkeypatch.setattr(fn, "_newton_critical_points", one_lift)
+        stabilized, orbits = fn.stabilize_all(epsilon_run.raw_surface,
+                                              epsilon_run.pre_orbits)
+        tol = stabilized.tolerances.dedup_tol
+        full = epsilon_run.orbits
+        assert len(kept) == 1
+        for orbit in full:
+            reached = [np.linalg.norm(kept[0] - p.position, axis=1).min() < tol
+                       for p in orbit.points]
+            assert sum(reached) == 1
+
+        def shape(orbit):
+            return orbit.index, orbit.stab_order, len(orbit.points)
+
+        # the representatives move to the kept lifts, which changes the
+        # sort order of the orbits and so the saddle labels
+        assert sorted(map(shape, orbits)) == sorted(map(shape, full))
+        matched = []
+        for reference in full:
+            same = [i for i, o in enumerate(orbits) if all(
+                np.linalg.norm([q.position for q in o.points] - p.position,
+                               axis=1).min() < tol for p in reference.points)]
+            assert len(same) == 1
+            assert shape(orbits[same[0]]) == shape(reference)
+            matched += same
+        assert sorted(matched) == list(range(len(full)))
+        datum = fn.quotient_to_datum(stabilized, orbits)
+        for build in (coinvariant_complex, invariant_complex):
+            assert profile(homology(build(datum))) == profile(
+                homology(build(epsilon_run.datum)))
 
 
 def antipodal_sphere_surface():

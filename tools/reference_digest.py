@@ -16,8 +16,13 @@ sphere at 20 values of epsilon from 0.55 to 1.5, the sphere, an
 antipodally symmetric sphere, the sphere with the antipodal group (its
 height is not invariant), and, on the stabilized epsilon = 0.8 sphere,
 each orbit's orientation flipped in turn and the first descending
-direction of each saddle and of the maximum negated on every lift.  Any
-error that is not an ``OrbimorseError`` propagates and fails the run.
+direction of each saddle and of the maximum negated on every lift.  Then
+the probes that fail with a typed error: the epsilon = 0.3 sphere and the
+sphere with the half-turn, whose cone points stabilization does not
+handle, and a torus at 20 times the unit scale, which the seed grid
+misses; and the epsilon = 0.8 sphere built by ``surface_from_spec`` with
+an empty group, which is the trivial group.  Any error that is not an
+``OrbimorseError`` propagates and fails the run.
 """
 
 import functools
@@ -105,6 +110,15 @@ def cases():
                flip_orientation(label))
     for label in ("max0", "saddle0", "saddle1"):
         yield f"epsilon-0.80-frame-{label}", epsilon, flip_frame(label)
+    yield ("epsilon-0.30", lambda: fn.epsilon_sphere_surface(epsilon=0.3),
+           None)
+    yield ("sphere-rotation_pi_z",
+           lambda: fn.sphere_surface(group=("rotation_pi_z",)), None)
+    yield ("torus-major-20-minor-10",
+           lambda: fn.torus_surface(major=20.0, minor=10.0), None)
+    yield ("epsilon-0.80-spec-empty-group",
+           lambda: fn.surface_from_spec("epsilon_sphere", {"epsilon": 0.8},
+                                        []), None)
 
 
 def main():
