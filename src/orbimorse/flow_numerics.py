@@ -65,6 +65,7 @@ __all__ = [
 
 _STALL_SPEED = 1e-12          # below this the flow is considered parked
 _MAX_STEPS = 20000
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ def _sphere_level_grad(x):
 
 
 def _sphere_level_hess(x):
-    return np.broadcast_to(2.0 * np.eye(3), (x.shape[0], 3, 3)).copy()
+    return np.full((x.shape[0], 3, 3), 2.0 * _EYE3)
 
 
 def _zero_hess(x):
@@ -328,14 +329,15 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
     whose descending line is reversed by the half-turn."""
     _finite(epsilon=epsilon)
     hess = np.diag([2.0 * epsilon, -2.0 * epsilon, 0.0])
+    coef = np.array([2.0 * epsilon, -2.0 * epsilon, 1.0])
 
     def morse(x):
         return x[:, 2] + epsilon * (x[:, 0] ** 2 - x[:, 1] ** 2)
 
     def morse_grad(x):
-        return np.stack([2.0 * epsilon * x[:, 0],
-                         -2.0 * epsilon * x[:, 1],
-                         np.ones(x.shape[0])], axis=1)
+        out = x * coef
+        out[:, 2] = 1.0
+        return out
 
     def morse_hess(x):
         return np.full((x.shape[0], 3, 3), hess)
@@ -425,16 +427,22 @@ def _project_batch(surface, pts):
     return x
 
 
+def _row_norms(v):
+    """|v| per row of an (n, 3) batch, bit for bit ``np.linalg.norm(v,
+    axis=1)`` in fewer calls."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def _velocity(surface, x):
     """Negative gradient of f projected onto the tangent planes, with the
-    norms |grad F| and |grad f| it was made from (``_local_rate`` reads
-    them)."""
+    norms |grad F| and |grad f| it was made from (``_local_rate`` and the
+    value rule read them)."""
     g = surface.level_grad(x)
-    level_norm = np.linalg.norm(g, axis=1)
+    level_norm = _row_norms(g)
     n = g / level_norm[:, None]
     gf = surface.morse_grad(x)
-    velocity = -(gf - np.einsum("ij,ij->i", n, gf)[:, None] * n)
-    return velocity, level_norm, np.linalg.norm(gf, axis=1)
+    velocity = np.einsum("ij,ij->i", n, gf)[:, None] * n - gf
+    return velocity, level_norm, _row_norms(gf)
 
 
 def _local_rate(surface, x, level_norm, morse_norm):
@@ -467,44 +475,56 @@ def check_surface(surface):
     """Verify the structural invariants: the group is a closed set of
     orthogonal matrices, and both fields are invariant on 1,000 Fibonacci
     directions projected onto the surface.  At least half of them must land
-    within 1e-9 of F = 0."""
+    within 1e-9 of F = 0.
+
+    Once the checks pass, the samples that landed are stored on the
+    surface.  With stored samples, which ``_bumped`` also hands to the
+    surface it makes, only the invariance of f is checked again: the
+    group, F and the tolerances that the other checks read are the same.
+    A surface made by ``dataclasses.replace`` starts with none."""
     tol = surface.tolerances.stab_tol
     group = surface.group
-    if not group:
-        raise BadParams("the group must at least contain the identity")
+    pts = surface.__dict__.get("_samples")
+    stored = pts is not None
+    if not stored:
+        if not group:
+            raise BadParams("the group must at least contain the identity")
+        keys = {_group_key(g) for g in group}
+        for g in group:
+            if np.max(np.abs(g.T @ g - np.eye(3))) > tol:
+                raise BadParams("group contains a non-orthogonal matrix")
+            if _group_key(np.linalg.inv(g)) not in keys:
+                raise BadParams("group is not closed under inverses")
+            for h in group:
+                if _group_key(g @ h) not in keys:
+                    raise BadParams("group is not closed under products")
 
-    keys = {_group_key(g) for g in group}
-    for g in group:
-        if np.max(np.abs(g.T @ g - np.eye(3))) > tol:
-            raise BadParams("group contains a non-orthogonal matrix")
-        if _group_key(np.linalg.inv(g)) not in keys:
-            raise BadParams("group is not closed under inverses")
-        for h in group:
-            if _group_key(g @ h) not in keys:
-                raise BadParams("group is not closed under products")
-
-    samples = _fibonacci_directions(1000)
-    pts = _project_batch(surface, samples)
-    pts = pts[np.abs(surface.level(pts)) < 1e-9]
-    if len(pts) < len(samples) // 2:
-        raise BadParams("could not project the sample grid onto the surface")
+        samples = _fibonacci_directions(1000)
+        pts = _project_batch(surface, samples)
+        pts = pts[np.abs(surface.level(pts)) < 1e-9]
+        if len(pts) < len(samples) // 2:
+            raise BadParams(
+                "could not project the sample grid onto the surface")
+        lvl_vals = surface.level(pts)
     f_vals = surface.morse(pts)
-    lvl_vals = surface.level(pts)
     for g in group:
         moved = pts @ g.T
         if np.max(np.abs(surface.morse(moved) - f_vals)) > tol:
             raise BadParams("the Morse function is not group invariant")
-        if np.max(np.abs(surface.level(moved) - lvl_vals)) > tol:
+        if (not stored
+                and np.max(np.abs(surface.level(moved) - lvl_vals)) > tol):
             raise BadParams("the level function is not group invariant")
+    object.__setattr__(surface, "_samples", pts)
 
 
 # --------------------------------------------------------------------------
 # critical points
 
-def _newton_critical_points(surface, seeds):
+def _newton_critical_points(surface, seeds, starts=None):
     """Batched Newton iteration on (grad f = lambda grad F, F = 0).
 
-    Seeds are projected onto the surface, and a projection within
+    Seeds are projected onto the surface (``starts``, when given, is that
+    projection, row for row, and is not changed), and a projection within
     ``dedup_tol`` of an earlier one is dropped, the earlier one kept (where
     the level gradient is radial, all radii along a direction meet there).
     Only live rows are iterated, for at most 80 rounds, and the residual is
@@ -523,7 +543,8 @@ def _newton_critical_points(surface, seeds):
         return g, np.concatenate([mg - lam[:, None] * g,
                                   surface.level(x)[:, None]], axis=1)
 
-    x = _project_batch(surface, seeds)
+    x = (_project_batch(surface, seeds) if starts is None
+         else np.array(starts, dtype=float))
     # Sorted stably by the first coordinate of their cells of side
     # dedup_tol / sqrt(3), neighbouring rows in one cell form runs, each
     # headed by its earliest row; a row within dedup_tol of its run's head
@@ -583,7 +604,7 @@ def _first_of_clusters(points, tol):
     while free.any():
         i = int(np.argmax(free))
         kept.append(i)
-        free &= np.linalg.norm(points - points[i], axis=1) >= tol
+        free &= _row_norms(points - points[i]) >= tol
     return np.array(kept, dtype=int)
 
 
@@ -621,33 +642,56 @@ def find_critical_orbits(surface, extra_seeds=None):
     otherwise the grid missed a point and SeedGridExhausted is raised; its
     message names the seed radii and the radii at which the seeds meet the
     surface.
+
+    The seed grid projected onto the surface is stored on it, and
+    ``_bumped`` hands it to the surface it makes, whose F and tolerances
+    are the same; only ``extra_seeds`` are projected on a later call.
     """
     check_surface(surface)
     tols = surface.tolerances
     dirs = _fibonacci_directions(tols.seed_count)
-    extra = [] if extra_seeds is None else [np.reshape(extra_seeds, (-1, 3))]
-    seeds = np.concatenate([r * dirs for r in tols.seed_radii] + extra)
+    seeds = np.concatenate([r * dirs for r in tols.seed_radii])
+    starts = surface.__dict__.get("_seed_grid")
+    if starts is None:
+        starts = _project_batch(surface, seeds)
+        object.__setattr__(surface, "_seed_grid", starts)
+    if extra_seeds is not None:
+        extra = np.reshape(extra_seeds, (-1, 3))
+        seeds = np.concatenate([seeds, extra])
+        starts = np.concatenate([starts, _project_batch(surface, extra)])
 
-    found = _newton_critical_points(surface, seeds)
+    found = _newton_critical_points(surface, seeds, starts)
     found = found[_first_of_clusters(found, tols.dedup_tol)]
 
-    # Partition into orbits: the first uncovered point in sorted order is a
-    # representative, the distinct points of [rep; g @ rep] are its lifts,
-    # so an orbit is complete once Newton finds any one of its lifts.
+    # Partition into orbits: the first uncovered point in sorted order
+    # names an orbit, the distinct points of [p; g @ p] are its lifts, and
+    # the first of them in the same order is its representative, from
+    # which the lifts are built again.  So an orbit is complete, and its
+    # representative the same, whichever of its lifts Newton finds.
     group = np.array(surface.group)  # closed, by check_surface: I is in it
     identity_index = int(np.argmin(np.abs(group - np.eye(3)).max(axis=(1, 2))))
-    found = found[np.lexsort(np.round(found, 9).T[::-1])]
+
+    def lifts_of(p):
+        candidates = np.concatenate([p[None], group @ p])
+        keep = _first_of_clusters(candidates, tols.dedup_tol)
+        return candidates[keep], (identity_index,
+                                  *(int(k) - 1 for k in keep[1:]))
+
+    def sort_order(points):
+        return np.lexsort(np.round(points, 9).T[::-1])
+
+    found = found[sort_order(found)]
     covered = np.zeros(len(found), dtype=bool)
     orbits = []
     while not covered.all():
-        rep = found[np.argmax(~covered)]
-        candidates = np.concatenate([rep[None], group @ rep])
-        keep = _first_of_clusters(candidates, tols.dedup_tol)
-        lift_positions = candidates[keep]
-        lift_elems = (identity_index, *(int(k) - 1 for k in keep[1:]))
+        lift_positions, lift_elems = lifts_of(found[np.argmax(~covered)])
         covered |= np.any(np.linalg.norm(
             found[:, None] - lift_positions[None], axis=2) < tols.dedup_tol,
             axis=1)
+        first = sort_order(lift_positions)[0]
+        if first:
+            lift_positions, lift_elems = lifts_of(lift_positions[first])
+        rep = lift_positions[0]
 
         eigenvalues, frame = _tangent_data(surface, rep)
         moved = np.einsum("gij,lj->lgi", group, lift_positions)
@@ -670,7 +714,7 @@ def find_critical_orbits(surface, extra_seeds=None):
 
     def seed_reach():
         # where the seed grid meets the surface, against the surface's size
-        radii = np.linalg.norm(_project_batch(surface, seeds), axis=1)
+        radii = np.linalg.norm(starts, axis=1)
         radii = radii[np.isfinite(radii)]
         reach = (f"project onto the surface at radii {radii.min():.3g} to "
                  f"{radii.max():.3g}" if len(radii) else
@@ -841,70 +885,93 @@ class FlowLineCounter:
         lift, all rows as one RK4 batch; returns the lift per start.  A row
         that stalls farther than ``dedup_tol`` from every lift, escapes past
         ``escape_radius`` or runs out of steps raises, naming its branch,
-        where it was and how far from the nearest lift."""
+        where it was and how far from the nearest lift.  Only the live rows
+        are kept, and they are cut down only on a step at which some row
+        ends."""
         s = self.surface
+        lifts = self.lift_positions
+        capture = self.tols.dedup_tol
+        escape = self.tols.escape_radius
         x = np.array(starts, dtype=float)
         direction = np.array([-1.0 if up else 1.0 for *_, up in branches])
         ends = np.full(len(x), -1)
         live = np.arange(len(x))
-        escape = self.tols.escape_radius
         rule = self._value_rule(direction,
                                 np.array([oi for oi, *_ in branches]))
+        if rule is not None:
+            limit, target = rule
+        sign = direction[:, None]
 
         def lost(what, row):
-            oi, _, sign, up = branches[row]
-            dist = np.linalg.norm(self.lift_positions - x[row], axis=1).min()
+            oi, _, branch, up = branches[live[row]]
+            dist = _row_norms(lifts - x[row]).min()
             return NonConvergentTrajectory(
                 f"{what}: the {'ascending' if up else 'descending'} branch"
-                f" {sign:+d} of saddle {self.orbits[oi].label!r} was last at"
+                f" {branch:+d} of saddle {self.orbits[oi].label!r} was last at"
                 f" {np.array2string(x[row], precision=6, separator=', ')},"
                 f" {dist:.3g} from the nearest critical lift")
 
         for _ in range(_MAX_STEPS):
-            xl = x[live]
-            dists = np.linalg.norm(
-                xl[:, None, :] - self.lift_positions[None, :, :], axis=2)
-            nearest = np.argmin(dists, axis=1)
-            dmin = dists[np.arange(len(live)), nearest]
-            sign = direction[live, None]
-            k1, level_norm, morse_norm = _velocity(s, xl)
-            k1 = sign * k1
-            speed = np.linalg.norm(k1, axis=1)
+            diff = x[:, None, :] - lifts
+            squared = np.add.reduce(diff * diff, axis=2)
+            nearest = squared.argmin(axis=1)
+            dmin = np.sqrt(squared[np.arange(len(x)), nearest])
+            velocity, level_norm, morse_norm = _velocity(s, x)
 
-            done = dmin < self.tols.dedup_tol
-            stranded = ~done & (speed < _STALL_SPEED)
-            if np.any(stranded):
+            done = dmin < capture
+            stranded = ~done & (_row_norms(velocity) < _STALL_SPEED)
+            if stranded.any():
                 raise lost("a trajectory stalled away from every critical"
-                           " point", live[np.argmax(stranded)])
-            ends[live[done]] = nearest[done]
+                           " point", stranded.argmax())
+            ended = done
             if rule is not None:
-                limit, target = rule
-                passed = ~done & (sign[:, 0] * s.morse(xl) < limit[live])
-                ends[live[passed]] = target[live[passed]]
-                done |= passed
-            keep = ~done
-            live, xl, sign, k1 = live[keep], xl[keep], sign[keep], k1[keep]
-            level_norm, morse_norm = level_norm[keep], morse_norm[keep]
-            if not len(live):
-                return ends
-            escaped = np.linalg.norm(xl, axis=1) > escape
-            if np.any(escaped):
+                passed = ~done & self._passed(x, sign[:, 0], limit,
+                                              level_norm, morse_norm)
+                ended = done | passed
+            if ended.any():
+                ends[live[done]] = nearest[done]
+                if rule is not None:
+                    ends[live[passed]] = target[passed]
+                keep = ~ended
+                live, x, sign, velocity = (
+                    live[keep], x[keep], sign[keep], velocity[keep])
+                level_norm, morse_norm = level_norm[keep], morse_norm[keep]
+                if rule is not None:
+                    limit, target = limit[keep], target[keep]
+                if not len(live):
+                    return ends
+            escaped = _row_norms(x) > escape
+            if escaped.any():
                 raise lost(f"a trajectory escaped to radius {escape}",
-                           live[np.argmax(escaped)])
+                           escaped.argmax())
 
-            rate = _local_rate(s, xl, level_norm, morse_norm)
+            rate = _local_rate(s, x, level_norm, morse_norm)
             bad_rate = ~(np.isfinite(rate) & (rate > 0.0))
-            if np.any(bad_rate):
+            if bad_rate.any():
                 raise lost("the local rate of the flow is zero or not finite",
-                           live[np.argmax(bad_rate)])
-            dt = (1.5 / rate)[:, None]
-            k2 = sign * _velocity(s, xl + 0.5 * dt * k1)[0]
-            k3 = sign * _velocity(s, xl + 0.5 * dt * k2)[0]
-            k4 = sign * _velocity(s, xl + dt * k3)[0]
-            xl = xl + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            x[live] = xl - _level_step(s, xl)
+                           bad_rate.argmax())
+            # sign * dt times a velocity is dt times the signed velocity,
+            # bit for bit
+            dt = sign * (1.5 / rate)[:, None]
+            half = 0.5 * dt
+            k1 = velocity
+            k2 = _velocity(s, x + half * k1)[0]
+            k3 = _velocity(s, x + half * k2)[0]
+            k4 = _velocity(s, x + dt * k3)[0]
+            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = x - _level_step(s, x)
         raise lost(f"{len(live)} trajectories failed to settle within the"
-                   " step budget", live[0])
+                   " step budget", 0)
+
+    def _passed(self, x, direction, limit, level_norm, morse_norm):
+        """The rows of ``x`` that the value rule decides: direction times f
+        plus |F| |grad f| / |grad F| is below ``limit``, the norms taken at
+        the rows.  A row is corrected towards F = 0 once per step, not
+        projected, and the added slack is how far f moves to first order
+        along the Newton step |F| / |grad F| that would take it there."""
+        s = self.surface
+        slack = np.abs(s.level(x)) * morse_norm / level_norm
+        return direction * s.morse(x) + slack < limit
 
     def _value_rule(self, direction, sources):
         """Per row of ``direction`` (1 descending, -1 ascending) and of
@@ -982,41 +1049,51 @@ def _orbit_bump(point, orbits):
     return centers, width, 2.0 * abs(min(point.eigenvalues)) * width ** 2
 
 
-def _bump_parts(x, centers, a2, amplitudes):
-    """Offsets from every center and the bump values a exp(-|d|^2 / w^2),
+def _bump_parts(x, centers, neg_a2, amplitudes):
+    """Offsets from every center and the bump values a exp(|d|^2 / -w^2),
     shapes (n, c, 3) and (n, c)."""
-    diff = x[:, None, :] - centers[None, :, :]
-    e = amplitudes * np.exp(-np.einsum("ncj,ncj->nc", diff, diff) / a2)
+    diff = x[:, None, :] - centers
+    e = amplitudes * np.exp(np.einsum("ncj,ncj->nc", diff, diff) / neg_a2)
     return diff, e
 
 
 def _bumped(surface, bumps):
     """The surface with f minus one radial bump per center, each bump given
     as (centers, width, amplitude); every field evaluates all centers in
-    one ``_bump_parts`` call."""
+    one ``_bump_parts`` call.
+
+    F, its group and its tolerances are those of ``surface``, so the
+    level-set work stored on it travels to the bumped surface: the checked
+    samples of ``check_surface`` and the projected seed grid of
+    ``find_critical_orbits``.  Both are projections onto F = 0 alone."""
     centers = np.concatenate([c for c, _, _ in bumps])
     a2 = np.concatenate([np.full(len(c), w ** 2) for c, w, _ in bumps])
     amplitudes = np.concatenate([np.full(len(c), a) for c, _, a in bumps])
+    neg_a2, two_a2, four_a4 = -a2, 2.0 / a2, 4.0 / a2 ** 2
 
     def morse(x):
-        diff, e = _bump_parts(x, centers, a2, amplitudes)
+        diff, e = _bump_parts(x, centers, neg_a2, amplitudes)
         return surface.morse(x) - e.sum(axis=1)
 
     def morse_grad(x):
-        diff, e = _bump_parts(x, centers, a2, amplitudes)
-        return (surface.morse_grad(x)
-                + np.einsum("nc,ncj->nj", (2.0 / a2) * e, diff))
+        diff, e = _bump_parts(x, centers, neg_a2, amplitudes)
+        return surface.morse_grad(x) + np.einsum("nc,ncj->nj", two_a2 * e,
+                                                 diff)
 
     def morse_hess(x):
-        diff, e = _bump_parts(x, centers, a2, amplitudes)
+        diff, e = _bump_parts(x, centers, neg_a2, amplitudes)
         outer = np.einsum("nci,ncj->ncij", diff, diff)
         return (surface.morse_hess(x)
-                - np.einsum("nc,ncij->nij", (4.0 / a2 ** 2) * e, outer)
-                + ((2.0 / a2) * e).sum(axis=1)[:, None, None] * np.eye(3))
+                - np.einsum("nc,ncij->nij", four_a4 * e, outer)
+                + (two_a2 * e).sum(axis=1)[:, None, None] * _EYE3)
 
-    return dataclasses.replace(
+    bumped = dataclasses.replace(
         surface, name=surface.name + "+stabilized",
         morse=morse, morse_grad=morse_grad, morse_hess=morse_hess)
+    for stored in ("_samples", "_seed_grid"):
+        if stored in surface.__dict__:
+            object.__setattr__(bumped, stored, surface.__dict__[stored])
+    return bumped
 
 
 def stabilize_all(surface, orbits):

@@ -202,7 +202,7 @@ class TestSurfaceChecks:
         with pytest.raises(BadParams):
             fn.check_surface(surface)
 
-    @pytest.mark.parametrize("change, message", [
+    REJECTED = [
         ({"group": ()}, "must at least contain the identity"),
         ({"group": (np.eye(3), np.diag([2.0, 1.0, 1.0]))},
          "non-orthogonal matrix"),
@@ -218,8 +218,11 @@ class TestSurfaceChecks:
           "level_grad": lambda x: fn._sphere_level_grad(x - [0.1, 0.0, 0.0]),
           "group": fn.group_from_generators(("rotation_pi_z",))},
          "level function is not group invariant"),
-    ], ids=["empty", "non-orthogonal", "inverses", "products", "no-zero",
-            "level-not-invariant"])
+    ]
+    REJECTED_IDS = ["empty", "non-orthogonal", "inverses", "products",
+                    "no-zero", "level-not-invariant"]
+
+    @pytest.mark.parametrize("change, message", REJECTED, ids=REJECTED_IDS)
     def test_rejections(self, change, message):
         # F = |x|^2 + 1 has no zero, so its samples are projected toward a
         # surface they never reach
@@ -228,6 +231,22 @@ class TestSurfaceChecks:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(BadParams, match=message):
                 fn.check_surface(surface)
+
+    @pytest.mark.parametrize("change, message", REJECTED, ids=REJECTED_IDS)
+    def test_replaced_surface_checked_in_full(self, monkeypatch, change,
+                                              message):
+        # a checked surface keeps its samples, and a second check of it
+        # projects nothing; a surface replaced from it keeps none, so the
+        # checks its stored samples stand for run again
+        surface = fn.sphere_surface()
+        fn.check_surface(surface)
+        calls = counted_projections(monkeypatch)
+        fn.check_surface(surface)
+        assert calls == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(BadParams, match=message):
+                fn.check_surface(dataclasses.replace(surface, **change))
 
     def test_degenerate_height_rejected(self):
         with pytest.raises(BadParams):
@@ -550,8 +569,8 @@ class TestOrbitsFromRepresentatives:
         newton = fn._newton_critical_points
         kept = []
 
-        def one_lift(surface, seeds):
-            found = newton(surface, seeds)
+        def one_lift(surface, seeds, *starts):
+            found = newton(surface, seeds, *starts)
             kept.append(found[found[:, 0] + found[:, 1] >= -1e-9])
             return kept[-1]
 
@@ -569,8 +588,10 @@ class TestOrbitsFromRepresentatives:
         def shape(orbit):
             return orbit.index, orbit.stab_order, len(orbit.points)
 
-        # the representatives move to the kept lifts, which changes the
-        # sort order of the orbits and so the saddle labels
+        # each representative is the first lift of its whole orbit in
+        # sorted order, not the first lift Newton found, so the orbits sort
+        # and are labelled as in the full run (taking the first found lift
+        # swapped saddle0 and saddle1 here)
         assert sorted(map(shape, orbits)) == sorted(map(shape, full))
         matched = []
         for reference in full:
@@ -580,11 +601,9 @@ class TestOrbitsFromRepresentatives:
             assert len(same) == 1
             assert shape(orbits[same[0]]) == shape(reference)
             matched += same
-        assert sorted(matched) == list(range(len(full)))
-        datum = fn.quotient_to_datum(stabilized, orbits)
-        for build in (coinvariant_complex, invariant_complex):
-            assert profile(homology(build(datum))) == profile(
-                homology(build(epsilon_run.datum)))
+        assert matched == list(range(len(full)))
+        assert [o.label for o in orbits] == [o.label for o in full]
+        assert fn.quotient_to_datum(stabilized, orbits) == epsilon_run.datum
 
 
 def antipodal_sphere_surface():
@@ -883,6 +902,19 @@ def surface_and_orbits(kind, value):
     return surface, fn.find_critical_orbits(surface)
 
 
+def counted_projections(monkeypatch):
+    """Record the batch size of every ``_project_batch`` call."""
+    calls = []
+    project = fn._project_batch
+
+    def counted(surface, pts):
+        calls.append(len(pts))
+        return project(surface, pts)
+
+    monkeypatch.setattr(fn, "_project_batch", counted)
+    return calls
+
+
 def counted_velocity(monkeypatch):
     """Record the batch size of every ``_velocity`` call."""
     calls = []
@@ -957,6 +989,34 @@ class TestValueRule:
         fn.quotient_to_datum(surface, orbits)
         assert calls[:2] == [8, 4]
         assert len(calls) == 4 * steps + 1
+
+    def test_slack_covers_the_projection(self, monkeypatch):
+        # a census row is up to |F| = 2e-4 off the surface; at every row
+        # the rule decides, f there is within the slack |F| |grad f| /
+        # |grad F| of f at the row projected to roundoff.  The rule decides
+        # 400 torus rows here, the largest ratio 0.99, and no row of the
+        # stabilized epsilon spheres, whose rows are all captured
+        decided = []
+        passed = fn.FlowLineCounter._passed
+
+        def recorded(self, x, direction, limit, level_norm, morse_norm):
+            out = passed(self, x, direction, limit, level_norm, morse_norm)
+            slack = np.abs(self.surface.level(x)) * morse_norm / level_norm
+            decided.append((self.surface, x[out], slack[out]))
+            return out
+
+        monkeypatch.setattr(fn.FlowLineCounter, "_passed", recorded)
+        cases = [("torus", float(t)) for t in np.linspace(0.01, 0.5, 50)] + [
+            ("epsilon", float(e)) for e in np.linspace(0.55, 1.5, 20)]
+        for kind, value in cases:
+            fn.quotient_to_datum(*surface_and_orbits(kind, value))
+        rows = 0
+        for surface, x, slack in decided:
+            projected = fn._project_batch(surface, x)
+            assert np.all(np.abs(surface.morse(x) - surface.morse(projected))
+                          <= slack)
+            rows += len(x)
+        assert rows >= 100
 
     def test_near_saddle_value_still_counts(self, monkeypatch, torus_run):
         # f raised at saddle1's lift to 5e-9 above saddle0, within stab_tol:
@@ -1363,6 +1423,54 @@ class TestDistinctSeeds:
         rows = counted_solve(monkeypatch)
         fn._newton_critical_points(surface, np.concatenate([dirs, moved]))
         assert rows[0] == 100
+
+
+class TestStoredLevelSetWork:
+    """``check_surface`` stores its projected samples and
+    ``find_critical_orbits`` its projected seed grid on the surface;
+    ``_bumped`` hands both to the surface it makes, which has the same F,
+    group and tolerances."""
+
+    def test_each_projection_once(self, monkeypatch):
+        # projecting the 1,000 samples and the 1,100-seed grid again on the
+        # stabilized surface, the grid together with the extra seeds, took
+        # [1000, 1100, 1000, 1128]
+        surface = fn.epsilon_sphere_surface(epsilon=0.8)
+        calls = counted_projections(monkeypatch)
+        orbits = fn.find_critical_orbits(surface)
+        stabilized, _ = fn.stabilize_all(surface, orbits)
+        extra = len(orbits) + 2 * 12  # two unstable poles, 12 seeds each
+        assert calls == [1000, 1100, extra]
+        for name in ("_samples", "_seed_grid"):
+            assert stabilized.__dict__[name] is surface.__dict__[name]
+
+    def test_seed_grid_rows_match_a_fresh_projection(self, epsilon_run):
+        # projection is row by row, so the stored grid followed by the
+        # extra seeds is the projection of all of them at once
+        surface = epsilon_run.surface
+        grid = surface.__dict__["_seed_grid"]
+        extra = np.random.default_rng(7).uniform(-2.0, 2.0, (30, 3))
+        fresh = fn._project_batch(surface, np.concatenate([
+            r * fn._fibonacci_directions(surface.tolerances.seed_count)
+            for r in surface.tolerances.seed_radii] + [extra]))
+        assert np.array_equal(
+            fresh, np.concatenate([grid, fn._project_batch(surface, extra)]))
+
+    def test_one_lift_bump_is_not_invariant(self, monkeypatch):
+        # a bump on one lift of max0's two lifts breaks the half-turn
+        # symmetry of f; the stored samples still show it, and nothing is
+        # projected again
+        surface = fn.epsilon_sphere_surface(epsilon=0.8)
+        orbits = fn.find_critical_orbits(surface)
+        top = next(o for o in orbits if o.label == "max0")
+        assert len(top.points) == 2
+        bumped = fn._bumped(surface, [(top.points[0].position[None], 0.3,
+                                       0.1)])
+        calls = counted_projections(monkeypatch)
+        with pytest.raises(BadParams,
+                           match="the Morse function is not group invariant"):
+            fn.check_surface(bumped)
+        assert calls == []
 
 
 class TestOneBump:

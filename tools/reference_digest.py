@@ -11,6 +11,16 @@ that print the same lines build equal datums from byte-equal lifts:
     PYTHONPATH=src python3 tools/reference_digest.py > after.txt
     diff before.txt after.txt
 
+``reference_datums.txt`` beside this file records the first two columns,
+the case names and datum digests, and CI compares them with every run:
+
+    PYTHONPATH=src python3 tools/reference_digest.py | cut -d' ' -f1,2 \
+        | diff tools/reference_datums.txt -
+
+The lift digests are left out there, since their bytes depend on the
+numpy build; the error messages in the datum column print their numbers
+with at most three significant digits.
+
 The cases: the torus at 25 tilts from 0.02 to 0.5, the stabilized epsilon
 sphere at 20 values of epsilon from 0.55 to 1.5, the sphere, an
 antipodally symmetric sphere, the sphere with the antipodal group (its
