@@ -12,12 +12,16 @@ and stored on the matrix it came from, so later calls on the same matrix
 stored result lives exactly as long as that matrix.  One sparse
 elimination gives both: homology reads only the invariant factors, and
 U, D and V come from the same loop, run again with its operations
-recorded, on the first read of any of them.
+recorded, on the first read of any of them.  Homology of a pair
+eliminates the map out of the middle group first, and the map into it
+without the rows that elimination has already decided (clearing, as in
+Chen & Kerber, "Persistent homology computation with a twist", 2011):
+see ``homology_at``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from math import gcd
 
@@ -190,18 +194,29 @@ class SmithDecomposition:
 
     Holds the shape and nonzeros of A, not A itself, which stores this
     object.  ``invariant_factors`` is computed when the decomposition is
-    made.  The first read of U, D or V runs the same sparse elimination
-    again, recording its operations, and stores all three.
+    made, and with them ``cleared``: the columns of A's pivots taken
+    before the elimination's first restart in a row (``_factors_only``).
+    A matrix B with A @ B == 0 has the same invariant factors without
+    those rows (``homology_at``).  ``_zero_rows`` is for ``homology_at``
+    alone: rows of A that its argument shows can be left out of the
+    elimination.  The first read of U, D or V runs the same sparse
+    elimination again on all of A, recording its operations, and stores
+    all three.
     """
 
     rows: int
     cols: int
     nonzeros: tuple = field(repr=False)
+    _zero_rows: InitVar[frozenset] = frozenset()
     invariant_factors: tuple = field(init=False)
+    cleared: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _zero_rows):
+        cleared = []
         object.__setattr__(self, "invariant_factors", _factors_only(
-            self.rows, self.cols, self.nonzeros))
+            self.rows, self.cols, self.nonzeros, zero_rows=_zero_rows,
+            cleared=cleared))
+        object.__setattr__(self, "cleared", tuple(cleared))
 
     def _transforms(self):
         stored = self.__dict__.get("_udv")
@@ -280,7 +295,8 @@ def smith_normal_form(matrix):
     return stored
 
 
-def _factors_only(rows, cols, nonzeros, transforms=False):
+def _factors_only(rows, cols, nonzeros, transforms=False,
+                  zero_rows=frozenset(), cleared=None):
     """Invariant factors of the ``rows`` x ``cols`` matrix whose row i has
     the ``(col, value)`` pairs ``nonzeros[i]`` (``IntegerMatrix.nonzeros``),
     by sparse elimination; with ``transforms`` set, its U, D and V instead
@@ -300,6 +316,17 @@ def _factors_only(rows, cols, nonzeros, transforms=False):
     and column is recorded.  The pivots, units first, are then put into a
     divisibility chain by (gcd, lcm) passes, unless they already form one.
 
+    Rows in ``zero_rows`` are left out.  ``homology_at`` passes the rows
+    it has shown to be zero after a unimodular change of basis; leaving
+    out any other row gives wrong factors.  When ``cleared`` is a list,
+    the column of each pivot is appended to it until the first restart in
+    a row.  A restart in a column is a row operation and leaves the basis
+    of the columns alone.  A restart in a row does not: in the basis its
+    column operations make, the next map's row at p's column is a
+    combination of that map's rows that need not be zero, so from there
+    on the next map in the new basis is no longer its input with some
+    rows made zero, and no later pivot is recorded.
+
     Recording keeps U and the transpose of V as one row dict per row:
     each row operation is done on U's rows, each column operation on
     Vt's.  The pivots are then moved onto the diagonal with their signs
@@ -308,7 +335,8 @@ def _factors_only(rows, cols, nonzeros, transforms=False):
     [[x, y], [-b/g, a/g]] @ diag(a, b) @ [[1, -y*b/g], [1, x*a/g]]
     = diag(g, a*b/g).
     """
-    a = {i: dict(pairs) for i, pairs in enumerate(nonzeros) if pairs}
+    a = {i: dict(pairs) for i, pairs in enumerate(nonzeros)
+         if pairs and i not in zero_rows}
     where = [set() for _ in range(cols)]
     for i, row in a.items():
         for j in row:
@@ -358,8 +386,12 @@ def _factors_only(rows, cols, nonzeros, transforms=False):
                     diagonal.append(abs(p))
                     if transforms:
                         pivots.append((i, j, p))
+                    if cleared is not None:
+                        cleared.append(j)
                     break
                 row[j] = p
+                # a restart in the row: record no later pivot
+                cleared = None
             # a remainder is left in p's column or row: pivot on the least
             a[i] = row
             for c in row:
@@ -446,6 +478,22 @@ def homology_at(boundary_out, boundary_in, degree=0):
     it, so ``boundary_in.rows`` must equal ``boundary_out.cols`` and the
     composition must vanish.  The product is formed here unless it is
     empty or ``composition`` already found it zero.
+
+    Clearing, as in persistent-homology codes: ``boundary_out`` is
+    eliminated first, and unless ``boundary_in`` already has a stored
+    decomposition, its elimination leaves out the rows listed in
+    ``cleared`` of ``boundary_out``'s.  Each is the column j of a pivot p
+    that elimination took before its first restart in a row
+    (``_factors_only``): every other entry of p's row r is a multiple of
+    p, and column j is zero outside row r.  The column operations that
+    clear row r add multiples of column j to the others.  As a change of
+    basis of the middle group they change only row j of ``boundary_in``,
+    which becomes (1/p) (row r) @ ``boundary_in``, zero because the
+    composition is; row operations change only the lower group's basis.
+    So ``boundary_in`` without those rows has the same invariant factors.
+    The argument uses only that the composition vanishes, so it holds too
+    when ``boundary_out``'s own elimination left out rows the same way.
+    U, D and V are always computed from all of a matrix.
     """
     if boundary_in.rows != boundary_out.cols:
         raise DimensionMismatch(
@@ -456,8 +504,13 @@ def homology_at(boundary_out, boundary_in, degree=0):
                         for m in boundary_out.__dict__.get("_zero_after", ()))
             and not (boundary_out @ boundary_in).is_zero()):
         raise NotAComplex("boundary_out @ boundary_in is nonzero")
+    rank_out = rank(boundary_out)
+    if "_smith" not in boundary_in.__dict__:
+        object.__setattr__(boundary_in, "_smith", SmithDecomposition(
+            boundary_in.rows, boundary_in.cols, boundary_in.nonzeros,
+            frozenset(boundary_out.__dict__["_smith"].cleared)))
     snf_in = smith_normal_form(boundary_in)
     rank_in = len(snf_in.invariant_factors)
-    betti = boundary_out.cols - rank(boundary_out) - rank_in
+    betti = boundary_out.cols - rank_out - rank_in
     torsion = tuple(d for d in snf_in.invariant_factors if d > 1)
     return HomologyGroup(degree=degree, betti=betti, torsion=torsion)

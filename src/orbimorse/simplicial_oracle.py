@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .chain_complex import FreeChainComplex, euler_characteristic, homology
 from .errors import InvalidComplex
+from .exact_linalg import IntegerMatrix
 
 __all__ = [
     "SimplicialComplex",
@@ -70,14 +71,25 @@ class SimplicialComplex:
 
     def chain_complex(self):
         """Simplicial chain complex: the k-simplex s has the incidence
-        (-1)^d on the face that drops its d-th vertex."""
-        levels = [self.simplices(k) for k in range(self.dimension() + 1)]
-        incidences = [(k, "|".join(s), "|".join(s[:d] + s[d + 1:]), (-1) ** d)
-                      for k in range(1, len(levels)) for s in levels[k]
-                      for d in range(k + 1)]
-        return FreeChainComplex.from_incidences(
-            [["|".join(s) for s in simplices] for simplices in levels],
-            incidences)
+        (-1)^d on the face that drops its d-th vertex.  Every face level
+        comes from one pass over the facets, each face's row is found by
+        its vertex tuple, and each label is joined once."""
+        levels = [set() for _ in range(self.dimension() + 1)]
+        for facet in self.facets:
+            for k in range(len(facet)):
+                levels[k].update(combinations(facet, k + 1))
+        levels = [sorted(level) for level in levels]
+        boundaries = [IntegerMatrix.zeros(0, len(levels[0]))]
+        for k in range(1, len(levels)):
+            row_of = {s: i for i, s in enumerate(levels[k - 1])}
+            rows = [{} for _ in levels[k - 1]]
+            for col, s in enumerate(levels[k]):
+                for d in range(k + 1):
+                    rows[row_of[s[:d] + s[d + 1:]]][col] = (-1) ** d
+            boundaries.append(
+                IntegerMatrix.from_row_dicts(len(levels[k]), rows))
+        return FreeChainComplex(
+            0, [["|".join(s) for s in level] for level in levels], boundaries)
 
 
 def simplicial_homology(complex_):

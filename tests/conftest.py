@@ -94,10 +94,10 @@ def refuse_transforms(monkeypatch):
 
     real = exact_linalg._factors_only
 
-    def factors_only(rows, cols, nonzeros, transforms=False):
+    def factors_only(rows, cols, nonzeros, transforms=False, **kwargs):
         if transforms:
             raise AssertionError("U, D and V were computed")
-        return real(rows, cols, nonzeros)
+        return real(rows, cols, nonzeros, **kwargs)
 
     monkeypatch.setattr(exact_linalg, "_factors_only", factors_only)
 

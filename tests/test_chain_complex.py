@@ -212,9 +212,9 @@ class TestHomology:
         eliminated = []
         real = exact_linalg._factors_only
 
-        def counted(rows, cols, nonzeros):
+        def counted(rows, cols, nonzeros, **kwargs):
             eliminated.append((rows, cols, nonzeros))
-            return real(rows, cols, nonzeros)
+            return real(rows, cols, nonzeros, **kwargs)
 
         monkeypatch.setattr(exact_linalg, "_factors_only", counted)
         complex_ = torus_complex().chain_complex()

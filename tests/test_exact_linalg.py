@@ -10,6 +10,8 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_valid_decomposition, make_witness, witness_rows
 from orbimorse import exact_linalg
@@ -137,10 +139,10 @@ class TestSmithNormalForm:
         recorded = []
         real = exact_linalg._factors_only
 
-        def counted(rows, cols, nonzeros, transforms=False):
+        def counted(rows, cols, nonzeros, transforms=False, **kwargs):
             if transforms:
                 recorded.append(nonzeros)
-            return real(rows, cols, nonzeros, transforms)
+            return real(rows, cols, nonzeros, transforms, **kwargs)
 
         monkeypatch.setattr(exact_linalg, "_factors_only", counted)
         rng = random.Random(12)
@@ -511,3 +513,130 @@ class TestHomologyWithoutTransforms:
         for t in h0.torsion:
             order *= t
         assert (h0.betti, h1.betti, order) == (m.rows - r, m.cols - r, minors)
+
+
+@st.composite
+def mixed_torsion_complexes(draw):
+    """A free complex in degrees 0..3 built from elementary pieces, a
+    generator alone or Z -c-> Z one degree down, then mixed by a unimodular
+    change of basis in every degree, so that pivots are no longer units
+    alone in their rows and some eliminations restart."""
+    top = 3
+    gens = [0] * (top + 1)
+    arrows = []                         # (degree of source, source, target, c)
+    for _ in range(draw(st.integers(1, 9))):
+        k = draw(st.integers(0, top))
+        if k and draw(st.booleans()):
+            arrows.append((k, gens[k], gens[k - 1],
+                           draw(st.sampled_from((1, 2, 3, 4, 6, 9)))))
+            gens[k - 1] += 1
+        gens[k] += 1
+    # basis[k] and inverse[k]: products of the same elementary operations
+    basis = [[[int(i == j) for j in range(n)] for i in range(n)] for n in gens]
+    inverse = [[row[:] for row in m] for m in basis]
+    for k, n in enumerate(gens):
+        if n < 2:
+            continue
+        for _ in range(draw(st.integers(0, 2 * n))):
+            a, b = draw(st.permutations(range(n)))[:2]
+            m = draw(st.sampled_from((-2, -1, 1, 2, 3)))
+            # basis: row a += m row b; inverse: column b -= m column a
+            basis[k][a] = [x + m * y for x, y in zip(basis[k][a], basis[k][b])]
+            for row in inverse[k]:
+                row[b] -= m * row[a]
+    boundaries = [IntegerMatrix.zeros(0, gens[0])]
+    for k in range(1, top + 1):
+        planted = [[0] * gens[k] for _ in range(gens[k - 1])]
+        for degree, source, target, c in arrows:
+            if degree == k:
+                planted[target][source] = c
+        boundaries.append(square(basis[k - 1]) @ IntegerMatrix(
+            gens[k - 1], gens[k], tuple(x for row in planted for x in row))
+            @ square(inverse[k]))
+    return FreeChainComplex(
+        0, [[f"g{k}_{i}" for i in range(n)] for k, n in enumerate(gens)],
+        boundaries)
+
+
+def square(rows):
+    return IntegerMatrix(len(rows), len(rows), tuple(
+        x for row in rows for x in row))
+
+
+class TestClearing:
+    """``homology_at`` eliminates each boundary without the rows that the
+    boundary below it cleared: the columns of its pivots taken before the
+    first restart in a row."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(mixed_torsion_complexes())
+    def test_groups_match_full_eliminations(self, complex_):
+        factors = [exact_linalg._factors_only(b.rows, b.cols, b.nonzeros)
+                   for b in complex_.boundaries] + [()]
+        expected = [(len(labels) - len(factors[k]) - len(factors[k + 1]),
+                     tuple(d for d in factors[k + 1] if d > 1))
+                    for k, labels in enumerate(complex_.generators)]
+        assert [(g.betti, g.torsion) for g in homology(complex_)] == expected
+        for boundary in complex_.boundaries:
+            assert_valid_decomposition(boundary, smith_normal_form(boundary))
+
+    @pytest.mark.parametrize("space,skipped", [
+        (torus_complex, (0, 0, 10, 43, 83)),
+        (projective_plane, (0, 0, 9, 34, 60)),
+    ], ids=["torus", "rp2"])
+    def test_rows_skipped_on_double_suspensions(self, monkeypatch, space,
+                                                skipped):
+        # no elimination here restarts in a row, so each boundary skips as
+        # many rows as the rank of the one below it, from face counts and
+        # Betti numbers: for the torus, 11 - 1, then 53 - 10 and 126 - 43
+        seen = {}
+        real = exact_linalg._factors_only
+
+        def counted(rows, cols, nonzeros, transforms=False, **kwargs):
+            seen[id(nonzeros)] = len(kwargs.get("zero_rows", ()))
+            return real(rows, cols, nonzeros, transforms, **kwargs)
+
+        monkeypatch.setattr(exact_linalg, "_factors_only", counted)
+        complex_ = suspension(suspension(space())).chain_complex()
+        homology(complex_)
+        assert tuple(seen[id(b.nonzeros)]
+                     for b in complex_.boundaries) == skipped
+
+    @pytest.mark.parametrize("rows,cleared", [
+        # 2 leaves the remainder 1 in its row, then a unit alone
+        ([[2, 3, 0], [0, 0, 1]], ()),
+        # a unit alone, then 2 leaves the remainder 1 in its row
+        ([[1, 0, 0], [0, 2, 3]], (0,)),
+        ([[2, 4, 0], [0, 0, 3]], (0, 2)),
+        # 3 leaves the remainder 1 in its column: a row operation
+        ([[3, 0], [4, 0], [0, 5]], (0, 1)),
+    ])
+    def test_prefix_of_clean_pivots(self, rows, cleared):
+        m = IntegerMatrix.from_rows(rows)
+        assert smith_normal_form(m).cleared == cleared
+
+    def test_large_double_suspension_within_time_bound(self):
+        # In a child process, so that an elimination that fills in fails
+        # the test after 10 s instead of holding up the run: the double
+        # suspension of the 30 x 30 grid torus has 48,608 cells, and
+        # taking its rows in label order without clearing took over 20 s.
+        script = (
+            "from orbimorse.simplicial_oracle import SimplicialComplex,"
+            " simplicial_homology, suspension\n"
+            "n = 30\n"
+            "v = lambda i, j: f'v{n * (i % n) + j % n}'\n"
+            "grid = SimplicialComplex.from_facets(\n"
+            "    f for i in range(n) for j in range(n) for f in (\n"
+            "        (v(i, j), v(i + 1, j), v(i + 1, j + 1)),\n"
+            "        (v(i, j), v(i, j + 1), v(i + 1, j + 1))))\n"
+            "twice = suspension(suspension(grid))\n"
+            "print(sum(twice.face_counts()))\n"
+            "print(' '.join(g.describe() for g in"
+            " simplicial_homology(twice)))\n")
+        src = os.path.dirname(os.path.dirname(exact_linalg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=10,
+                              env=env, check=True)
+        assert done.stdout.split("\n")[:2] == ["48608", "Z 0 0 Z^2 Z"]
