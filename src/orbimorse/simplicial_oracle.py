@@ -58,27 +58,29 @@ class SimplicialComplex:
     def dimension(self):
         return max(len(f) for f in self.facets) - 1
 
+    def _face_levels(self, ks):
+        """For each k in ``ks``, all k-simplices as sorted vertex tuples,
+        from one pass over the facets."""
+        levels = {k: set() for k in ks}
+        for facet in self.facets:
+            for k, found in levels.items():
+                if len(facet) >= k + 1:
+                    found.update(combinations(facet, k + 1))
+        return [sorted(levels[k]) for k in ks]
+
     def simplices(self, k):
         """All k-simplices, sorted; faces of facets, not just facets."""
-        found = set()
-        for facet in self.facets:
-            if len(facet) >= k + 1:
-                found.update(combinations(facet, k + 1))
-        return sorted(found)
+        return self._face_levels([k])[0]
 
     def face_counts(self):
-        return [len(self.simplices(k)) for k in range(self.dimension() + 1)]
+        return [len(level)
+                for level in self._face_levels(range(self.dimension() + 1))]
 
     def chain_complex(self):
         """Simplicial chain complex: the k-simplex s has the incidence
-        (-1)^d on the face that drops its d-th vertex.  Every face level
-        comes from one pass over the facets, each face's row is found by
-        its vertex tuple, and each label is joined once."""
-        levels = [set() for _ in range(self.dimension() + 1)]
-        for facet in self.facets:
-            for k in range(len(facet)):
-                levels[k].update(combinations(facet, k + 1))
-        levels = [sorted(level) for level in levels]
+        (-1)^d on the face that drops its d-th vertex.  Each face's row is
+        found by its vertex tuple, and each label is joined once."""
+        levels = self._face_levels(range(self.dimension() + 1))
         boundaries = [IntegerMatrix.zeros(0, len(levels[0]))]
         for k in range(1, len(levels)):
             row_of = {s: i for i, s in enumerate(levels[k - 1])}

@@ -1,5 +1,6 @@
 import pytest
 
+from orbimorse.chain_complex import FreeChainComplex
 from orbimorse.errors import InvalidComplex
 from orbimorse.simplicial_oracle import (
     SimplicialComplex,
@@ -47,6 +48,31 @@ class TestHomology:
     def test_disjoint_vertices(self):
         K = SimplicialComplex.from_facets([("a",), ("b",), ("c",)])
         assert profile(simplicial_homology(K)) == [(3, ())]
+
+
+class TestChainComplex:
+    """``chain_complex`` fills its boundaries by face lookup; it must equal
+    the complex of the same incidences built from labels."""
+
+    @staticmethod
+    def from_labels(K):
+        levels = [K.simplices(k) for k in range(K.dimension() + 1)]
+        incidences = [(k, "|".join(s), "|".join(s[:d] + s[d + 1:]), (-1) ** d)
+                      for k in range(1, len(levels)) for s in levels[k]
+                      for d in range(k + 1)]
+        return FreeChainComplex.from_incidences(
+            [["|".join(s) for s in level] for level in levels], incidences)
+
+    @pytest.mark.parametrize("K", [
+        *(builtin_space(name) for name in builtin_space_names()),
+        suspension(suspension(torus_complex())),
+        suspension(suspension(projective_plane())),
+        SimplicialComplex.from_facets([("a", "b", "c"), ("c", "d"), ("e",)]),
+    ], ids=[*builtin_space_names(), "s2torus", "s2rp2", "mixed"])
+    def test_equals_incidence_build(self, K):
+        assert K.chain_complex() == self.from_labels(K)
+        assert K.face_counts() == [len(level)
+                                   for level in K.chain_complex().generators]
 
 
 class TestSuspension:
