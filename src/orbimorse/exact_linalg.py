@@ -22,6 +22,7 @@ see ``homology_at``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from math import gcd
 
@@ -38,13 +39,13 @@ __all__ = [
 ]
 
 
-def _require_ints(values):
+def _require_ints(values, what="entry"):
     """Raise ``DimensionMismatch`` at the first value that is not an int;
     a bool is not taken for one."""
     if not {int}.issuperset(map(type, values)):
         for x in values:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise DimensionMismatch(f"non-integer entry {x!r}")
+                raise DimensionMismatch(f"non-integer {what} {x!r}")
 
 
 def _pairs(row):
@@ -101,9 +102,16 @@ class IntegerMatrix:
     @classmethod
     def from_row_dicts(cls, cols, row_dicts):
         """Matrix whose row i holds the values of ``row_dicts[i]``, a dict
-        ``{col: value}``; zero values give no entry."""
+        ``{col: value}`` whose keys are ints (not bools); zero values give
+        no entry, and a nonzero one outside ``range(cols)`` raises."""
         _require_ints([x for d in row_dicts for x in d.values()])
-        return cls._of(len(row_dicts), cols, tuple(map(_pairs, row_dicts)))
+        _require_ints([*chain.from_iterable(row_dicts)], "column")
+        nonzeros = tuple(map(_pairs, row_dicts))
+        for pairs in nonzeros:
+            # sorted, so the first and last columns bound the row's
+            if pairs and (pairs[0][0] < 0 or pairs[-1][0] >= cols):
+                raise DimensionMismatch(f"an entry lies outside range({cols})")
+        return cls._of(len(row_dicts), cols, nonzeros)
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -187,66 +195,44 @@ class IntegerMatrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D diagonal, the nonzero
     diagonal entries positive and forming a divisibility chain.
 
     Holds the shape and nonzeros of A, not A itself, which stores this
-    object.  ``invariant_factors`` is computed when the decomposition is
-    made, and with them ``cleared``: the columns of A's pivots taken
-    before the elimination's first restart in a row (``_factors_only``).
-    A matrix B with A @ B == 0 has the same invariant factors without
-    those rows (``homology_at``).  The first read of U, D or V runs the
-    same sparse elimination again on all of A, recording its operations,
-    and stores all three.
+    object (``_decompose``).  ``invariant_factors`` and ``cleared``, the
+    columns of A's pivots taken before the elimination's first restart in
+    a row (``_factors_only``), come from the elimination that made it; a
+    matrix B with A @ B == 0 has the same invariant factors without those
+    rows (``homology_at``).  Only A takes part in ``==`` and the hash:
+    ``cleared`` also depends on the rows that elimination left out.  The
+    first read of U, D or V runs the same sparse elimination again on all
+    of A, recording its operations, and stores all three.
     """
 
     rows: int
     cols: int
     nonzeros: tuple = field(repr=False)
-    invariant_factors: tuple = field(init=False)
-    cleared: tuple = field(init=False, repr=False)
+    invariant_factors: tuple = field(compare=False)
+    cleared: tuple = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        self._eliminate(frozenset())
-
-    def _eliminate(self, zero_rows):
-        cleared = []
-        object.__setattr__(self, "invariant_factors", _factors_only(
-            self.rows, self.cols, self.nonzeros, zero_rows=zero_rows,
-            cleared=cleared))
-        object.__setattr__(self, "cleared", tuple(cleared))
-
+    @cached_property
     def _transforms(self):
-        stored = self.__dict__.get("_udv")
-        if stored is None:
-            stored = _factors_only(self.rows, self.cols, self.nonzeros,
-                                   transforms=True)
-            object.__setattr__(self, "_udv", stored)
-        return stored
+        return _factors_only(self.rows, self.cols, self.nonzeros,
+                             transforms=True)
 
     @property
     def U(self):
-        return self._transforms()[0]
+        return self._transforms[0]
 
     @property
     def D(self):
-        return self._transforms()[1]
+        return self._transforms[1]
 
     @property
     def V(self):
-        return self._transforms()[2]
-
-    def __eq__(self, other):
-        # the same A always gives the same U, D and V, and they give A back
-        if not isinstance(other, SmithDecomposition):
-            return NotImplemented
-        return ((self.rows, self.cols, self.nonzeros)
-                == (other.rows, other.cols, other.nonzeros))
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.invariant_factors))
+        return self._transforms[2]
 
 
 @dataclass(frozen=True)
@@ -286,26 +272,27 @@ def smith_normal_form(matrix):
     factors are canonical; U and V are not, but the same matrix always
     gives the same ones.  The decomposition is stored on ``matrix``
     (immutable, so it cannot go stale) and returned as is by later calls
-    on the same matrix.
+    on the same matrix (``_decompose``).
     """
+    return _decompose(matrix)
+
+
+def _decompose(matrix, zero_rows=()):
+    """The decomposition stored on ``matrix``; when there is none, one is
+    made, its invariant factors found without the rows ``zero_rows``, and
+    stored.  Only ``homology_at`` passes rows: ones it has shown to be zero
+    after a unimodular change of basis.  Leaving out any other row gives
+    wrong factors, so ``smith_normal_form`` takes no such argument."""
     stored = matrix.__dict__.get("_smith")
     if stored is None:
-        stored = _decompose(matrix)
+        cleared = []
+        stored = SmithDecomposition(
+            matrix.rows, matrix.cols, matrix.nonzeros,
+            _factors_only(matrix.rows, matrix.cols, matrix.nonzeros,
+                          zero_rows=frozenset(zero_rows), cleared=cleared),
+            tuple(cleared))
+        object.__setattr__(matrix, "_smith", stored)
     return stored
-
-
-def _decompose(matrix, zero_rows=frozenset()):
-    """Make the decomposition of ``matrix``, store it on ``matrix`` and
-    return it, its invariant factors found without the rows ``zero_rows``.
-    Only ``homology_at`` passes rows: ones it has shown to be zero after a
-    unimodular change of basis.  Leaving out any other row gives wrong
-    factors, so ``smith_normal_form`` takes no such argument."""
-    decomposition = object.__new__(SmithDecomposition)
-    for name in ("rows", "cols", "nonzeros"):
-        object.__setattr__(decomposition, name, getattr(matrix, name))
-    decomposition._eliminate(zero_rows)
-    object.__setattr__(matrix, "_smith", decomposition)
-    return decomposition
 
 
 def _factors_only(rows, cols, nonzeros, transforms=False,
@@ -474,13 +461,17 @@ def rank(matrix):
 
 
 def composition(boundary_out, boundary_in):
-    """``boundary_out @ boundary_in``.  When it is zero, that is recorded
-    on ``boundary_out`` (immutable, so it cannot go stale), and
-    ``homology_at`` of the pair does not form the product again."""
+    """``boundary_out @ boundary_in``.  When it is zero, it is recorded
+    on ``boundary_out`` (immutable, so it cannot go stale), and a later
+    call on the pair returns it without forming the product again."""
+    seen = boundary_out.__dict__.get("_zero_after", ())
+    for into, product in seen:
+        if into is boundary_in:
+            return product
     product = boundary_out @ boundary_in
     if product.is_zero():
-        seen = boundary_out.__dict__.get("_zero_after", ())
-        object.__setattr__(boundary_out, "_zero_after", seen + (boundary_in,))
+        object.__setattr__(boundary_out, "_zero_after",
+                           seen + ((boundary_in, product),))
     return product
 
 
@@ -489,8 +480,8 @@ def homology_at(boundary_out, boundary_in, degree=0):
 
     ``boundary_out`` maps the middle group down; ``boundary_in`` maps into
     it, so ``boundary_in.rows`` must equal ``boundary_out.cols`` and the
-    composition must vanish.  The product is formed here unless it is
-    empty or ``composition`` already found it zero.
+    composition must vanish.  It is checked through ``composition``, so
+    the product is formed here unless it is empty or already found zero.
 
     Clearing, as in persistent-homology codes: ``boundary_out`` is
     eliminated first, and unless ``boundary_in`` already has a stored
@@ -513,17 +504,12 @@ def homology_at(boundary_out, boundary_in, degree=0):
             f"boundary_in has {boundary_in.rows} rows but boundary_out has"
             f" {boundary_out.cols} columns")
     if (boundary_out.rows and boundary_in.cols
-            and not any(m is boundary_in
-                        for m in boundary_out.__dict__.get("_zero_after", ()))
-            and not (boundary_out @ boundary_in).is_zero()):
+            and not composition(boundary_out, boundary_in).is_zero()):
         raise NotAComplex("boundary_out @ boundary_in is nonzero")
     rank_out = rank(boundary_out)
-    if "_smith" not in boundary_in.__dict__:
-        _decompose(boundary_in,
-                   frozenset(boundary_out.__dict__["_smith"].cleared))
-    # read back through smith_normal_form, as rank reads boundary_out's:
-    # every decomposition a homology reads goes through that one entry
-    # point (the benchmark's snf_per_boundary counts its calls)
+    _decompose(boundary_in, _decompose(boundary_out).cleared)
+    # factors are read through smith_normal_form, as rank reads
+    # boundary_out's: the benchmark's snf_per_boundary counts its calls
     snf_in = smith_normal_form(boundary_in)
     rank_in = len(snf_in.invariant_factors)
     betti = boundary_out.cols - rank_out - rank_in

@@ -477,42 +477,39 @@ def check_surface(surface):
     directions projected onto the surface.  At least half of them must land
     within 1e-9 of F = 0.
 
-    Once the checks pass, the samples that landed are stored on the
-    surface.  With stored samples, which ``_bumped`` also hands to the
-    surface it makes, only the invariance of f is checked again: the
-    group, F and the tolerances that the other checks read are the same.
-    A surface made by ``dataclasses.replace`` starts with none."""
+    Every call runs every check.  Once they pass, the samples that landed
+    are stored on the surface, and later calls, and the surfaces that
+    ``_bumped`` makes from it, check on them instead of projecting again:
+    they are a projection onto F = 0 alone.  A surface made by
+    ``dataclasses.replace`` starts with none."""
     tol = surface.tolerances.stab_tol
     group = surface.group
-    pts = surface.__dict__.get("_samples")
-    stored = pts is not None
-    if not stored:
-        if not group:
-            raise BadParams("the group must at least contain the identity")
-        keys = {_group_key(g) for g in group}
-        for g in group:
-            if np.max(np.abs(g.T @ g - np.eye(3))) > tol:
-                raise BadParams("group contains a non-orthogonal matrix")
-            if _group_key(np.linalg.inv(g)) not in keys:
-                raise BadParams("group is not closed under inverses")
-            for h in group:
-                if _group_key(g @ h) not in keys:
-                    raise BadParams("group is not closed under products")
+    if not group:
+        raise BadParams("the group must at least contain the identity")
+    keys = {_group_key(g) for g in group}
+    for g in group:
+        if np.max(np.abs(g.T @ g - np.eye(3))) > tol:
+            raise BadParams("group contains a non-orthogonal matrix")
+        if _group_key(np.linalg.inv(g)) not in keys:
+            raise BadParams("group is not closed under inverses")
+        for h in group:
+            if _group_key(g @ h) not in keys:
+                raise BadParams("group is not closed under products")
 
+    pts = surface.__dict__.get("_samples")
+    if pts is None:
         samples = _fibonacci_directions(1000)
         pts = _project_batch(surface, samples)
         pts = pts[np.abs(surface.level(pts)) < 1e-9]
         if len(pts) < len(samples) // 2:
             raise BadParams(
                 "could not project the sample grid onto the surface")
-        lvl_vals = surface.level(pts)
-    f_vals = surface.morse(pts)
+    f_vals, lvl_vals = surface.morse(pts), surface.level(pts)
     for g in group:
         moved = pts @ g.T
         if np.max(np.abs(surface.morse(moved) - f_vals)) > tol:
             raise BadParams("the Morse function is not group invariant")
-        if (not stored
-                and np.max(np.abs(surface.level(moved) - lvl_vals)) > tol):
+        if np.max(np.abs(surface.level(moved) - lvl_vals)) > tol:
             raise BadParams("the level function is not group invariant")
     object.__setattr__(surface, "_samples", pts)
 
@@ -520,11 +517,11 @@ def check_surface(surface):
 # --------------------------------------------------------------------------
 # critical points
 
-def _newton_critical_points(surface, seeds, starts=None):
+def _newton_critical_points(surface, starts):
     """Batched Newton iteration on (grad f = lambda grad F, F = 0).
 
-    Seeds are projected onto the surface (``starts``, when given, is that
-    projection, row for row, and is not changed), and a projection within
+    ``starts`` are seeds already projected onto the surface
+    (``find_critical_orbits``); they are not changed.  A start within
     ``dedup_tol`` of an earlier one is dropped, the earlier one kept (where
     the level gradient is radial, all radii along a direction meet there).
     Only live rows are iterated, for at most 80 rounds, and the residual is
@@ -543,8 +540,7 @@ def _newton_critical_points(surface, seeds, starts=None):
         return g, np.concatenate([mg - lam[:, None] * g,
                                   surface.level(x)[:, None]], axis=1)
 
-    x = (_project_batch(surface, seeds) if starts is None
-         else np.array(starts, dtype=float))
+    x = np.array(starts, dtype=float)
     # Sorted stably by the first coordinate of their cells of side
     # dedup_tol / sqrt(3), neighbouring rows in one cell form runs, each
     # headed by its earliest row; a row within dedup_tol of its run's head
@@ -643,24 +639,24 @@ def find_critical_orbits(surface, extra_seeds=None):
     message names the seed radii and the radii at which the seeds meet the
     surface.
 
-    The seed grid projected onto the surface is stored on it, and
-    ``_bumped`` hands it to the surface it makes, whose F and tolerances
-    are the same; only ``extra_seeds`` are projected on a later call.
+    This is the only place seeds are projected onto the surface.  The
+    projected seed grid is stored on it, and ``_bumped`` hands it to the
+    surface it makes, whose F and tolerances are the same; only
+    ``extra_seeds`` are projected on a later call.
     """
     check_surface(surface)
     tols = surface.tolerances
-    dirs = _fibonacci_directions(tols.seed_count)
-    seeds = np.concatenate([r * dirs for r in tols.seed_radii])
     starts = surface.__dict__.get("_seed_grid")
     if starts is None:
-        starts = _project_batch(surface, seeds)
+        dirs = _fibonacci_directions(tols.seed_count)
+        starts = _project_batch(
+            surface, np.concatenate([r * dirs for r in tols.seed_radii]))
         object.__setattr__(surface, "_seed_grid", starts)
     if extra_seeds is not None:
-        extra = np.reshape(extra_seeds, (-1, 3))
-        seeds = np.concatenate([seeds, extra])
-        starts = np.concatenate([starts, _project_batch(surface, extra)])
+        starts = np.concatenate([starts, _project_batch(
+            surface, np.reshape(extra_seeds, (-1, 3)))])
 
-    found = _newton_critical_points(surface, seeds, starts)
+    found = _newton_critical_points(surface, starts)
     found = found[_first_of_clusters(found, tols.dedup_tol)]
 
     # Partition into orbits: the first uncovered point in sorted order
@@ -896,10 +892,10 @@ class FlowLineCounter:
         direction = np.array([-1.0 if up else 1.0 for *_, up in branches])
         ends = np.full(len(x), -1)
         live = np.arange(len(x))
-        rule = self._value_rule(direction,
-                                np.array([oi for oi, *_ in branches]))
-        if rule is not None:
-            limit, target = rule
+        limit, target = self._value_rule(
+            direction, np.array([oi for oi, *_ in branches]))
+        # f is evaluated per step only when the rule can decide some row
+        decides = np.isfinite(limit).any()
         sign = direction[:, None]
 
         def lost(what, row):
@@ -924,20 +920,16 @@ class FlowLineCounter:
                 raise lost("a trajectory stalled away from every critical"
                            " point", stranded.argmax())
             ended = done
-            if rule is not None:
-                passed = ~done & self._passed(x, sign[:, 0], limit,
-                                              level_norm, morse_norm)
-                ended = done | passed
+            if decides:
+                ended = done | self._passed(x, sign[:, 0], limit,
+                                            level_norm, morse_norm)
             if ended.any():
-                ends[live[done]] = nearest[done]
-                if rule is not None:
-                    ends[live[passed]] = target[passed]
+                ends[live[ended]] = np.where(done, nearest, target)[ended]
                 keep = ~ended
-                live, x, sign, velocity = (
-                    live[keep], x[keep], sign[keep], velocity[keep])
+                live, x, sign, velocity, limit, target = (
+                    live[keep], x[keep], sign[keep], velocity[keep],
+                    limit[keep], target[keep])
                 level_norm, morse_norm = level_norm[keep], morse_norm[keep]
-                if rule is not None:
-                    limit, target = limit[keep], target[keep]
                 if not len(live):
                     return ends
             escaped = _row_norms(x) > escape
@@ -977,7 +969,7 @@ class FlowLineCounter:
         """Per row of ``direction`` (1 descending, -1 ascending) and of
         ``sources`` (the row's saddle orbit), a limit and a target lift: a
         row whose direction times f is below its limit ends at its target.
-        None when no row can be decided so.
+        A row that cannot be decided so gets limit -inf and target -1.
 
         Among the lifts outside the row's own orbit, the target is the lift
         lowest in direction times f, the limit the second lowest such value
@@ -989,13 +981,13 @@ class FlowLineCounter:
         that value.  The lifts of an orbit share their value, so an extreme
         value is unique only at an orbit of one lift; without such a
         minimum or maximum, f is not evaluated."""
+        limit = np.full(len(direction), -np.inf)
+        target = np.full(len(direction), -1)
         if not {0, 2} & {o.index for o in self.orbits if len(o.points) == 1}:
-            return None
+            return limit, target
         values = self.surface.morse(self.lift_positions)
         lift_orbits = np.array([oi for oi, _ in self.lifts])
         margin = self.tols.stab_tol
-        limit = np.full(len(direction), -np.inf)
-        target = np.full(len(direction), -1)
         for d, oi in set(zip(direction.tolist(), sources.tolist())):
             others = np.flatnonzero(lift_orbits != oi)
             v = d * values[others]
@@ -1004,7 +996,7 @@ class FlowLineCounter:
                 rows = (direction == d) & (sources == oi)
                 limit[rows] = v[second] - margin
                 target[rows] = others[lowest]
-        return (limit, target) if np.isfinite(limit).any() else None
+        return limit, target
 
 
 # --------------------------------------------------------------------------

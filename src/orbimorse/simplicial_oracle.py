@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chain_complex import FreeChainComplex, euler_characteristic, homology
+from .chain_complex import FreeChainComplex, homology
 from .errors import InvalidComplex
 from .exact_linalg import IntegerMatrix
 
@@ -53,6 +53,9 @@ class SimplicialComplex:
         if not normalized:
             raise InvalidComplex("a complex needs at least one facet")
         vertices = tuple(sorted({v for f in normalized for v in f}))
+        bad = [v for v in vertices if "|" in v]
+        if bad:  # chain_complex joins a simplex's labels with "|"
+            raise InvalidComplex(f"vertex label {bad[0]!r} contains '|'")
         return cls(vertices=vertices, facets=tuple(sorted(normalized)))
 
     def dimension(self):
@@ -100,7 +103,8 @@ def simplicial_homology(complex_):
 
 
 def euler_characteristic_from_faces(complex_):
-    return euler_characteristic(complex_.chain_complex())
+    """Alternating sum of the face counts, degree 0 first."""
+    return sum((-1) ** k * n for k, n in enumerate(complex_.face_counts()))
 
 
 def suspension(complex_, apex_north="apexN", apex_south="apexS"):

@@ -343,6 +343,13 @@ class TestCompareCommand:
         datum_path = write_datum(tmp_path, make_teardrop(2, 3))
         assert main(["compare", datum_path, space_path]) == 1
 
+    def test_facet_file_label_with_separator(self, tmp_path, capsys):
+        space_path = write_text(tmp_path, "a|b c\na b|c\n", "bars.txt")
+        datum_path = write_datum(tmp_path, make_teardrop(2, 3))
+        assert main(["compare", datum_path, space_path]) == 1
+        assert (capsys.readouterr().err
+                == "error: vertex label 'a|b' contains '|'\n")
+
     def test_dumped_homology_round_trip_matches(self, tmp_path, capsys):
         # dump a datum, reload it, and compare its own homology: MATCH
         path = write_datum(tmp_path, make_teardrop(3, 4))

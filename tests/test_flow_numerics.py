@@ -1160,6 +1160,13 @@ def default_seeds(surface):
     return np.concatenate([r * dirs for r in tols.seed_radii], axis=0)
 
 
+def projected_newton(surface, seeds):
+    """Newton from ``seeds`` projected onto the surface, as
+    ``find_critical_orbits`` projects them."""
+    return fn._newton_critical_points(surface,
+                                      fn._project_batch(surface, seeds))
+
+
 def counted_solve(monkeypatch):
     """Record the batch size of every np.linalg.solve call."""
     rows = []
@@ -1230,7 +1237,7 @@ def newton_rounds(monkeypatch, surface, seeds, edit=None):
         return delta
 
     monkeypatch.setattr(np.linalg, "solve", edited)
-    found = fn._newton_critical_points(
+    found = projected_newton(
         dataclasses.replace(surface, morse_hess=recorded_hess), seeds)
     candidates = fn._project_batch(surface, seeds)
     labels = np.arange(len(seeds))
@@ -1265,7 +1272,7 @@ class TestNewtonWork:
         surface = make()
         tol = surface.tolerances.dedup_tol
         seeds = default_seeds(surface)
-        clean = fn._newton_critical_points(surface, seeds)
+        clean = projected_newton(surface, seeds)
         clean = clean[fn._first_of_clusters(clean, tol)]
         pinv_calls = []
         pinv = np.linalg.pinv
@@ -1278,7 +1285,7 @@ class TestNewtonWork:
         dirty = np.concatenate([seeds, [[np.nan] * 3, [0.0] * 3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            found = fn._newton_critical_points(surface, dirty)
+            found = projected_newton(surface, dirty)
         assert np.array_equal(found[fn._first_of_clusters(found, tol)], clean)
         assert pinv_calls == []
 
@@ -1303,7 +1310,7 @@ class TestNewtonWork:
         # first step is reversed moves away from its point, so its merit
         # |res|^2 grows and it leaves after that one round
         surface = fn.torus_surface()
-        points = fn._newton_critical_points(surface, default_seeds(surface))
+        points = projected_newton(surface, default_seeds(surface))
         points = points[fn._first_of_clusters(
             points, surface.tolerances.dedup_tol)]
         seeds = np.concatenate(
@@ -1358,12 +1365,12 @@ class TestNewtonCompleteness:
     ], ids=["torus-0.02", "torus-0.25", "torus-0.5", "epsilon-0.55",
             "epsilon-0.8", "sphere"])
     def test_each_point_found_from_several_radii(self, surface, points):
-        assert distinct(surface, fn._newton_critical_points(
+        assert distinct(surface, projected_newton(
             surface, default_seeds(surface))) == points
         tols = surface.tolerances
         dirs = fn._fibonacci_directions(tols.seed_count)
         complete = [r for r in tols.seed_radii if distinct(
-            surface, fn._newton_critical_points(surface, r * dirs)) == points]
+            surface, projected_newton(surface, r * dirs)) == points]
         assert len(complete) >= 3
 
 
@@ -1379,8 +1386,8 @@ class TestDistinctSeeds:
         surface = make()
         seeds = default_seeds(surface)
         assert np.array_equal(
-            fn._newton_critical_points(surface, np.concatenate([seeds, seeds])),
-            fn._newton_critical_points(surface, seeds))
+            projected_newton(surface, np.concatenate([seeds, seeds])),
+            projected_newton(surface, seeds))
 
     @pytest.mark.parametrize("make", [
         fn.sphere_surface, lambda: fn.epsilon_sphere_surface(epsilon=0.8),
@@ -1392,8 +1399,8 @@ class TestDistinctSeeds:
         tols = surface.tolerances
         first = tols.seed_radii[0] * fn._fibonacci_directions(tols.seed_count)
         assert np.array_equal(
-            fn._newton_critical_points(surface, default_seeds(surface)),
-            fn._newton_critical_points(surface, first))
+            projected_newton(surface, default_seeds(surface)),
+            projected_newton(surface, first))
 
     def test_distinct_rows_solved(self, monkeypatch):
         # every seed row was iterated before: 1,100 in the sphere's first
@@ -1421,7 +1428,7 @@ class TestDistinctSeeds:
         assert np.all(np.linalg.norm(moved - fn._project_batch(
             surface, dirs), axis=1) > surface.tolerances.dedup_tol)
         rows = counted_solve(monkeypatch)
-        fn._newton_critical_points(surface, np.concatenate([dirs, moved]))
+        projected_newton(surface, np.concatenate([dirs, moved]))
         assert rows[0] == 100
 
 

@@ -159,6 +159,26 @@ class TestValidation:
         with pytest.raises(InvalidComplex):
             SimplicialComplex.from_facets([(1, 1, 2)])
 
+    def test_label_with_separator_rejected(self):
+        # chain_complex joins a simplex's labels with "|", so the edges
+        # a|b-c and a-b|c both became the generator "a|b|c"
+        with pytest.raises(InvalidComplex, match=r"'a\|b'"):
+            simplicial_homology(SimplicialComplex.from_facets(
+                [("a|b", "c"), ("a", "b|c")]))
+
+    def test_euler_characteristic_without_chain_complex(self, monkeypatch):
+        from orbimorse.simplicial_oracle import euler_characteristic_from_faces
+
+        def refuse(self):
+            raise AssertionError("chain_complex was built")
+
+        expected = {name: sum((-1) ** (g.degree % 2) * g.betti
+                              for g in simplicial_homology(builtin_space(name)))
+                    for name in builtin_space_names()}
+        monkeypatch.setattr(SimplicialComplex, "chain_complex", refuse)
+        for name, chi in expected.items():
+            assert euler_characteristic_from_faces(builtin_space(name)) == chi
+
     def test_euler_characteristic_from_faces(self):
         from orbimorse.simplicial_oracle import euler_characteristic_from_faces
 
