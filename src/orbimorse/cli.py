@@ -87,6 +87,37 @@ def _as_list(value, context):
     return value
 
 
+_POINT_KEYS = {"id", "index", "stab"}
+_STABLE_POINT_KEYS = _POINT_KEYS | {"stable"}
+_FLOW_KEYS = {"from", "to", "count"}
+
+
+def _point_record(raw, i):
+    """Point record ``points[i]``, every key and value checked."""
+    _require_keys(raw, ("id", "index", "stab"), ("stable",), "points", i)
+    stable = raw.get("stable", True)
+    if not isinstance(stable, bool):
+        raise ParseError(f"points[{i}]: stable must be true or false")
+    return CriticalPointRecord(
+        id=_as_label(raw["id"], "points", i, "id"),
+        index=_as_int(raw["index"], "points", i, "index"),
+        stab_order=_as_int(raw["stab"], "points", i, "stab"),
+        stable=stable)
+
+
+def _flow_record(raw, i):
+    """Flow record ``flows[i]``, every key and value checked; a count of
+    ``"unknown"`` or null is a placeholder."""
+    _require_keys(raw, ("from", "to", "count"), (), "flows", i)
+    count = raw["count"]
+    if count == "unknown":
+        count = None
+    elif count is not None:
+        count = _as_int(count, "flows", i, "count")
+    return FlowCount(_as_label(raw["from"], "flows", i, "from"),
+                     _as_label(raw["to"], "flows", i, "to"), count)
+
+
 def datum_from_json(text):
     try:
         data = json.loads(text)
@@ -102,28 +133,30 @@ def datum_from_json(text):
     if ambient is not None:
         ambient = _as_int(ambient, "ambient_dimension")
 
+    # A record with exactly the expected keys and values of exactly the
+    # expected types is taken at once (type(x) is int, so a bool fails);
+    # any other goes through the checks that name what is wrong.
     points = []
     for i, raw in enumerate(_as_list(data["points"], "points")):
-        _require_keys(raw, ("id", "index", "stab"), ("stable",), "points", i)
-        stable = raw.get("stable", True)
-        if not isinstance(stable, bool):
-            raise ParseError(f"points[{i}]: stable must be true or false")
-        points.append(CriticalPointRecord(
-            id=_as_label(raw["id"], "points", i, "id"),
-            index=_as_int(raw["index"], "points", i, "index"),
-            stab_order=_as_int(raw["stab"], "points", i, "stab"),
-            stable=stable))
+        if type(raw) is dict and (raw.keys() == _POINT_KEYS
+                                  or raw.keys() == _STABLE_POINT_KEYS):
+            label, index, stab = raw["id"], raw["index"], raw["stab"]
+            stable = raw.get("stable", True)
+            if (type(label) is str and type(index) is int
+                    and type(stab) is int and type(stable) is bool):
+                points.append(CriticalPointRecord(label, index, stab, stable))
+                continue
+        points.append(_point_record(raw, i))
 
     flows = []
     for i, raw in enumerate(_as_list(data["flows"], "flows")):
-        _require_keys(raw, ("from", "to", "count"), (), "flows", i)
-        count = raw["count"]
-        if count == "unknown":
-            count = None
-        elif count is not None:
-            count = _as_int(count, "flows", i, "count")
-        flows.append(FlowCount(_as_label(raw["from"], "flows", i, "from"),
-                               _as_label(raw["to"], "flows", i, "to"), count))
+        if type(raw) is dict and raw.keys() == _FLOW_KEYS:
+            source, target, count = raw["from"], raw["to"], raw["count"]
+            if (type(source) is str and type(target) is str
+                    and (type(count) is int or count is None)):
+                flows.append(FlowCount(source, target, count))
+                continue
+        flows.append(_flow_record(raw, i))
 
     return MorseDatum(points=tuple(points), flows=tuple(flows),
                       ambient_dimension=ambient)

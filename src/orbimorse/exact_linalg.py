@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import gcd
+from operator import itemgetter
 
 from .errors import DimensionMismatch, NotAComplex
 
@@ -104,14 +105,27 @@ class IntegerMatrix:
         """Matrix whose row i holds the values of ``row_dicts[i]``, a dict
         ``{col: value}`` whose keys are ints (not bools); zero values give
         no entry, and a nonzero one outside ``range(cols)`` raises."""
-        _require_ints([x for d in row_dicts for x in d.values()])
         _require_ints([*chain.from_iterable(row_dicts)], "column")
-        nonzeros = tuple(map(_pairs, row_dicts))
-        for pairs in nonzeros:
+        matrix = cls._from_pairs(cols, [d.items() for d in row_dicts])
+        for pairs in matrix.nonzeros:
             # sorted, so the first and last columns bound the row's
             if pairs and (pairs[0][0] < 0 or pairs[-1][0] >= cols):
                 raise DimensionMismatch(f"an entry lies outside range({cols})")
-        return cls._of(len(row_dicts), cols, nonzeros)
+        return matrix
+
+    @classmethod
+    def _from_pairs(cls, cols, pair_rows):
+        """Matrix whose row i has the ``(col, value)`` pairs
+        ``pair_rows[i]``, in any order.  Zero values give no entry, each
+        row is sorted once, and a value that is not an int raises.  The
+        columns are not checked: the caller's must be ints in
+        ``range(cols)``, distinct within a row."""
+        values = [*map(itemgetter(1), chain.from_iterable(pair_rows))]
+        _require_ints(values)
+        if 0 in values:
+            pair_rows = [[(j, x) for j, x in row if x] for row in pair_rows]
+        return cls._of(len(pair_rows), cols,
+                       tuple(map(tuple, map(sorted, pair_rows))))
 
     @classmethod
     def zeros(cls, rows, cols):

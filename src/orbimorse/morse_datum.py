@@ -8,6 +8,7 @@ stabilization, to be filled numerically or by hand.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .errors import (
     UnstablePoint,
     ValidationFailure,
 )
+from .exact_linalg import IntegerMatrix
 
 __all__ = [
     "CriticalPointRecord",
@@ -119,15 +121,15 @@ def validate(datum):
 
 def _violations(datum):
     """Every violated rule of the datum, in the order ``validate`` reports
-    them."""
+    them.  Each endpoint of a flow is looked up once, and a message is
+    formatted only for a rule that is violated."""
     violations = []
-    seen = set()
     by_id = {}
+    dimension = datum.ambient_dimension
     for p in datum.points:
-        if p.id in seen:
+        if p.id in by_id:
             violations.append(Violation(
                 "duplicate-label", f"critical point id {p.id!r} repeats"))
-        seen.add(p.id)
         by_id[p.id] = p
         if p.stab_order < 1:
             violations.append(Violation(
@@ -136,34 +138,36 @@ def _violations(datum):
         if p.index < 0:
             violations.append(Violation(
                 "negative-index", f"point {p.id!r} has index {p.index}"))
-        if datum.ambient_dimension is not None and p.index > datum.ambient_dimension:
+        if dimension is not None and p.index > dimension:
             violations.append(Violation(
                 "index-exceeds-dimension",
                 f"point {p.id!r} has index {p.index} on a "
-                f"{datum.ambient_dimension}-dimensional orbifold"))
+                f"{dimension}-dimensional orbifold"))
 
     seen_pairs = set()
     for f in datum.flows:
-        endpoints_ok = True
-        for end in (f.source, f.target):
-            if end not in by_id:
-                violations.append(Violation(
-                    "unknown-endpoint", f"flow references missing point {end!r}"))
-                endpoints_ok = False
-        if not endpoints_ok:
+        src, tgt = by_id.get(f.source), by_id.get(f.target)
+        if src is None or tgt is None:
+            for end, point in ((f.source, src), (f.target, tgt)):
+                if point is None:
+                    violations.append(Violation(
+                        "unknown-endpoint",
+                        f"flow references missing point {end!r}"))
             continue
-        if (f.source, f.target) in seen_pairs:
+        pair = (f.source, f.target)
+        if pair in seen_pairs:
             violations.append(Violation(
                 "duplicate-flow",
                 f"more than one count for the pair {f.source!r} -> {f.target!r}"))
-        seen_pairs.add((f.source, f.target))
-        src, tgt = by_id[f.source], by_id[f.target]
+        seen_pairs.add(pair)
         if src.index - tgt.index != 1:
             violations.append(Violation(
                 "index-gap",
                 f"flow {f.source!r} -> {f.target!r} joins indices "
                 f"{src.index} and {tgt.index}; the gap must be exactly 1"))
-        if f.known and f.count != 0 and tgt.stab_order % src.stab_order != 0:
+        # a zero order is reported above, and divides nothing
+        if (f.count and src.stab_order
+                and tgt.stab_order % src.stab_order != 0):
             violations.append(Violation(
                 "stabilizer-divisibility",
                 f"flow {f.source!r} -> {f.target!r} has nonzero count but "
@@ -180,7 +184,7 @@ def _require_valid(datum):
 
 def _require_computable(datum):
     _require_valid(datum)
-    unknown = [(f.source, f.target) for f in datum.flows if not f.known]
+    unknown = [(f.source, f.target) for f in datum.flows if f.count is None]
     if unknown:
         raise UnknownFlowCount(f"placeholder flow counts remain: {unknown}")
     unstable = [p.id for p in datum.points if not p.stable]
@@ -188,23 +192,37 @@ def _require_computable(datum):
         raise UnstablePoint(f"critical points not stable: {unstable}")
 
 
-def _boundaries(datum, weight):
-    """Unverified complex with one incidence per flow, its count weighted
-    by ``weight(source_point, target_point, count)``; generators keep the
-    datum's point order within each degree."""
-    by_id = {p.id: p for p in datum.points}
-    generators = [[] for _ in range(max((p.index + 1 for p in datum.points),
-                                        default=0))]
+def _boundaries(datum, weight=None):
+    """Unverified complex with one entry per flow: its count, or when
+    ``weight`` is given ``weight(source_point, target_point, count)``, at
+    the row of its target and the column of its source.  Generators keep
+    the datum's point order within each degree.
+
+    Each point's position in its degree is found once, and each flow
+    appends one ``(col, value)`` pair to its target's row.  The datum is
+    valid (``_require_computable``): no pair repeats, every endpoint is a
+    point and every flow drops the index by one, so the columns of a row
+    are distinct and in range and the rows go to the matrix unchecked
+    (``IntegerMatrix._from_pairs``)."""
+    degrees = range(max((p.index + 1 for p in datum.points), default=0))
+    generators, rows = [[] for _ in degrees], [[] for _ in degrees]
+    place = {}
     for p in datum.points:
+        # p's row in the boundary out of the degree above p's
+        row = []
+        place[p.id] = (len(generators[p.index]), p, row)
         generators[p.index].append(p.id)
-    incidences = []
+        rows[p.index].append(row)
     for f in datum.flows:
-        p, q = by_id[f.source], by_id[f.target]
-        incidences.append((p.index, p.id, q.id, weight(p, q, f.count)))
-    return FreeChainComplex.from_incidences(generators, incidences)
+        col, p, _ = place[f.source]
+        _, q, row = place[f.target]
+        row.append((col, f.count if weight is None else weight(p, q, f.count)))
+    return FreeChainComplex(0, generators, [
+        IntegerMatrix._from_pairs(len(labels), pair_rows)
+        for labels, pair_rows in zip(generators, [[]] + rows)])
 
 
-def _build_complex(datum, weight):
+def _build_complex(datum, weight=None):
     complex_ = _boundaries(datum, weight)
     verdict = verify_complex(complex_)
     if not verdict:
@@ -213,10 +231,6 @@ def _build_complex(datum, weight):
             f"boundary squared has entry {w.value} at degree {w.degree}, "
             f"position ({w.row}, {w.col}); the input counts are inconsistent")
     return complex_
-
-
-def _raw_count(p, q, c):
-    return c
 
 
 def _stabilizer_ratio(p, q, c):
@@ -232,7 +246,7 @@ def _stabilizer_ratio(p, q, c):
 def coinvariant_complex(datum):
     """Chain complex whose boundary entries are the raw signed counts."""
     _require_computable(datum)
-    return _build_complex(datum, _raw_count)
+    return _build_complex(datum)
 
 
 def invariant_complex(datum):
@@ -243,12 +257,12 @@ def invariant_complex(datum):
 
 
 def orbifold_euler(datum):
-    """Exact rational alternating sum of reciprocal stabilizer orders."""
+    """Exact rational alternating sum of reciprocal stabilizer orders,
+    one fraction per distinct (index parity, stabilizer order)."""
     _require_valid(datum)
-    total = Fraction(0)
-    for p in datum.points:
-        total += Fraction((-1) ** (p.index % 2), p.stab_order)
-    return total
+    shapes = Counter((p.index % 2, p.stab_order) for p in datum.points)
+    return sum((Fraction(n if parity == 0 else -n, order)
+                for (parity, order), n in shapes.items()), Fraction(0))
 
 
 def underlying_euler(datum):

@@ -82,17 +82,20 @@ class SimplicialComplex:
     def chain_complex(self):
         """Simplicial chain complex: the k-simplex s has the incidence
         (-1)^d on the face that drops its d-th vertex.  Each face's row is
-        found by its vertex tuple, and each label is joined once."""
+        found by its vertex tuple and gets its ``(col, sign)`` pairs in
+        column order, and each label is joined once."""
         levels = self._face_levels(range(self.dimension() + 1))
         boundaries = [IntegerMatrix.zeros(0, len(levels[0]))]
         for k in range(1, len(levels)):
             row_of = {s: i for i, s in enumerate(levels[k - 1])}
-            rows = [{} for _ in levels[k - 1]]
+            rows = [[] for _ in levels[k - 1]]
+            # combinations(s, k) drops the last vertex first
+            signs = [(-1) ** d for d in range(k, -1, -1)]
             for col, s in enumerate(levels[k]):
-                for d in range(k + 1):
-                    rows[row_of[s[:d] + s[d + 1:]]][col] = (-1) ** d
-            boundaries.append(
-                IntegerMatrix.from_row_dicts(len(levels[k]), rows))
+                for face, sign in zip(combinations(s, k), signs):
+                    rows[row_of[face]].append((col, sign))
+            # a row gets at most one pair per simplex, in column order
+            boundaries.append(IntegerMatrix._from_pairs(len(levels[k]), rows))
         return FreeChainComplex(
             0, [["|".join(s) for s in level] for level in levels], boundaries)
 

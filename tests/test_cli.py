@@ -147,6 +147,19 @@ class TestDatumFiles:
         (lambda d: d.update(flows={}), "flows: expected a list, got dict"),
         (lambda d: d.update(extra=1), "datum file: unknown key 'extra'"),
         (lambda d: d.pop("flows"), "datum file: missing key 'flows'"),
+        (lambda d: d["points"][1].update(index=True),
+         "points[1].index: expected an integer, got True"),
+        (lambda d: d["points"][0].update(stab=True),
+         "points[0].stab: expected an integer, got True"),
+        (lambda d: d["points"][2].update(stable=None),
+         "points[2]: stable must be true or false"),
+        (lambda d: d["flows"][0].update(note="x"),
+         "flows[0]: unknown key 'note'"),
+        (lambda d: d["points"][0].update(stable=True, x=1),
+         "points[0]: unknown key 'x'"),
+        (lambda d: d["points"].__setitem__(
+            1, {"id": "b", "index": 1, "stable": False}),
+         "points[1]: missing key 'stab'"),
     ])
     def test_bad_record_messages(self, edit, message):
         data = {"schema_version": "1",
@@ -160,6 +173,27 @@ class TestDatumFiles:
         with pytest.raises(ParseError) as info:
             datum_from_json(json.dumps(data))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("stable", [None, True, False],
+                             ids=["stable-absent", "stable", "unstable"])
+    @pytest.mark.parametrize("count", ["unknown", None],
+                             ids=["unknown", "null"])
+    def test_placeholder_counts_and_stable_key(self, count, stable):
+        from orbimorse.morse_datum import CriticalPointRecord, FlowCount, MorseDatum
+
+        point = {"id": "a", "index": 1, "stab": 2}
+        if stable is not None:
+            point["stable"] = stable
+        text = json.dumps({"schema_version": "1",
+                           "points": [point, {"id": "b", "index": 0, "stab": 2}],
+                           "flows": [{"from": "a", "to": "b", "count": count},
+                                     {"from": "b", "to": "a", "count": 3}]})
+        datum = MorseDatum(
+            points=(CriticalPointRecord("a", 1, 2, stable=stable is not False),
+                    CriticalPointRecord("b", 0, 2)),
+            flows=(FlowCount("a", "b", None), FlowCount("b", "a", 3)))
+        assert datum_from_json(text) == datum
+        assert datum_from_json(datum_to_json(datum)) == datum
 
     @pytest.mark.parametrize("points,flows", [
         (5, []), ([], 5), ([], None), (None, []), ({"a": 1}, []), ([], "ab"),

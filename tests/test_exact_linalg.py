@@ -221,6 +221,24 @@ class TestIntegerMatrix:
         m = IntegerMatrix.from_row_dicts(3, [{2: 1, 0: -1}, {1: 0}, {}])
         assert m == IntegerMatrix.from_rows([[-1, 0, 1], [0, 0, 0], [0, 0, 0]])
 
+    def test_pair_rows_in_any_order_with_zeros(self):
+        rng = random.Random(808)
+        for _ in range(200):
+            m = random_matrix(rng, bound=2)
+            pair_rows = []
+            for i in range(m.rows):
+                pairs = list(enumerate(m.row(i)))  # zeros included
+                rng.shuffle(pairs)
+                pair_rows.append(pairs)
+            built = IntegerMatrix._from_pairs(m.cols, pair_rows)
+            assert built == m and hash(built) == hash(m)
+            assert built == IntegerMatrix.from_row_dicts(
+                m.cols, [dict(pairs) for pairs in pair_rows])
+        assert IntegerMatrix._from_pairs(2, []) == IntegerMatrix.zeros(0, 2)
+        for bad in (True, 1.0, "1", None):
+            with pytest.raises(DimensionMismatch):
+                IntegerMatrix._from_pairs(2, [[(0, 1)], [(1, bad)]])
+
     def test_matmul_shape_check(self):
         a = IntegerMatrix.identity(2)
         b = IntegerMatrix.zeros(3, 2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orbimorse import morse_datum
-from orbimorse.chain_complex import homology
+from orbimorse.chain_complex import FreeChainComplex, homology
 from orbimorse.errors import (
     BoundarySquaredNonzero,
     NonIntegralCoefficient,
@@ -113,6 +113,14 @@ class TestValidate:
         assert rules_of(first) == {"stabilizer-divisibility"}
         with pytest.raises(ValidationFailure):
             coinvariant_complex(datum)
+
+    def test_zero_order_is_reported_not_divided_by(self):
+        datum = MorseDatum(
+            points=(CriticalPointRecord("a", 1, 0),
+                    CriticalPointRecord("b", 0, 2)),
+            flows=(FlowCount("a", "b", 1),))
+        assert [v.rule for v in validate(datum).violations] == [
+            "stab-order-positive"]
 
     def test_bad_orders_and_indices(self):
         datum = MorseDatum(
@@ -233,6 +241,19 @@ class TestEulerNumbers:
     def test_bean(self, bean):
         assert orbifold_euler(bean) == 1
         assert underlying_euler(bean) == 2
+
+    def test_equals_the_sum_over_points(self):
+        rng = random.Random(9091)
+        for _ in range(200):
+            points = [CriticalPointRecord(f"p{i}", rng.randint(0, 4),
+                                          rng.choice((1, 2, 3, 4, 6, 12, 97)))
+                      for i in range(rng.randint(0, 30))]
+            datum = MorseDatum(points, ())
+            total = orbifold_euler(datum)
+            assert type(total) is Fraction
+            assert total == sum(
+                (Fraction((-1) ** (p.index % 2), p.stab_order)
+                 for p in points), Fraction(0))
 
     def test_underlying_equals_complex_euler(self, teardrop, bean):
         from orbimorse.chain_complex import euler_characteristic
@@ -369,7 +390,80 @@ def shuffled(datum, rng):
                       rng.sample(datum.flows, len(datum.flows)))
 
 
+def random_complex_datum(rng):
+    """Valid datum with 3 or 4 degrees whose boundary squared is zero:
+    free points, and pairs from (k + 1, s) to (k, s * ratio) with a count,
+    mixed by changes of basis among points of equal index and stabilizer
+    order (which keep divisibility), plus zero counts between other
+    points one degree apart.  Half the datums leave a middle degree
+    empty.  Records come shuffled."""
+    top = rng.choice((2, 3))
+    empty = rng.choice([None] * (top - 1) + list(range(1, top)))
+    degrees = [k for k in range(top + 1) if k != empty]
+    points = [(0, rng.choice((1, 2, 6))), (top, 1)]
+    entries = {}                # (lower point, upper point) -> count
+    for _ in range(rng.randint(2, 8)):
+        k = rng.choice(degrees)
+        if k + 1 not in degrees or rng.random() < 0.2:
+            points.append((k, rng.choice((1, 2, 3))))
+            continue
+        s = rng.choice((1, 2, 3))
+        points += [(k + 1, s), (k, s * rng.choice((1, 2, 3)))]
+        entries[(len(points) - 1, len(points) - 2)] = rng.choice(
+            (1, -1, 2, -3))
+    blocks = {}
+    for i, shape in enumerate(points):
+        blocks.setdefault(shape, []).append(i)
+    for members in blocks.values():
+        for _ in range(2 * len(members) if len(members) > 1 else 0):
+            i, j = rng.sample(members, 2)
+            a = rng.choice((1, -1, 2))
+            # new basis vector e_j + a e_i
+            for (r, c), v in list(entries.items()):
+                if c == i:
+                    entries[(r, j)] = entries.get((r, j), 0) + a * v
+            for (r, c), v in list(entries.items()):
+                if r == j:
+                    entries[(i, c)] = entries.get((i, c), 0) - a * v
+    for _ in range(rng.randint(0, 4)):
+        upper, lower = rng.sample(range(len(points)), 2)
+        if points[upper][0] == points[lower][0] + 1:
+            entries.setdefault((lower, upper), 0)
+    ids = [f"x{n}" for n in rng.sample(range(100), len(points))]
+    records = [CriticalPointRecord(ids[i], k, s)
+               for i, (k, s) in enumerate(points)]
+    flows = [FlowCount(ids[c], ids[r], v) for (r, c), v in entries.items()]
+    rng.shuffle(records)
+    rng.shuffle(flows)
+    return MorseDatum(records, flows)
+
+
 class TestBoundariesFromFlows:
+    def test_complexes_equal_the_incidence_build(self):
+        rng = random.Random(5150)
+        zero_counts = empty_degrees = 0
+        for _ in range(300):
+            datum = random_complex_datum(rng)
+            assert validate(datum).ok
+            by_id = {p.id: p for p in datum.points}
+            top = max(p.index for p in datum.points)
+            generators = [[p.id for p in datum.points if p.index == k]
+                          for k in range(top + 1)]
+            for build, value in [
+                    (coinvariant_complex, lambda p, q, c: c),
+                    (invariant_complex,
+                     lambda p, q, c: c * q.stab_order // p.stab_order)]:
+                reference = FreeChainComplex.from_incidences(generators, [
+                    (by_id[f.source].index, f.source, f.target,
+                     value(by_id[f.source], by_id[f.target], f.count))
+                    for f in datum.flows])
+                built = build(datum)
+                assert built == reference
+                assert hash(built) == hash(reference)
+            zero_counts += any(f.count == 0 for f in datum.flows)
+            empty_degrees += not all(generators)
+        assert zero_counts > 50 and empty_degrees > 50
+
     def test_ratio_entries_equal_the_triple_sum(self):
         rng, order = random.Random(424242), random.Random(7)
         checked = 0
