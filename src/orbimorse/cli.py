@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, homology, euler, stabilize, flow, compare.
+Only ``flow`` and ``load_surface_file`` load the numerical front end
+(``flow_numerics``, and with it numpy); importing this module and the
+exact subcommands do not.
 Datum and surface descriptions live in versioned JSON files; exit codes
 are 0 for success, 1 for a domain failure, 2 for a parse failure.
 """
@@ -13,7 +16,7 @@ import json
 import re
 import sys
 
-from . import flow_numerics, simplicial_oracle
+from . import simplicial_oracle
 from .chain_complex import homology
 from .errors import BadParams, OrbimorseError, ParseError
 from .morse_datum import (
@@ -118,6 +121,18 @@ def _flow_record(raw, i):
                      _as_label(raw["to"], "flows", i, "to"), count)
 
 
+def _record(cls, fields):
+    """A frozen ``cls`` record holding ``fields``, every field given.
+
+    The fast parse path builds its records here, without the dataclass
+    ``__init__`` that sets each field through ``object.__setattr__``; the
+    values are already checked, and ``==`` and ``hash`` read the same
+    fields either way."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def datum_from_json(text):
     try:
         data = json.loads(text)
@@ -144,7 +159,9 @@ def datum_from_json(text):
             stable = raw.get("stable", True)
             if (type(label) is str and type(index) is int
                     and type(stab) is int and type(stable) is bool):
-                points.append(CriticalPointRecord(label, index, stab, stable))
+                points.append(_record(CriticalPointRecord, {
+                    "id": label, "index": index, "stab_order": stab,
+                    "stable": stable}))
                 continue
         points.append(_point_record(raw, i))
 
@@ -154,7 +171,8 @@ def datum_from_json(text):
             source, target, count = raw["from"], raw["to"], raw["count"]
             if (type(source) is str and type(target) is str
                     and (type(count) is int or count is None)):
-                flows.append(FlowCount(source, target, count))
+                flows.append(_record(FlowCount, {
+                    "source": source, "target": target, "count": count}))
                 continue
         flows.append(_flow_record(raw, i))
 
@@ -211,6 +229,9 @@ def dump_datum_file(datum, path):
 # surface files
 
 def load_surface_file(path):
+    # the numerical front end loads numpy; only surface input needs it
+    from . import flow_numerics
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -356,6 +377,8 @@ def _cmd_stabilize(args):
 
 
 def _cmd_flow(args):
+    from . import flow_numerics
+
     surface = load_surface_file(args.surface)
     orbits = flow_numerics.find_critical_orbits(surface)
     unstable = [o for o in orbits if not o.stable]

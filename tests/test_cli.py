@@ -1,7 +1,12 @@
+import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbimorse
 from orbimorse.cli import (
     datum_from_json,
     datum_to_json,
@@ -211,6 +216,85 @@ class TestDatumFiles:
             "cyclic_rotation_circle", (3,))
         with pytest.raises(ParseError):
             parse_sphere_datum_spec("weird(x)")
+
+
+class TestFastPathRecords:
+    @pytest.mark.parametrize("cls,fields", [
+        ("CriticalPointRecord",
+         {"id": "p", "index": 2, "stab_order": 3, "stable": True}),
+        ("CriticalPointRecord",
+         {"id": "q", "index": 1, "stab_order": 2, "stable": False}),
+        ("FlowCount", {"source": "p", "target": "q", "count": -4}),
+        ("FlowCount", {"source": "p", "target": "q", "count": None}),
+    ], ids=["point", "unstable-point", "flow", "unknown-flow"])
+    def test_same_record_as_the_dataclass(self, cls, fields):
+        from orbimorse import morse_datum
+        from orbimorse.cli import _record
+
+        cls = getattr(morse_datum, cls)
+        built, fast = cls(**fields), _record(cls, fields)
+        assert type(fast) is cls
+        assert fast == built and built == fast
+        assert hash(fast) == hash(built)
+        assert repr(fast) == repr(built)
+        assert {fast} == {built}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.id = "other"
+
+
+# Run in a fresh interpreter, since the test process has numpy loaded
+# already: argv is the source directory, then the script's own arguments;
+# the last line printed is the flow-side modules then loaded.
+_LOADED = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+{body}
+print(sorted(m for m in sys.modules
+             if m.startswith("numpy") or m == "orbimorse.flow_numerics"))
+"""
+
+
+def loaded_after(body, *args):
+    src = str(Path(orbimorse.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED.format(body=body), src,
+         *map(str, args)],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+class TestImportBoundary:
+    def test_exact_subcommands_load_no_numpy(self, tmp_path):
+        datum = write_datum(tmp_path, make_teardrop(2, 3))
+        seed = write_text(tmp_path, json.dumps({
+            "schema_version": "1",
+            "points": [{"id": "p", "index": 2, "stab": 3, "stable": False},
+                       {"id": "q", "index": 0, "stab": 4}],
+            "flows": []}), "seed.json")
+        body = """\
+import orbimorse, orbimorse.cli
+datum, seed, out = sys.argv[2:]
+codes = [orbimorse.cli.main(argv) for argv in (
+    ["validate", datum], ["homology", datum], ["euler", datum],
+    ["compare", datum, "s2"],
+    ["stabilize", seed, "p", "--h", "cyclic_rotation_circle(3)",
+     "--out", out])]
+assert codes == [0] * 5, codes
+"""
+        assert loaded_after(body, datum, seed, tmp_path / "out.json") == "[]"
+
+    def test_surface_input_loads_the_flow_front_end(self, tmp_path):
+        surface = write_text(tmp_path, json.dumps({
+            "schema_version": "1", "surface": {"kind": "torus"}}),
+            "torus.json")
+        body = """\
+import orbimorse.cli
+orbimorse.cli.load_surface_file(sys.argv[2])
+"""
+        loaded = loaded_after(body, surface)
+        assert "'numpy'" in loaded
+        assert "'orbimorse.flow_numerics'" in loaded
 
 
 class TestValidateCommand:
