@@ -101,6 +101,11 @@ class FreeChainComplex:
     def boundary(self, degree):
         """Matrix of the boundary map out of ``degree``."""
         k = degree - self.min_degree
+        if not 0 <= k < len(self.boundaries):
+            raise ShapeMismatch(
+                f"no boundary out of degree {degree}: the complex spans "
+                f"degrees {self.min_degree} to "
+                f"{self.min_degree + len(self.boundaries) - 1}")
         return self.boundaries[k]
 
 

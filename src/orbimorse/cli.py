@@ -221,8 +221,11 @@ def load_datum_file(path):
 
 
 def dump_datum_file(datum, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(datum_to_json(datum))
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(datum_to_json(datum))
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -381,18 +384,8 @@ def _cmd_flow(args):
 
     surface = load_surface_file(args.surface)
     orbits = flow_numerics.find_critical_orbits(surface)
-    unstable = [o for o in orbits if not o.stable]
-    if unstable and not args.stabilize:
-        print("unstable points: "
-              + ", ".join(sorted(o.label for o in unstable)), file=sys.stderr)
-        return 1
-    if unstable:
+    if args.stabilize and not all(o.stable for o in orbits):
         surface, orbits = flow_numerics.stabilize_all(surface, orbits)
-        still = [o.label for o in orbits if not o.stable]
-        if still:
-            print("still unstable after stabilization: "
-                  + ", ".join(sorted(still)), file=sys.stderr)
-            return 1
     datum = flow_numerics.quotient_to_datum(surface, orbits)
     dump_datum_file(datum, args.out)
     print(f"wrote {len(datum.points)} points, {len(datum.flows)} flows"

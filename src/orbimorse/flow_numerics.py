@@ -659,10 +659,9 @@ def find_critical_orbits(surface, extra_seeds=None):
     found = _newton_critical_points(surface, starts)
     found = found[_first_of_clusters(found, tols.dedup_tol)]
 
-    # Partition into orbits: the first uncovered point in sorted order
-    # names an orbit, the distinct points of [p; g @ p] are its lifts, and
-    # the first of them in the same order is its representative, from
-    # which the lifts are built again.  So an orbit is complete, and its
+    # Partition into orbits: the first of group @ p in sorted order, p the
+    # first uncovered point, is an orbit's representative and the distinct
+    # points of [rep; g @ rep] its lifts.  So an orbit is complete, and its
     # representative the same, whichever of its lifts Newton finds.
     group = np.array(surface.group)  # closed, by check_surface: I is in it
     identity_index = int(np.argmin(np.abs(group - np.eye(3)).max(axis=(1, 2))))
@@ -680,13 +679,11 @@ def find_critical_orbits(surface, extra_seeds=None):
     covered = np.zeros(len(found), dtype=bool)
     orbits = []
     while not covered.all():
-        lift_positions, lift_elems = lifts_of(found[np.argmax(~covered)])
+        images = group @ found[np.argmax(~covered)]
+        lift_positions, lift_elems = lifts_of(images[sort_order(images)[0]])
         covered |= np.any(np.linalg.norm(
             found[:, None] - lift_positions[None], axis=2) < tols.dedup_tol,
             axis=1)
-        first = sort_order(lift_positions)[0]
-        if first:
-            lift_positions, lift_elems = lifts_of(lift_positions[first])
         rep = lift_positions[0]
 
         eigenvalues, frame = _tangent_data(surface, rep)

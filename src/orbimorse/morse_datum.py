@@ -15,7 +15,6 @@ from fractions import Fraction
 from .chain_complex import FreeChainComplex, verify_complex
 from .errors import (
     BoundarySquaredNonzero,
-    NonIntegralCoefficient,
     PointNotFound,
     UnknownFlowCount,
     UnstablePoint,
@@ -234,13 +233,10 @@ def _build_complex(datum, weight=None):
 
 
 def _stabilizer_ratio(p, q, c):
-    """Count ``c`` of the flow p -> q times stab(q) / stab(p)."""
-    num = c * q.stab_order
-    if num % p.stab_order != 0:
-        raise NonIntegralCoefficient(
-            f"{c} * {q.stab_order} / {p.stab_order} is not an integer "
-            f"for flow {p.id!r} -> {q.id!r}")
-    return num // p.stab_order
+    """Count ``c`` of the flow p -> q times stab(q) / stab(p), an exact
+    quotient: both callers run ``_require_computable``, whose ``validate``
+    makes stab(p) divide stab(q) wherever ``c`` is nonzero."""
+    return c * q.stab_order // p.stab_order
 
 
 def coinvariant_complex(datum):

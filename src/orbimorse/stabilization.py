@@ -10,7 +10,6 @@ re-emitted as a placeholder to be filled numerically or by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BadParams,
@@ -165,7 +164,10 @@ def stabilize_point(datum, local, sphere_datum):
     index ``sphere index + 1 + dim_fixed``.  All flows that touched the
     point, and all index-gap-1 pairs touching a new point, are emitted as
     placeholders; everything else is preserved.  The orbifold Euler number
-    is exactly preserved.
+    is kept by the checks below, which make the group order s the stab
+    order and the index f + d + 1 (f = dim_fixed, d = dim_perp - 1), and by
+    ``SphereMorseDatum.check()``, sum_o (-1)^i_o s/s_o = 1 + (-1)^d:
+    after = (-1)^f/s - (-1)^f (1 + (-1)^d)/s = (-1)^index/s = before.
     """
     point = datum.point(local.point_id)
     if point.stable:
@@ -207,16 +209,6 @@ def stabilize_point(datum, local, sphere_datum):
         id=point.id, index=local.dim_fixed,
         stab_order=point.stab_order, stable=True)
 
-    # The sphere count invariant is exactly the statement that the
-    # replacement does not move the orbifold Euler number.
-    before = Fraction((-1) ** (point.index % 2), point.stab_order)
-    after = Fraction((-1) ** (lowered.index % 2), lowered.stab_order)
-    for p in new_points:
-        after += Fraction((-1) ** (p.index % 2), p.stab_order)
-    if before != after:
-        raise SphereCountMismatch(
-            f"Euler bookkeeping out of balance: {before} before, {after} after")
-
     points = tuple(lowered if p.id == point.id else p for p in datum.points)
     points += tuple(new_points)
 
@@ -224,13 +216,9 @@ def stabilize_point(datum, local, sphere_datum):
                  if point.id not in (f.source, f.target))
 
     affected = {point.id} | {p.id for p in new_points}
-    stale = []
-    for a in points:
-        for b in points:
-            if a.id == b.id or a.index - b.index != 1:
-                continue
-            if a.id in affected or b.id in affected:
-                stale.append((a.id, b.id))
+    stale = [(a.id, b.id) for a in points for b in points
+             if a.index - b.index == 1
+             and (a.id in affected or b.id in affected)]
     placeholders = tuple(FlowCount(s, t, None) for s, t in stale)
 
     result = MorseDatum(points=points, flows=kept + placeholders,

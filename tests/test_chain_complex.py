@@ -114,6 +114,29 @@ class TestFromIncidences:
         with pytest.raises(ShapeMismatch):
             FreeChainComplex.from_incidences([["a"], ["e", "a"]], [incidence])
 
+    @pytest.mark.parametrize("degree", [-1, 2, 5])
+    def test_boundary_outside_the_degree_range_raises(self, degree):
+        c = FreeChainComplex.from_incidences(
+            [["a"], ["e"]], [(1, "e", "a", 0)])
+        assert c.boundary(0) == IntegerMatrix.zeros(0, 1)
+        assert c.boundary(1) == IntegerMatrix.zeros(1, 1)
+        with pytest.raises(ShapeMismatch) as info:
+            c.boundary(degree)
+        assert str(info.value) == (
+            f"no boundary out of degree {degree}: the complex spans "
+            "degrees 0 to 1")
+
+    def test_boundary_count_must_match_the_degrees(self):
+        with pytest.raises(ShapeMismatch) as info:
+            FreeChainComplex(0, (("a",),), ())
+        assert str(info.value) == "1 degrees but 0 boundary maps"
+
+    def test_boundary_columns_must_match_the_generators(self):
+        with pytest.raises(ShapeMismatch) as info:
+            FreeChainComplex(0, (("a", "b"),), (IntegerMatrix.zeros(0, 1),))
+        assert str(info.value) == (
+            "boundary out of degree 0 has 1 columns for 2 generators")
+
     def test_values(self):
         def boundary(*incidences):
             return FreeChainComplex.from_incidences(

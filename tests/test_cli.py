@@ -441,6 +441,15 @@ class TestStabilizeCommand:
         err = capsys.readouterr().err
         assert err == "error: no critical point named 'nosuch'\n"
 
+    def test_unwritable_out_is_a_parse_error(self, tmp_path, capsys):
+        path = self.seed_path(tmp_path)
+        out_path = str(tmp_path / "missing" / "o.json")
+        assert main(["stabilize", path, "p",
+                     "--h", "cyclic_rotation_circle(3)",
+                     "--out", out_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: cannot write {out_path}: ")
+
 
 class TestCompareCommand:
     def test_teardrop_matches_sphere(self, tmp_path, capsys):

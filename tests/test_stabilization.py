@@ -185,6 +185,31 @@ class TestStabilizePoint:
                            flows=()),
                 UnstableLocalData("p", 0, 2, 2), wrong_dim)
 
+    def test_taken_ids_get_a_numeric_suffix(self):
+        seed = MorseDatum(
+            points=(CriticalPointRecord("p", 2, 3, stable=False),
+                    CriticalPointRecord("p_max", 1, 1),
+                    CriticalPointRecord("q", 0, 3)),
+            flows=(), ambient_dimension=2)
+        h = builtin_sphere_datum("cyclic_rotation_circle", 3)
+        result = stabilize_point(seed, local_data_for(seed, "p", h), h)
+        assert result.new_point_ids == ("p_max2", "p_min")
+        assert result.datum.point("p_max") == seed.point("p_max")
+
+    @pytest.mark.parametrize("local, order, message", [
+        (UnstableLocalData("p", 2, 0, 3), 3,
+         "the reversed descending dimension must be >= 1"),
+        (UnstableLocalData("p", -1, 3, 3), 3,
+         "the fixed descending dimension must be >= 0"),
+        (UnstableLocalData("p", 0, 2, 3), 2,
+         "sphere datum group order 2 differs from the stabilizer order 3"),
+    ])
+    def test_local_data_checks(self, local, order, message):
+        h = builtin_sphere_datum("cyclic_rotation_circle", order)
+        with pytest.raises(DimensionMismatch) as info:
+            stabilize_point(teardrop_seed(3), local, h)
+        assert str(info.value) == message
+
     def test_invalid_result_raises(self, monkeypatch):
         # the validity check must survive python -O, so it is a raise
         failing = ValidationReport((Violation("forced", "rejected"),))
