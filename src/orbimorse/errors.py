@@ -50,7 +50,9 @@ class BoundarySquaredNonzero(OrbimorseError):
 
 
 class NonIntegralCoefficient(OrbimorseError):
-    """A stabilizer-weighted boundary coefficient is not an integer."""
+    """A stabilizer-weighted boundary coefficient is not an integer.  Nothing
+    raises it: ``validate``'s ``stabilizer-divisibility`` rule rejects such
+    a datum first (ValidationFailure); it stays exported."""
 
 
 # --- stabilization -------------------------------------------------------

@@ -19,8 +19,10 @@ group action.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
+import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -274,20 +276,10 @@ def sphere_surface(tolerances=None, group=()):
         euler_characteristic=2)
 
 
-def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
-    """Torus of revolution about the z-axis with a tilted height function.
-
-    The plain height z is degenerate on this surface (its critical set is
-    a pair of circles), so the Morse function is z + tilt * x, whose four
-    critical points sit in the y = 0 plane at closed-form positions.
-    """
-    _finite(tilt=tilt, major=major, minor=minor)
-    if tilt == 0:
-        raise BadParams("tilt must be nonzero: the plain height function is"
-                        " degenerate on a torus of revolution")
-    if not 0 < minor < major:
-        raise BadParams(f"need 0 < minor < major, got {minor} and {major}:"
-                        " otherwise the torus is not a smooth surface")
+@functools.lru_cache(maxsize=16)
+def _torus_level(major, minor):
+    """F, grad F and Hess F of the torus with these radii: one set of
+    function objects per shape, so its tori share ``_level_store``."""
 
     def rho(x):
         return np.maximum(np.hypot(x[:, 0], x[:, 1]), 1e-9)
@@ -308,6 +300,25 @@ def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
         out[:, 0, 1] = out[:, 1, 0] = 2.0 * major * x[:, 0] * x[:, 1] / p3
         out[:, 2, 2] = 2.0
         return out
+
+    return value, grad, hess
+
+
+def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
+    """Torus of revolution about the z-axis with a tilted height function.
+
+    The plain height z is degenerate on this surface (its critical set is
+    a pair of circles), so the Morse function is z + tilt * x, whose four
+    critical points sit in the y = 0 plane at closed-form positions.
+    """
+    _finite(tilt=tilt, major=major, minor=minor)
+    if tilt == 0:
+        raise BadParams("tilt must be nonzero: the plain height function is"
+                        " degenerate on a torus of revolution")
+    if not 0 < minor < major:
+        raise BadParams(f"need 0 < minor < major, got {minor} and {major}:"
+                        " otherwise the torus is not a smooth surface")
+    value, grad, hess = _torus_level(major, minor)
 
     def morse(x):
         return x[:, 2] + tilt * x[:, 0]
@@ -471,17 +482,23 @@ def _canonical_sign(vec):
     return vec if vec[j] > 0 else -vec
 
 
+@functools.lru_cache(maxsize=32)
+def _level_store(level, level_grad):
+    """Level-set work shared by every surface with these F and grad F
+    objects, read-only: the landed check ``samples`` and the projected seed
+    ``grids`` by ``(seed_count, seed_radii)``.  Holds its keys strongly."""
+    return types.SimpleNamespace(samples=None, grids={})
+
+
 def check_surface(surface):
     """Verify the structural invariants: the group is a closed set of
     orthogonal matrices, and both fields are invariant on 1,000 Fibonacci
     directions projected onto the surface.  At least half of them must land
     within 1e-9 of F = 0.
 
-    Every call runs every check.  Once they pass, the samples that landed
-    are stored on the surface, and later calls, and the surfaces that
-    ``_bumped`` makes from it, check on them instead of projecting again:
-    they are a projection onto F = 0 alone.  A surface made by
-    ``dataclasses.replace`` starts with none."""
+    Every call runs every check.  The samples that landed are kept in
+    ``_level_store``, and every surface with the same F and grad F checks
+    on them instead of projecting again; a failed projection keeps none."""
     tol = surface.tolerances.stab_tol
     group = surface.group
     if not group:
@@ -496,7 +513,8 @@ def check_surface(surface):
             if _group_key(g @ h) not in keys:
                 raise BadParams("group is not closed under products")
 
-    pts = surface.__dict__.get("_samples")
+    store = _level_store(surface.level, surface.level_grad)
+    pts = store.samples
     if pts is None:
         samples = _fibonacci_directions(1000)
         pts = _project_batch(surface, samples)
@@ -504,6 +522,8 @@ def check_surface(surface):
         if len(pts) < len(samples) // 2:
             raise BadParams(
                 "could not project the sample grid onto the surface")
+        pts.flags.writeable = False
+        store.samples = pts
     f_vals, lvl_vals = surface.morse(pts), surface.level(pts)
     for g in group:
         moved = pts @ g.T
@@ -511,7 +531,6 @@ def check_surface(surface):
             raise BadParams("the Morse function is not group invariant")
         if np.max(np.abs(surface.level(moved) - lvl_vals)) > tol:
             raise BadParams("the level function is not group invariant")
-    object.__setattr__(surface, "_samples", pts)
 
 
 # --------------------------------------------------------------------------
@@ -640,18 +659,19 @@ def find_critical_orbits(surface, extra_seeds=None):
     surface.
 
     This is the only place seeds are projected onto the surface.  The
-    projected seed grid is stored on it, and ``_bumped`` hands it to the
-    surface it makes, whose F and tolerances are the same; only
-    ``extra_seeds`` are projected on a later call.
+    projected seed grid is kept in ``_level_store`` per seed count and
+    radii, shared by every surface with the same F and grad F; a search
+    on such a surface projects only its ``extra_seeds``.
     """
     check_surface(surface)
     tols = surface.tolerances
-    starts = surface.__dict__.get("_seed_grid")
+    grids = _level_store(surface.level, surface.level_grad).grids
+    starts = grids.get((tols.seed_count, tols.seed_radii))
     if starts is None:
         dirs = _fibonacci_directions(tols.seed_count)
-        starts = _project_batch(
+        starts = grids[tols.seed_count, tols.seed_radii] = _project_batch(
             surface, np.concatenate([r * dirs for r in tols.seed_radii]))
-        object.__setattr__(surface, "_seed_grid", starts)
+        starts.flags.writeable = False
     if extra_seeds is not None:
         starts = np.concatenate([starts, _project_batch(
             surface, np.reshape(extra_seeds, (-1, 3)))])
@@ -1052,8 +1072,8 @@ def _bumped(surface, bumps):
     one ``_bump_parts`` call.
 
     F, its group and its tolerances are those of ``surface``, so the
-    level-set work stored on it travels to the bumped surface: the checked
-    samples of ``check_surface`` and the projected seed grid of
+    bumped surface shares its ``_level_store`` entry: the checked samples
+    of ``check_surface`` and the projected seed grid of
     ``find_critical_orbits``.  Both are projections onto F = 0 alone."""
     centers = np.concatenate([c for c, _, _ in bumps])
     a2 = np.concatenate([np.full(len(c), w ** 2) for c, w, _ in bumps])
@@ -1076,13 +1096,9 @@ def _bumped(surface, bumps):
                 - np.einsum("nc,ncij->nij", four_a4 * e, outer)
                 + (two_a2 * e).sum(axis=1)[:, None, None] * _EYE3)
 
-    bumped = dataclasses.replace(
+    return dataclasses.replace(
         surface, name=surface.name + "+stabilized",
         morse=morse, morse_grad=morse_grad, morse_hess=morse_hess)
-    for stored in ("_samples", "_seed_grid"):
-        if stored in surface.__dict__:
-            object.__setattr__(bumped, stored, surface.__dict__[stored])
-    return bumped
 
 
 def stabilize_all(surface, orbits):

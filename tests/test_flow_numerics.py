@@ -1432,36 +1432,111 @@ class TestDistinctSeeds:
         assert rows[0] == 100
 
 
+def lift_bytes(orbit_lists):
+    """The position and eigenvalue bytes of every lift, in order."""
+    return b"".join(np.asarray(point.position).tobytes()
+                    + np.asarray(point.eigenvalues).tobytes()
+                    for orbits in orbit_lists for orbit in orbits
+                    for point in orbit.points)
+
+
+def searched(surface):
+    """The orbits found on ``surface``, stabilized when some are unstable,
+    and the datum of the last surface."""
+    found = [fn.find_critical_orbits(surface)]
+    if any(not o.stable for o in found[0]):
+        surface, orbits = fn.stabilize_all(surface, found[0])
+        found.append(orbits)
+    return found, fn.quotient_to_datum(surface, found[-1])
+
+
 class TestStoredLevelSetWork:
-    """``check_surface`` stores its projected samples and
-    ``find_critical_orbits`` its projected seed grid on the surface;
-    ``_bumped`` hands both to the surface it makes, which has the same F,
-    group and tolerances."""
+    """``check_surface`` keeps its projected samples and
+    ``find_critical_orbits`` its projected seed grid in
+    ``fn._level_store``, one entry per F and grad F; every surface with the
+    same fields shares them, the bumped surface of ``_bumped`` included."""
 
     def test_each_projection_once(self, monkeypatch):
         # projecting the 1,000 samples and the 1,100-seed grid again on the
         # stabilized surface, the grid together with the extra seeds, took
-        # [1000, 1100, 1000, 1128]
+        # [1000, 1100, 1000, 1128]; a later search on another epsilon has
+        # the same F and projects nothing
+        fn._level_store.cache_clear()
         surface = fn.epsilon_sphere_surface(epsilon=0.8)
         calls = counted_projections(monkeypatch)
         orbits = fn.find_critical_orbits(surface)
-        stabilized, _ = fn.stabilize_all(surface, orbits)
+        fn.stabilize_all(surface, orbits)
         extra = len(orbits) + 2 * 12  # two unstable poles, 12 seeds each
         assert calls == [1000, 1100, extra]
-        for name in ("_samples", "_seed_grid"):
-            assert stabilized.__dict__[name] is surface.__dict__[name]
+        fn.find_critical_orbits(fn.epsilon_sphere_surface(epsilon=0.9))
+        assert calls == [1000, 1100, extra]
 
-    def test_seed_grid_rows_match_a_fresh_projection(self, epsilon_run):
+    def test_seed_grid_rows_match_a_fresh_projection(self):
         # projection is row by row, so the stored grid followed by the
         # extra seeds is the projection of all of them at once
-        surface = epsilon_run.surface
-        grid = surface.__dict__["_seed_grid"]
+        fn._level_store.cache_clear()
+        surface = fn.epsilon_sphere_surface(epsilon=0.8)
+        fn.find_critical_orbits(surface)
+        tols = surface.tolerances
+        grid = fn._level_store(surface.level, surface.level_grad).grids[
+            tols.seed_count, tols.seed_radii]
         extra = np.random.default_rng(7).uniform(-2.0, 2.0, (30, 3))
         fresh = fn._project_batch(surface, np.concatenate([
-            r * fn._fibonacci_directions(surface.tolerances.seed_count)
-            for r in surface.tolerances.seed_radii] + [extra]))
+            r * fn._fibonacci_directions(tols.seed_count)
+            for r in tols.seed_radii] + [extra]))
         assert np.array_equal(
             fresh, np.concatenate([grid, fn._project_batch(surface, extra)]))
+
+    @pytest.mark.parametrize("make, before", [
+        (lambda t: fn.torus_surface(tilt=t), (0.2, 0.3, 0.25)),
+        (lambda e: fn.epsilon_sphere_surface(epsilon=e), (1.0, 0.8)),
+    ], ids=["torus-0.25", "epsilon-0.80"])
+    def test_warm_store_gives_the_cold_answer(self, monkeypatch, make,
+                                              before):
+        # the last surface searched after the others, on the store they
+        # filled, finds the lifts and the datum it finds on an empty store
+        calls = counted_projections(monkeypatch)
+        fn._level_store.cache_clear()
+        cold_lifts, cold_datum = searched(make(before[-1]))
+        assert calls[:2] == [1000, 1100]
+        local = calls[2:]  # extra seeds and census starts
+        fn._level_store.cache_clear()
+        for value in before[:-1]:
+            searched(make(value))
+        del calls[:]
+        warm_lifts, warm_datum = searched(make(before[-1]))
+        assert calls == local
+        assert lift_bytes(warm_lifts) == lift_bytes(cold_lifts)
+        assert warm_datum == cold_datum
+
+    def test_each_torus_shape_projects_its_own_grid(self, monkeypatch):
+        fn._level_store.cache_clear()
+        fn.find_critical_orbits(fn.torus_surface())
+        calls = counted_projections(monkeypatch)
+        fn.find_critical_orbits(fn.torus_surface(tilt=0.3, major=3.0))
+        assert calls == [1000, 1100]
+        fn.find_critical_orbits(fn.torus_surface(tilt=0.2, major=3.0))
+        assert calls == [1000, 1100]
+
+    def test_failed_projection_stores_nothing(self, monkeypatch):
+        # F = |x|^2 + 1 has no zero: every check projects the samples
+        # again and raises again
+        surface = dataclasses.replace(
+            fn.sphere_surface(),
+            level=lambda x: np.einsum("ij,ij->i", x, x) + 1.0)
+        calls = counted_projections(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(BadParams, match="could not project"):
+                fn.check_surface(surface)
+        assert calls == [1000, 1000]
+
+    def test_stored_arrays_are_read_only(self):
+        surface = fn.torus_surface()
+        fn.find_critical_orbits(surface)
+        store = fn._level_store(surface.level, surface.level_grad)
+        for array in (store.samples, *store.grids.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
 
     def test_one_lift_bump_is_not_invariant(self, monkeypatch):
         # a bump on one lift of max0's two lifts breaks the half-turn

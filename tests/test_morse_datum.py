@@ -7,7 +7,6 @@ from orbimorse import morse_datum
 from orbimorse.chain_complex import FreeChainComplex, homology
 from orbimorse.errors import (
     BoundarySquaredNonzero,
-    NonIntegralCoefficient,
     UnknownFlowCount,
     UnstablePoint,
     ValidationFailure,
@@ -213,13 +212,18 @@ class TestInvariantComplex:
         assert complex_.boundary(1).to_rows() == [[2], [-2]]
 
     def test_non_integral_coefficient(self):
-        # divisibility holds flow-wise is violated: force it directly
+        # 3 does not divide 2, so the weighted coefficient 2 / 3 is not an
+        # integer; validate's divisibility rule refuses the datum before
+        # any boundary is built
         datum = MorseDatum(
             points=(CriticalPointRecord("a", 1, 3),
                     CriticalPointRecord("b", 0, 2)),
             flows=(FlowCount("a", "b", 1),))
-        with pytest.raises((NonIntegralCoefficient, ValidationFailure)):
+        with pytest.raises(ValidationFailure,
+                           match=r"\[stabilizer-divisibility\]") as caught:
             invariant_complex(datum)
+        assert [v.rule for v in caught.value.report.violations] == [
+            "stabilizer-divisibility"]
 
 
 class TestEulerNumbers:

@@ -19,7 +19,14 @@ the case names and datum digests, and CI compares them with every run:
 
 The lift digests are left out there, since their bytes depend on the
 numpy build; the error messages in the datum column print their numbers
-with at most three significant digits.
+with at most three significant digits.  ``main`` takes a list of cases,
+so CI also runs them last to first and compares all three columns with
+the forward run: no case's lifts depend on the surfaces run before it,
+though surfaces with the same level set share their projected seeds.
+
+    PYTHONPATH=src:tools python3 -c \
+        'import reference_digest as r; r.main(list(r.cases())[::-1])' \
+        | sort > reverse.txt
 
 The cases: the torus at 25 tilts from 0.02 to 0.5, the stabilized epsilon
 sphere at 20 values of epsilon from 0.55 to 1.5, the sphere, an
@@ -131,8 +138,10 @@ def cases():
                                         []), None)
 
 
-def main():
-    for name, make, edit in cases():
+def main(selected=None):
+    """Print the digest line of each ``(name, make, edit)`` case of
+    ``selected``, all of ``cases()`` by default, in the order given."""
+    for name, make, edit in cases() if selected is None else selected:
         datum, found = solve(make, edit)
         lifts = hashlib.sha256()
         for orbits in found:
