@@ -467,21 +467,6 @@ def _local_rate(surface, x, level_norm, morse_norm):
     return morse_hess + morse_norm * level_hess / level_norm
 
 
-def _tangent_basis(n):
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    t1 = e - (e @ n) * n
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    return t1, t2
-
-
-def _canonical_sign(vec):
-    j = int(np.argmax(np.abs(vec)))
-    return vec if vec[j] > 0 else -vec
-
-
 @functools.lru_cache(maxsize=32)
 def _level_store(level, level_grad):
     """Level-set work shared by every surface with these F and grad F
@@ -536,6 +521,42 @@ def check_surface(surface):
 # --------------------------------------------------------------------------
 # critical points
 
+def _bordered_solve(h, g, res):
+    """Solve J d = -r, J = [[H, -g], [g^T, 0]], per column of ``g`` (3, n)
+    and r = ``res`` (4, n), H symmetric in ``h`` (n, 3, 3); d is (4, n).
+    With A = adj H, w = g x r[:3] and D = g^T A g = det J, d = ((g x Hw -
+    Ag r[3]) / D, (Ag . r[:3] - det H r[3]) / D): a singular H with a regular
+    J solves, and a batch with some D exactly zero goes to ``np.linalg.pinv``."""
+    entries = h.reshape(len(h), 9).T
+    a, b, c, d, e, f = (entries[i] for i in (0, 1, 2, 4, 5, 8))
+    a00, a01, a02 = d * f - e * e, c * e - b * f, b * e - c * d
+    a11, a12, a22 = a * f - c * c, b * c - a * e, a * d - b * b
+    g0, g1, g2 = g
+    ag0 = a00 * g0 + a01 * g1 + a02 * g2
+    ag1 = a01 * g0 + a11 * g1 + a12 * g2
+    ag2 = a02 * g0 + a12 * g1 + a22 * g2
+    det_j = g0 * ag0 + g1 * ag1 + g2 * ag2
+    if not det_j.all():  # a zero; NaN counts as nonzero
+        jac = np.zeros((len(h), 4, 4))
+        jac[:, :3, :3] = h
+        jac[:, :3, 3] = -g.T
+        jac[:, 3, :3] = g.T
+        return np.einsum("nij,jn->in", np.linalg.pinv(jac), -res)
+    r0, r1, r2, r3 = res
+    w0, w1, w2 = g1 * r2 - g2 * r1, g2 * r0 - g0 * r2, g0 * r1 - g1 * r0
+    hw0 = a * w0 + b * w1 + c * w2
+    hw1 = b * w0 + d * w1 + e * w2
+    hw2 = c * w0 + e * w1 + f * w2
+    delta = np.empty(res.shape)
+    delta[0] = g1 * hw2 - g2 * hw1 - ag0 * r3
+    delta[1] = g2 * hw0 - g0 * hw2 - ag1 * r3
+    delta[2] = g0 * hw1 - g1 * hw0 - ag2 * r3
+    delta[3] = (ag0 * r0 + ag1 * r1 + ag2 * r2
+                - (a * a00 + b * a01 + c * a02) * r3)
+    delta /= det_j
+    return delta
+
+
 def _newton_critical_points(surface, starts):
     """Batched Newton iteration on (grad f = lambda grad F, F = 0).
 
@@ -552,12 +573,16 @@ def _newton_critical_points(surface, starts):
     Retired rows are not restarted, and a seed whose level gradient
     vanishes or is not finite never enters.  The residual filter over all
     rows at the end alone decides which points are returned.
+
+    Points, residuals and steps are component rows, (3, n) and (4, n), so
+    each test reduces over a short leading axis; the fields see the (n, 3)
+    transposes.  Steps come from the closed form of ``_bordered_solve``,
+    ``np.linalg.pinv`` only for a batch with some det J exactly zero.
     """
     def residual(x, lam, g=None, mg=None):
         if g is None:
-            g, mg = surface.level_grad(x), surface.morse_grad(x)
-        return g, np.concatenate([mg - lam[:, None] * g,
-                                  surface.level(x)[:, None]], axis=1)
+            g, mg = surface.level_grad(x.T).T, surface.morse_grad(x.T).T
+        return g, np.concatenate([mg - lam * g, surface.level(x.T)[None]])
 
     x = np.array(starts, dtype=float)
     # Sorted stably by the first coordinate of their cells of side
@@ -581,34 +606,30 @@ def _newton_critical_points(surface, starts):
     live = np.flatnonzero(enters)
     lam = np.divide(np.einsum("ij,ij->i", mg, g), gg,
                     out=np.zeros(len(x)), where=enters)
-    g, res = residual(x[live], lam[live], g[live], mg[live])
+    x = x.T.copy()
+    g, res = residual(x[:, live], lam[live], g[live].T, mg[live].T)
+    keep = np.maximum.reduce(np.abs(res)) >= tols.newton_tol  # NaN: False
+    live, g, res = live[keep], g[:, keep], res[:, keep]
 
     for _ in range(80):
-        keep = np.max(np.abs(res), axis=1) >= tols.newton_tol  # NaN: False
-        live, g, res = live[keep], g[keep], res[keep]
         if not len(live):
             break
-        xl, laml = x[live], lam[live]
-        jac = np.zeros((len(live), 4, 4))
-        jac[:, :3, :3] = (surface.morse_hess(xl)
-                          - laml[:, None, None] * surface.level_hess(xl))
-        jac[:, :3, 3] = -g
-        jac[:, 3, :3] = g
-        try:
-            delta = np.linalg.solve(jac, -res[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            delta = np.einsum("nij,nj->ni", np.linalg.pinv(jac), -res)
-        step = np.clip(delta, -0.5, 0.5)
-        x[live] = xl = xl + step[:, :3]
-        lam[live] = laml = laml + step[:, 3]
-        inside = np.linalg.norm(xl, axis=1) <= tols.escape_radius
-        live, merit = live[inside], np.einsum("ij,ij->i", res, res)[inside]
-        g, res = residual(xl[inside], laml[inside])
-        lower = np.einsum("ij,ij->i", res, res) < merit  # False if not finite
-        live, g, res = live[lower], g[lower], res[lower]
+        xl, laml = x[:, live], lam[live]
+        step = np.clip(_bordered_solve(
+            surface.morse_hess(xl.T)
+            - laml[:, None, None] * surface.level_hess(xl.T), g, res),
+            -0.5, 0.5)
+        x[:, live] = xl = xl + step[:3]
+        lam[live] = laml = laml + step[3]
+        inside = np.add.reduce(xl * xl) <= tols.escape_radius ** 2
+        live, merit = live[inside], np.add.reduce(res * res)[inside]
+        g, res = residual(xl[:, inside], laml[inside])
+        keep = ((np.add.reduce(res * res) < merit)  # False if not finite
+                & (np.maximum.reduce(np.abs(res)) >= tols.newton_tol))
+        live, g, res = live[keep], g[:, keep], res[:, keep]
 
-    ok = np.max(np.abs(residual(x, lam)[1]), axis=1) < tols.newton_tol
-    return x[ok]
+    ok = np.maximum.reduce(np.abs(residual(x, lam)[1])) < tols.newton_tol
+    return x.T[ok]
 
 
 def _first_of_clusters(points, tol):
@@ -623,28 +644,27 @@ def _first_of_clusters(points, tol):
     return np.array(kept, dtype=int)
 
 
-def _tangent_data(surface, pos):
-    """Eigenvalues (ascending) of the Hessian of f - lambda F restricted to
-    the tangent plane at a critical point, and the descending frame: one
-    canonically signed unit vector per negative eigenvalue."""
-    x = pos[None]
-    g = surface.level_grad(x)[0]
-    n = g / np.linalg.norm(g)
-    gf = surface.morse_grad(x)[0]
-    lam = float(gf @ g / (g @ g))
-    h = surface.morse_hess(x)[0] - lam * surface.level_hess(x)[0]
-    t1, t2 = _tangent_basis(n)
-    m = np.array([[t1 @ h @ t1, t1 @ h @ t2],
-                  [t2 @ h @ t1, t2 @ h @ t2]])
-    m = 0.5 * (m + m.T)
-    eigvals, eigvecs = np.linalg.eigh(m)
-    if np.min(np.abs(eigvals)) < surface.tolerances.degeneracy_tol:
-        raise DegenerateCritical(
-            f"tangent-Hessian eigenvalue {eigvals} below tolerance at {pos}")
-    frame = [_canonical_sign(vec / np.linalg.norm(vec))
-             for vec in (eigvecs[0, k] * t1 + eigvecs[1, k] * t2
-                         for k in range(2) if eigvals[k] < 0)]
-    return tuple(float(e) for e in eigvals), np.array(frame).reshape(-1, 3)
+def _tangent_data(surface, reps):
+    """At each critical point of ``reps`` (k, 3): the eigenvalues, ascending,
+    of the Hessian of f - lambda F on the tangent plane, (k, 2), and their
+    unit eigenvectors in space, (k, 2, 3), each signed so that its largest
+    |entry| is positive.  Degeneracy is checked by the caller."""
+    g, gf = surface.level_grad(reps), surface.morse_grad(reps)
+    lam = np.einsum("ij,ij->i", gf, g) / np.einsum("ij,ij->i", g, g)
+    h = surface.morse_hess(reps) - lam[:, None, None] * surface.level_hess(reps)
+    n = g / _row_norms(g)[:, None]
+    axis = np.arange(len(n)), np.argmin(np.abs(n), axis=1)
+    t1 = -n[axis][:, None] * n
+    t1[axis] += 1.0
+    t1 /= _row_norms(t1)[:, None]
+    basis = np.stack([t1, np.cross(n, t1)], axis=1)
+    m = basis @ h @ basis.transpose(0, 2, 1)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
+    vecs = eigvecs.transpose(0, 2, 1) @ basis
+    vecs /= np.sqrt(np.add.reduce(vecs * vecs, axis=2))[..., None]
+    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=2)[..., None],
+                             axis=2)
+    return eigvals, np.where(top > 0, vecs, -vecs)
 
 
 def find_critical_orbits(surface, extra_seeds=None):
@@ -697,16 +717,27 @@ def find_critical_orbits(surface, extra_seeds=None):
 
     found = found[sort_order(found)]
     covered = np.zeros(len(found), dtype=bool)
-    orbits = []
+    partition = []
     while not covered.all():
         images = group @ found[np.argmax(~covered)]
-        lift_positions, lift_elems = lifts_of(images[sort_order(images)[0]])
+        partition.append(lifts_of(images[sort_order(images)[0]]))
         covered |= np.any(np.linalg.norm(
-            found[:, None] - lift_positions[None], axis=2) < tols.dedup_tol,
+            found[:, None] - partition[-1][0][None], axis=2) < tols.dedup_tol,
             axis=1)
-        rep = lift_positions[0]
 
-        eigenvalues, frame = _tangent_data(surface, rep)
+    # Tangent data for every representative at once; each orbit is then
+    # checked in partition order, degeneracy before its size.
+    spectra, vectors = _tangent_data(
+        surface, np.reshape([lifts[0] for lifts, _ in partition], (-1, 3)))
+    orbits = []
+    for (lift_positions, lift_elems), eigvals, vecs in zip(
+            partition, spectra, vectors):
+        rep = lift_positions[0]
+        if np.min(np.abs(eigvals)) < tols.degeneracy_tol:
+            raise DegenerateCritical(
+                f"tangent-Hessian eigenvalue {eigvals} below tolerance at "
+                f"{rep}")
+        eigenvalues, frame = tuple(float(e) for e in eigvals), vecs[eigvals < 0]
         moved = np.einsum("gij,lj->lgi", group, lift_positions)
         fixed = (np.linalg.norm(moved - lift_positions[:, None], axis=2)
                  < tols.dedup_tol)

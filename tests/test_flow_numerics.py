@@ -796,7 +796,8 @@ class TestCensusWork:
             (epsilon_run.surface, epsilon_run.orbits)]
         for surface, orbits in cases:
             lifts = np.array([p.position for o in orbits for p in o.points])
-            spectra = [fn._tangent_data(surface, pos)[0] for pos in lifts]
+            spectra = fn._tangent_data(surface, lifts)[0]
+            assert spectra.shape == (len(lifts), 2)
             norms = fn._velocity(surface, lifts)[1:]
             rate = fn._local_rate(surface, lifts, *norms)
             assert np.all(rate >= np.max(np.abs(spectra), axis=1) - 1e-9)
@@ -1168,15 +1169,15 @@ def projected_newton(surface, seeds):
 
 
 def counted_solve(monkeypatch):
-    """Record the batch size of every np.linalg.solve call."""
+    """Record the batch size of every bordered solve Newton makes."""
     rows = []
-    solve = np.linalg.solve
+    solve = fn._bordered_solve
 
-    def counted(a, b):
-        rows.append(len(a))
-        return solve(a, b)
+    def counted(h, g, res):
+        rows.append(len(h))
+        return solve(h, g, res)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(fn, "_bordered_solve", counted)
     return rows
 
 
@@ -1223,20 +1224,20 @@ def newton_rounds(monkeypatch, surface, seeds, edit=None):
     step of the round before took it, so a restarted row fails the run."""
     stepped, steps = [], []
     hess = surface.morse_hess
-    solve = np.linalg.solve
+    solve = fn._bordered_solve
 
     def recorded_hess(x):
         stepped.append(x.copy())
         return hess(x)
 
-    def edited(a, b):
-        delta = solve(a, b)
+    def edited(h, g, res):
+        delta = solve(h, g, res)  # (4, n): the rows of delta.T are steps
         if edit is not None:
-            edit(len(steps), delta[..., 0])
-        steps.append(np.clip(delta[..., 0], -0.5, 0.5))
+            edit(len(steps), delta.T)
+        steps.append(np.clip(delta.T, -0.5, 0.5))
         return delta
 
-    monkeypatch.setattr(np.linalg, "solve", edited)
+    monkeypatch.setattr(fn, "_bordered_solve", edited)
     found = projected_newton(
         dataclasses.replace(surface, morse_hess=recorded_hess), seeds)
     candidates = fn._project_batch(surface, seeds)
@@ -1430,6 +1431,204 @@ class TestDistinctSeeds:
         rows = counted_solve(monkeypatch)
         projected_newton(surface, np.concatenate([dirs, moved]))
         assert rows[0] == 100
+
+
+def bordered_jacobians(h, g):
+    """The (n, 4, 4) matrices [[H, -g], [g^T, 0]] of ``h`` (n, 3, 3) and
+    the component rows ``g`` (3, n)."""
+    jac = np.zeros((len(h), 4, 4))
+    jac[:, :3, :3] = h
+    jac[:, :3, 3] = -g.T
+    jac[:, 3, :3] = g.T
+    return jac
+
+
+def lapack_steps(h, g, res):
+    return np.linalg.solve(bordered_jacobians(h, g), -res.T[..., None])[..., 0].T
+
+
+def counted_pinv(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counted(a):
+        calls.append(len(a))
+        return pinv(a)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    return calls
+
+
+class TestBorderedSolve:
+    """Newton's steps come from the closed form of the bordered 4 x 4
+    system, which divides by det J alone."""
+
+    def test_agrees_with_lapack(self):
+        rng = np.random.default_rng(29)
+        m = rng.normal(size=(500, 3, 3))
+        h = m + m.transpose(0, 2, 1)
+        g, res = rng.normal(size=(3, 500)), rng.normal(size=(4, 500))
+        ref = lapack_steps(h, g, res)
+        got = fn._bordered_solve(h, g, res)
+        assert got.shape == (4, 500)
+        assert np.all(np.linalg.norm(got - ref, axis=0)
+                      <= 1e-12 * np.linalg.norm(ref, axis=0))
+
+    def test_singular_hessian_regular_jacobian(self, monkeypatch):
+        # at rho = major the torus's Hess F has a zero eigenvalue along the
+        # circle of the tube's centre; a level gradient with a component
+        # along that direction keeps J regular
+        surface = fn.torus_surface()
+        h = surface.level_hess(np.array([[2.0, 0.0, 0.5], [0.0, 2.0, -0.3]]))
+        assert np.all(np.linalg.det(h) == 0.0)
+        g = np.array([[0.3, 1.0], [1.0, 0.2], [0.2, -0.4]])
+        res = np.array([[0.1, -0.2], [0.5, 0.3], [-0.7, 0.2], [0.05, 0.4]])
+        pinv_calls = counted_pinv(monkeypatch)
+        got = fn._bordered_solve(h, g, res)
+        np.testing.assert_allclose(got, lapack_steps(h, g, res), rtol=1e-12)
+        assert pinv_calls == []
+
+    def test_zero_determinant_goes_to_pinv(self, monkeypatch):
+        # H = 0 (the sphere's height at lambda = 0, on the equator) makes
+        # det J = g^T adj(H) g zero: the whole batch is solved by pinv
+        h = np.zeros((2, 3, 3))
+        h[1] = np.diag([1.0, 2.0, 3.0])
+        g = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        res = np.array([[0.0, 0.5], [0.0, -0.1], [1.0, 0.3], [0.0, 0.2]])
+        pinv_calls = counted_pinv(monkeypatch)
+        got = fn._bordered_solve(h, g, res)
+        assert pinv_calls == [2]
+        np.testing.assert_allclose(got, np.einsum(
+            "nij,jn->in", np.linalg.pinv(bordered_jacobians(h, g)), -res),
+            rtol=0.0, atol=1e-15)
+
+    def test_equator_seed_goes_to_pinv(self, monkeypatch):
+        # on the sphere lambda = z / (2 |x|^2) is zero on the equator, so
+        # H = Hess f - lambda Hess F is zero there; the seed leaves the batch
+        # after its pinv step and the poles are still found
+        surface = fn.sphere_surface()
+        pinv_calls = counted_pinv(monkeypatch)
+        seeds = np.array([[1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]])
+        found = fn._newton_critical_points(surface, seeds)
+        assert pinv_calls[0] == 3
+        assert len(found) == 2
+        np.testing.assert_allclose(np.abs(found[:, 2]), 1.0, rtol=0,
+                                   atol=1e-12)
+
+    def test_nan_row_stays_nan(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(4, 3, 3))
+        h = m + m.transpose(0, 2, 1)
+        g, res = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
+        h[1, 0, 2] = h[1, 2, 0] = np.nan
+        g[2, 3] = np.nan
+        pinv_calls = counted_pinv(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fn._bordered_solve(h, g, res)
+        assert np.all(np.isnan(got[:, [1, 3]]))
+        keep = [0, 2]
+        np.testing.assert_allclose(got[:, keep], lapack_steps(
+            h[keep], g[:, keep], res[:, keep]), rtol=1e-12)
+        assert pinv_calls == []
+
+    def test_searches_make_no_lapack_solve(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        orbits = fn.find_critical_orbits(fn.torus_surface(tilt=0.25))
+        assert len(orbits) == 4
+        surface = fn.epsilon_sphere_surface(epsilon=0.8)
+        _, orbits = fn.stabilize_all(surface, fn.find_critical_orbits(surface))
+        assert sorted(o.label for o in orbits) == sorted(
+            {label for pair in EPSILON_COUNTS for label in pair})
+
+
+def tangent_at(surface, pos):
+    """Tangent-Hessian eigenvalues and descending frame at one point, one
+    row at a time: the per-point formula ``_tangent_data`` batches."""
+    x = pos[None]
+    g = surface.level_grad(x)[0]
+    n = g / np.linalg.norm(g)
+    lam = float(surface.morse_grad(x)[0] @ g / (g @ g))
+    h = surface.morse_hess(x)[0] - lam * surface.level_hess(x)[0]
+    e = np.zeros(3)
+    e[int(np.argmin(np.abs(n)))] = 1.0
+    t1 = e - (e @ n) * n
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(n, t1)
+    m = np.array([[t1 @ h @ t1, t1 @ h @ t2], [t2 @ h @ t1, t2 @ h @ t2]])
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (m + m.T))
+    frame = []
+    for k in range(2):
+        if eigvals[k] < 0:
+            vec = eigvecs[0, k] * t1 + eigvecs[1, k] * t2
+            vec /= np.linalg.norm(vec)
+            j = int(np.argmax(np.abs(vec)))
+            frame.append(vec if vec[j] > 0 else -vec)
+    return eigvals, np.array(frame).reshape(-1, 3)
+
+
+def quadric_sphere_surface(tolerances=None):
+    """The unit sphere with f = y^2 + 1.05 z^2 and the antipodal group:
+    orbits at +-e_x (minimum, eigenvalues 2 and 2.1), +-e_y (saddle, -2 and
+    0.1) and +-e_z (maximum, -2.1 and -0.1), met in that order by the
+    orbit partition."""
+    coef = np.array([0.0, 2.0, 2.1])
+
+    def morse(x):
+        return x[:, 1] ** 2 + 1.05 * x[:, 2] ** 2
+
+    def morse_grad(x):
+        return x * coef
+
+    def morse_hess(x):
+        return np.full((len(x), 3, 3), np.diag(coef))
+
+    return fn.ImplicitQuotientSurface(
+        name="quadric_sphere", level=fn._sphere_level,
+        level_grad=fn._sphere_level_grad, level_hess=fn._sphere_level_hess,
+        morse=morse, morse_grad=morse_grad, morse_hess=morse_hess,
+        group=fn.group_from_generators(("antipodal",)),
+        tolerances=tolerances or fn.Tolerances(), euler_characteristic=2)
+
+
+class TestTangentPass:
+    """``find_critical_orbits`` computes the tangent data of every orbit
+    representative in one batch and checks the orbits in partition order."""
+
+    def test_matches_per_point_formula(self, epsilon_run):
+        surfaces = [fn.torus_surface(tilt=t) for t in (0.02, 0.25, 0.5)]
+        surfaces += [antipodal_sphere_surface(), quadric_sphere_surface()]
+        cases = [(s, fn.find_critical_orbits(s)) for s in surfaces] + [
+            (epsilon_run.raw_surface, epsilon_run.pre_orbits),
+            (epsilon_run.surface, epsilon_run.orbits)]
+        for surface, orbits in cases:
+            lifts = np.array([p.position for o in orbits for p in o.points])
+            eigvals, vecs = fn._tangent_data(surface, lifts)
+            for pos, got, got_vecs in zip(lifts, eigvals, vecs):
+                want, frame = tangent_at(surface, pos)
+                assert abs(want[1] - want[0]) > 1e-3  # frames well defined
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got_vecs[got < 0], frame,
+                                           rtol=0, atol=1e-12)
+        for orbit in cases[-1][1]:
+            rep = orbit.representative
+            np.testing.assert_allclose(
+                rep.negative_frame, tangent_at(cases[-1][0], rep.position)[1],
+                rtol=0, atol=1e-12)
+
+    def test_degenerate_second_orbit(self):
+        plain = quadric_sphere_surface()
+        saddle = next(o for o in fn.find_critical_orbits(plain)
+                      if o.index == 1).representative.position
+        eigvals, _ = tangent_at(plain, saddle)
+        strict = quadric_sphere_surface(fn.Tolerances(degeneracy_tol=0.5))
+        with pytest.raises(DegenerateCritical) as info:
+            fn.find_critical_orbits(strict)
+        assert str(info.value) == (f"tangent-Hessian eigenvalue {eigvals} "
+                                   f"below tolerance at {saddle}")
 
 
 def lift_bytes(orbit_lists):

@@ -2,27 +2,32 @@
 
 Prints one line per case: its name, the sha256 of ``repr`` of the datum
 ``quotient_to_datum`` builds (or of the type and message of the
-``OrbimorseError`` the case raises), and the sha256 of the position and
-eigenvalue bytes of every critical lift found on the way.  Two checkouts
-that print the same lines build equal datums from byte-equal lifts:
+``OrbimorseError`` the case raises), the sha256 of the position and
+eigenvalue bytes of every critical lift found on the way, and the sha256
+of the same numbers rounded to 9 decimals (with -0.0 made 0.0).  Two
+checkouts that print the same lines build equal datums from byte-equal
+lifts:
 
     PYTHONPATH=src python3 tools/reference_digest.py > before.txt
     (change the code)
     PYTHONPATH=src python3 tools/reference_digest.py > after.txt
     diff before.txt after.txt
 
-``reference_datums.txt`` beside this file records the first two columns,
-the case names and datum digests, and CI compares them with every run:
+``reference_datums.txt`` beside this file records the first, second and
+fourth columns, the case names, datum digests and rounded lift digests,
+and CI compares them with every run:
 
-    PYTHONPATH=src python3 tools/reference_digest.py | cut -d' ' -f1,2 \
+    PYTHONPATH=src python3 tools/reference_digest.py | cut -d' ' -f1,2,4 \
         | diff tools/reference_datums.txt -
 
-The lift digests are left out there, since their bytes depend on the
-numpy build; the error messages in the datum column print their numbers
-with at most three significant digits.  ``main`` takes a list of cases,
-so CI also runs them last to first and compares all three columns with
-the forward run: no case's lifts depend on the surfaces run before it,
-though surfaces with the same level set share their projected seeds.
+The exact lift digests are left out there, since their bytes depend on
+the numpy build; rounded to 9 decimals the lifts survive roundoff, so a
+lift that moves is still caught.  The error messages in the datum column
+print their numbers with at most three significant digits.  ``main``
+takes a list of cases, so CI also runs them last to first and compares
+all four columns with the forward run: no case's lifts depend on the
+surfaces run before it, though surfaces with the same level set share
+their projected seeds.
 
     PYTHONPATH=src:tools python3 -c \
         'import reference_digest as r; r.main(list(r.cases())[::-1])' \
@@ -143,14 +148,16 @@ def main(selected=None):
     ``selected``, all of ``cases()`` by default, in the order given."""
     for name, make, edit in cases() if selected is None else selected:
         datum, found = solve(make, edit)
-        lifts = hashlib.sha256()
+        lifts, rounded = hashlib.sha256(), hashlib.sha256()
         for orbits in found:
             for orbit in orbits:
                 for point in orbit.points:
-                    lifts.update(np.asarray(point.position).tobytes())
-                    lifts.update(np.asarray(point.eigenvalues).tobytes())
+                    for values in (point.position, point.eigenvalues):
+                        values = np.asarray(values, dtype=float)
+                        lifts.update(values.tobytes())
+                        rounded.update((np.round(values, 9) + 0.0).tobytes())
         print(name, hashlib.sha256(datum.encode()).hexdigest(),
-              lifts.hexdigest())
+              lifts.hexdigest(), rounded.hexdigest())
 
 
 if __name__ == "__main__":
