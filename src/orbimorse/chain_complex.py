@@ -113,15 +113,11 @@ def verify_complex(complex_):
     """Check that consecutive boundary maps compose to zero.
 
     Returns a verdict; on failure the witnesses name the upper degree and
-    the first nonzero entry of the composition in row-major order.  The
-    verdict is stored on the (immutable) complex, so the products are
-    formed once per complex however often it is verified, and each pair
-    found to compose to zero is recorded (``composition``), so
-    ``homology`` does not form its product again.
+    the first nonzero entry of the composition in row-major order.  Each
+    pair found to compose to zero is recorded (``composition``), so a
+    complex that passes forms its products once however often it is
+    verified, and ``homology`` does not form them again.
     """
-    stored = complex_.__dict__.get("_verdict")
-    if stored is not None:
-        return stored
     failures = []
     for k in range(1, len(complex_.generators)):
         product = composition(complex_.boundaries[k - 1],
@@ -132,9 +128,7 @@ def verify_complex(complex_):
             failures.append(BoundaryWitness(
                 degree=complex_.min_degree + k, row=row, col=col,
                 value=value))
-    verdict = ComplexVerdict(ok=not failures, failures=tuple(failures))
-    object.__setattr__(complex_, "_verdict", verdict)
-    return verdict
+    return ComplexVerdict(ok=not failures, failures=tuple(failures))
 
 
 def homology(complex_):

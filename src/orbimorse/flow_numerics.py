@@ -471,27 +471,32 @@ def _local_rate(surface, x, level_norm, morse_norm):
 def _level_store(level, level_grad):
     """Level-set work shared by every surface with these F and grad F
     objects, read-only: the landed check ``samples`` and the projected seed
-    ``grids`` by ``(seed_count, seed_radii)``.  Holds its keys strongly."""
+    ``grids`` by seed count, radii and dedup_tol.  Holds keys strongly."""
     return types.SimpleNamespace(samples=None, grids={})
 
 
 def check_surface(surface):
     """Verify the structural invariants: the group is a closed set of
-    orthogonal matrices, and both fields are invariant on 1,000 Fibonacci
-    directions projected onto the surface.  At least half of them must land
-    within 1e-9 of F = 0.
+    finite orthogonal 3 x 3 matrices, and both fields are invariant on 1,000
+    Fibonacci directions projected onto the surface.  At least half of them
+    must land within 1e-9 of F = 0.
 
     Every call runs every check.  The samples that landed are kept in
     ``_level_store``, and every surface with the same F and grad F checks
     on them instead of projecting again; a failed projection keeps none."""
     tol = surface.tolerances.stab_tol
-    group = surface.group
-    if not group:
+    try:
+        group = np.array(surface.group, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"group: expected 3 x 3 matrices; {exc}") from None
+    if not group.size:
         raise BadParams("the group must at least contain the identity")
+    if group.shape[1:] != (3, 3):
+        raise BadParams(f"group has shape {group.shape}, not (k, 3, 3)")
+    if not np.all(np.abs(np.swapaxes(group, 1, 2) @ group - np.eye(3)) <= tol):
+        raise BadParams("group contains a non-finite or non-orthogonal matrix")
     keys = {_group_key(g) for g in group}
     for g in group:
-        if np.max(np.abs(g.T @ g - np.eye(3))) > tol:
-            raise BadParams("group contains a non-orthogonal matrix")
         if _group_key(np.linalg.inv(g)) not in keys:
             raise BadParams("group is not closed under inverses")
         for h in group:
@@ -526,7 +531,7 @@ def _bordered_solve(h, g, res):
     and r = ``res`` (4, n), H symmetric in ``h`` (n, 3, 3); d is (4, n).
     With A = adj H, w = g x r[:3] and D = g^T A g = det J, d = ((g x Hw -
     Ag r[3]) / D, (Ag . r[:3] - det H r[3]) / D): a singular H with a regular
-    J solves, and a batch with some D exactly zero goes to ``np.linalg.pinv``."""
+    J solves.  A D exactly zero is made NaN, so its row's step is NaN."""
     entries = h.reshape(len(h), 9).T
     a, b, c, d, e, f = (entries[i] for i in (0, 1, 2, 4, 5, 8))
     a00, a01, a02 = d * f - e * e, c * e - b * f, b * e - c * d
@@ -536,12 +541,7 @@ def _bordered_solve(h, g, res):
     ag1 = a01 * g0 + a11 * g1 + a12 * g2
     ag2 = a02 * g0 + a12 * g1 + a22 * g2
     det_j = g0 * ag0 + g1 * ag1 + g2 * ag2
-    if not det_j.all():  # a zero; NaN counts as nonzero
-        jac = np.zeros((len(h), 4, 4))
-        jac[:, :3, :3] = h
-        jac[:, :3, 3] = -g.T
-        jac[:, 3, :3] = g.T
-        return np.einsum("nij,jn->in", np.linalg.pinv(jac), -res)
+    det_j[det_j == 0.0] = np.nan
     r0, r1, r2, r3 = res
     w0, w1, w2 = g1 * r2 - g2 * r1, g2 * r0 - g0 * r2, g0 * r1 - g1 * r0
     hw0 = a * w0 + b * w1 + c * w2
@@ -561,23 +561,20 @@ def _newton_critical_points(surface, starts):
     """Batched Newton iteration on (grad f = lambda grad F, F = 0).
 
     ``starts`` are seeds already projected onto the surface
-    (``find_critical_orbits``); they are not changed.  A start within
-    ``dedup_tol`` of an earlier one is dropped, the earlier one kept (where
-    the level gradient is radial, all radii along a direction meet there).
-    Only live rows are iterated, for at most 80 rounds, and the residual is
-    evaluated once per round, at the points just stepped to.  A row leaves
-    the batch once its max-norm residual is below ``newton_tol``, or when
-    its clipped step takes it farther than ``escape_radius`` from the
-    origin (or turns it non-finite) or does not lower its merit |res|^2
-    (Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 11.2).
-    Retired rows are not restarted, and a seed whose level gradient
-    vanishes or is not finite never enters.  The residual filter over all
-    rows at the end alone decides which points are returned.
+    (``find_critical_orbits``); each is iterated as given, and none is
+    changed.  Only live rows are iterated, for at most 80 rounds, and the
+    residual is evaluated once per round, at the points just stepped to.  A
+    row leaves the batch once its max-norm residual is below ``newton_tol``,
+    or when its clipped step takes it farther than ``escape_radius`` from
+    the origin (or is not finite, as where J is singular) or does not lower
+    its merit |res|^2 (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    sec. 11.2).  Retired rows are not restarted, and a seed whose level
+    gradient vanishes or is not finite never enters.  The residual filter
+    over all rows at the end alone decides which points are returned.
 
     Points, residuals and steps are component rows, (3, n) and (4, n), so
     each test reduces over a short leading axis; the fields see the (n, 3)
-    transposes.  Steps come from the closed form of ``_bordered_solve``,
-    ``np.linalg.pinv`` only for a batch with some det J exactly zero.
+    transposes.  Steps come from the closed form of ``_bordered_solve``.
     """
     def residual(x, lam, g=None, mg=None):
         if g is None:
@@ -585,21 +582,7 @@ def _newton_critical_points(surface, starts):
         return g, np.concatenate([mg - lam * g, surface.level(x.T)[None]])
 
     x = np.array(starts, dtype=float)
-    # Sorted stably by the first coordinate of their cells of side
-    # dedup_tol / sqrt(3), neighbouring rows in one cell form runs, each
-    # headed by its earliest row; a row within dedup_tol of its run's head
-    # is dropped.  A repeat the runs miss is only iterated again.
     tols = surface.tolerances
-    cell = np.floor(x / (tols.dedup_tol / np.sqrt(3)))
-    order = np.argsort(cell[:, 0], kind="stable")
-    cell = cell[order]
-    repeat = np.all(cell[1:] == cell[:-1], axis=1)
-    if repeat.any():
-        xs = x[order]
-        first = np.maximum.accumulate(
-            np.where(repeat, 0, np.arange(1, len(x))))
-        repeat &= np.linalg.norm(xs[1:] - xs[first], axis=1) < tols.dedup_tol
-        x = np.delete(x, order[1:][repeat], axis=0)
     g, mg = surface.level_grad(x), surface.morse_grad(x)
     gg = np.einsum("ij,ij->i", g, g)
     enters = gg > 0.0  # False for a vanishing or non-finite level gradient
@@ -644,6 +627,13 @@ def _first_of_clusters(points, tol):
     return np.array(kept, dtype=int)
 
 
+def _first_per_cell(points, tol):
+    """The first row in each cube of side tol / sqrt(3), in input order."""
+    _, first = np.unique(np.floor(points / (tol / np.sqrt(3))), axis=0,
+                         return_index=True)
+    return points[np.sort(first)]
+
+
 def _tangent_data(surface, reps):
     """At each critical point of ``reps`` (k, 3): the eigenvalues, ascending,
     of the Hessian of f - lambda F on the tangent plane, (k, 2), and their
@@ -679,18 +669,22 @@ def find_critical_orbits(surface, extra_seeds=None):
     surface.
 
     This is the only place seeds are projected onto the surface.  The
-    projected seed grid is kept in ``_level_store`` per seed count and
-    radii, shared by every surface with the same F and grad F; a search
-    on such a surface projects only its ``extra_seeds``.
+    projected seed grid, at the ``_first_per_cell`` row of each cube of
+    diameter ``dedup_tol`` (radii meet where grad F is radial), is kept in
+    ``_level_store`` per seed count, radii and ``dedup_tol`` for every
+    surface with the same F and grad F; a search on such a surface projects
+    only its ``extra_seeds``, which are iterated as given.
     """
     check_surface(surface)
     tols = surface.tolerances
     grids = _level_store(surface.level, surface.level_grad).grids
-    starts = grids.get((tols.seed_count, tols.seed_radii))
+    key = tols.seed_count, tols.seed_radii, tols.dedup_tol
+    starts = grids.get(key)
     if starts is None:
         dirs = _fibonacci_directions(tols.seed_count)
-        starts = grids[tols.seed_count, tols.seed_radii] = _project_batch(
-            surface, np.concatenate([r * dirs for r in tols.seed_radii]))
+        starts = grids[key] = _first_per_cell(
+            _project_batch(surface, np.concatenate(
+                [r * dirs for r in tols.seed_radii])), tols.dedup_tol)
         starts.flags.writeable = False
     if extra_seeds is not None:
         starts = np.concatenate([starts, _project_batch(

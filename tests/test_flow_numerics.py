@@ -196,6 +196,12 @@ class TestSurfaceChecks:
     def test_epsilon_sphere_passes(self):
         fn.check_surface(fn.epsilon_sphere_surface())
 
+    def test_array_and_list_groups_pass(self):
+        surface = fn.epsilon_sphere_surface()
+        for given in (np.array(surface.group),
+                      [g.tolist() for g in surface.group]):
+            fn.check_surface(dataclasses.replace(surface, group=given))
+
     def test_non_invariant_function_rejected(self):
         # the antipodal map negates the height, so invariance fails
         surface = fn.sphere_surface(group=("antipodal",))
@@ -206,6 +212,17 @@ class TestSurfaceChecks:
         ({"group": ()}, "must at least contain the identity"),
         ({"group": (np.eye(3), np.diag([2.0, 1.0, 1.0]))},
          "non-orthogonal matrix"),
+        ({"group": np.stack([np.eye(3), np.diag([-1.0, -1.0, 1.0]),
+                             np.diag([2.0, 1.0, 1.0])])},
+         "non-orthogonal matrix"),
+        ({"group": (np.eye(2),)}, r"shape \(1, 2, 2\), not \(k, 3, 3\)"),
+        ({"group": (np.eye(3), np.full((3, 3), "a"))},
+         "expected 3 x 3 matrices; could not convert string"),
+        ({"group": (np.eye(3), "x")}, "expected 3 x 3 matrices"),
+        ({"group": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]])},
+         "expected 3 x 3 matrices"),
+        ({"group": (np.eye(3), np.full((3, 3), np.nan))},
+         "non-finite or non-orthogonal matrix"),
         ({"group": (np.eye(3), np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
                                          [0.0, 0.0, 1.0]]))},
          "not closed under inverses"),
@@ -219,8 +236,9 @@ class TestSurfaceChecks:
           "group": fn.group_from_generators(("rotation_pi_z",))},
          "level function is not group invariant"),
     ]
-    REJECTED_IDS = ["empty", "non-orthogonal", "inverses", "products",
-                    "no-zero", "level-not-invariant"]
+    REJECTED_IDS = ["empty", "non-orthogonal", "array-non-orthogonal", "2x2",
+                    "string-matrix", "string-entry", "ragged-lists", "nan",
+                    "inverses", "products", "no-zero", "level-not-invariant"]
 
     @pytest.mark.parametrize("change, message", REJECTED, ids=REJECTED_IDS)
     def test_rejections(self, change, message):
@@ -1162,10 +1180,10 @@ def default_seeds(surface):
 
 
 def projected_newton(surface, seeds):
-    """Newton from ``seeds`` projected onto the surface, as
-    ``find_critical_orbits`` projects them."""
-    return fn._newton_critical_points(surface,
-                                      fn._project_batch(surface, seeds))
+    """Newton from ``seeds`` projected onto the surface and kept one per
+    dedup cell, as ``find_critical_orbits`` stores its seed grid."""
+    return fn._newton_critical_points(surface, fn._first_per_cell(
+        fn._project_batch(surface, seeds), surface.tolerances.dedup_tol))
 
 
 def counted_solve(monkeypatch):
@@ -1265,30 +1283,38 @@ class TestNewtonWork:
     step turns them non-finite, runs them away or fails to lower their
     residual leave the batch and are not restarted."""
 
+    def test_rows_per_round_pinned(self, monkeypatch):
+        # the stored grid's rule and the retirement rules decide every row
+        rows = counted_solve(monkeypatch)
+        fn.find_critical_orbits(fn.torus_surface(tilt=0.25))
+        assert rows == [1100, 814, 592, 469, 344, 257, 179, 94, 43, 9]
+        rows.clear()
+        fn.find_critical_orbits(fn.sphere_surface())
+        assert rows == [220, 182, 164, 164, 154, 119, 8]
+        rows.clear()
+        surface = fn.epsilon_sphere_surface(epsilon=0.8)
+        orbits = fn.find_critical_orbits(surface)
+        assert rows == [220, 199, 193, 192, 173, 113, 15]
+        rows.clear()
+        fn.stabilize_all(surface, orbits)
+        assert rows == [246, 220, 185, 176, 159, 111, 24, 3, 1]
+
     @pytest.mark.parametrize("make", [fn.torus_surface, fn.sphere_surface],
                              ids=["torus", "sphere"])
     def test_degenerate_seeds_leave_the_batch(self, monkeypatch, make):
         # a NaN seed and the origin, where every built-in level gradient
-        # vanishes, must neither send the batch to pinv nor divide by zero
+        # vanishes, must neither change the points found nor divide by zero
         surface = make()
         tol = surface.tolerances.dedup_tol
         seeds = default_seeds(surface)
         clean = projected_newton(surface, seeds)
         clean = clean[fn._first_of_clusters(clean, tol)]
-        pinv_calls = []
-        pinv = np.linalg.pinv
-
-        def counted_pinv(a):
-            pinv_calls.append(len(a))
-            return pinv(a)
-
-        monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+        monkeypatch.setattr(np.linalg, "pinv", None)
         dirty = np.concatenate([seeds, [[np.nan] * 3, [0.0] * 3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             found = projected_newton(surface, dirty)
         assert np.array_equal(found[fn._first_of_clusters(found, tol)], clean)
-        assert pinv_calls == []
 
     def test_non_finite_step_retires_the_row(self, monkeypatch):
         # a restart at the origin would make the next Jacobian singular
@@ -1375,20 +1401,31 @@ class TestNewtonCompleteness:
         assert len(complete) >= 3
 
 
+def stored_grid(surface):
+    tols = surface.tolerances
+    return fn._level_store(surface.level, surface.level_grad).grids[
+        tols.seed_count, tols.seed_radii, tols.dedup_tol]
+
+
 class TestDistinctSeeds:
-    """Newton iterates each projected seed once: a projection within
-    ``dedup_tol`` of an earlier one is dropped, the earlier one kept."""
+    """The stored seed grid keeps the first projected seed of each cube of
+    diameter ``dedup_tol``, and Newton iterates each of its rows once."""
 
     @pytest.mark.parametrize("make", [
         fn.torus_surface, fn.sphere_surface,
         lambda: fn.epsilon_sphere_surface(epsilon=0.8),
     ], ids=["torus", "sphere", "epsilon-0.8"])
-    def test_repeated_seeds_add_nothing(self, make):
+    def test_repeated_seeds_add_nothing(self, monkeypatch, make):
         surface = make()
-        seeds = default_seeds(surface)
-        assert np.array_equal(
-            projected_newton(surface, np.concatenate([seeds, seeds])),
-            projected_newton(surface, seeds))
+        tols = surface.tolerances
+        twice = dataclasses.replace(surface, tolerances=dataclasses.replace(
+            tols, seed_radii=tols.seed_radii + tols.seed_radii))
+        rows = counted_solve(monkeypatch)
+        once_lifts = lift_bytes([fn.find_critical_orbits(surface)])
+        once_rows = rows[:]
+        rows.clear()
+        assert lift_bytes([fn.find_critical_orbits(twice)]) == once_lifts
+        assert rows == once_rows
 
     @pytest.mark.parametrize("make", [
         fn.sphere_surface, lambda: fn.epsilon_sphere_surface(epsilon=0.8),
@@ -1399,9 +1436,10 @@ class TestDistinctSeeds:
         surface = make()
         tols = surface.tolerances
         first = tols.seed_radii[0] * fn._fibonacci_directions(tols.seed_count)
-        assert np.array_equal(
-            projected_newton(surface, default_seeds(surface)),
-            projected_newton(surface, first))
+        fn.find_critical_orbits(surface)
+        grid = stored_grid(surface)
+        assert len(grid) == 220
+        assert np.array_equal(grid, fn._project_batch(surface, first))
 
     def test_distinct_rows_solved(self, monkeypatch):
         # every seed row was iterated before: 1,100 in the sphere's first
@@ -1447,18 +1485,6 @@ def lapack_steps(h, g, res):
     return np.linalg.solve(bordered_jacobians(h, g), -res.T[..., None])[..., 0].T
 
 
-def counted_pinv(monkeypatch):
-    calls = []
-    pinv = np.linalg.pinv
-
-    def counted(a):
-        calls.append(len(a))
-        return pinv(a)
-
-    monkeypatch.setattr(np.linalg, "pinv", counted)
-    return calls
-
-
 class TestBorderedSolve:
     """Newton's steps come from the closed form of the bordered 4 x 4
     system, which divides by det J alone."""
@@ -1483,34 +1509,37 @@ class TestBorderedSolve:
         assert np.all(np.linalg.det(h) == 0.0)
         g = np.array([[0.3, 1.0], [1.0, 0.2], [0.2, -0.4]])
         res = np.array([[0.1, -0.2], [0.5, 0.3], [-0.7, 0.2], [0.05, 0.4]])
-        pinv_calls = counted_pinv(monkeypatch)
+        monkeypatch.setattr(np.linalg, "pinv", None)
         got = fn._bordered_solve(h, g, res)
         np.testing.assert_allclose(got, lapack_steps(h, g, res), rtol=1e-12)
-        assert pinv_calls == []
 
-    def test_zero_determinant_goes_to_pinv(self, monkeypatch):
+    def test_zero_determinant_gives_nan(self, monkeypatch):
         # H = 0 (the sphere's height at lambda = 0, on the equator) makes
-        # det J = g^T adj(H) g zero: the whole batch is solved by pinv
+        # det J = g^T adj(H) g zero: that row's step is NaN, and the other
+        # row is solved as if alone
         h = np.zeros((2, 3, 3))
         h[1] = np.diag([1.0, 2.0, 3.0])
         g = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         res = np.array([[0.0, 0.5], [0.0, -0.1], [1.0, 0.3], [0.0, 0.2]])
-        pinv_calls = counted_pinv(monkeypatch)
-        got = fn._bordered_solve(h, g, res)
-        assert pinv_calls == [2]
-        np.testing.assert_allclose(got, np.einsum(
-            "nij,jn->in", np.linalg.pinv(bordered_jacobians(h, g)), -res),
-            rtol=0.0, atol=1e-15)
+        monkeypatch.setattr(np.linalg, "pinv", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fn._bordered_solve(h, g, res)
+        assert np.all(np.isnan(got[:, 0]))
+        assert np.array_equal(got[:, 1:], fn._bordered_solve(
+            h[1:], g[:, 1:], res[:, 1:]))
 
-    def test_equator_seed_goes_to_pinv(self, monkeypatch):
+    def test_equator_seed_leaves_after_one_step(self, monkeypatch):
         # on the sphere lambda = z / (2 |x|^2) is zero on the equator, so
-        # H = Hess f - lambda Hess F is zero there; the seed leaves the batch
-        # after its pinv step and the poles are still found
+        # H = Hess f - lambda Hess F is zero there; the seed's step is NaN,
+        # it leaves the batch after round 0 and the poles are still found
         surface = fn.sphere_surface()
-        pinv_calls = counted_pinv(monkeypatch)
+        rows = counted_solve(monkeypatch)
         seeds = np.array([[1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [0.0, 0.6, -0.8]])
-        found = fn._newton_critical_points(surface, seeds)
-        assert pinv_calls[0] == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            found = fn._newton_critical_points(surface, seeds)
+        assert rows[:2] == [3, 2]
         assert len(found) == 2
         np.testing.assert_allclose(np.abs(found[:, 2]), 1.0, rtol=0,
                                    atol=1e-12)
@@ -1522,7 +1551,7 @@ class TestBorderedSolve:
         g, res = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
         h[1, 0, 2] = h[1, 2, 0] = np.nan
         g[2, 3] = np.nan
-        pinv_calls = counted_pinv(monkeypatch)
+        monkeypatch.setattr(np.linalg, "pinv", None)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = fn._bordered_solve(h, g, res)
@@ -1530,7 +1559,6 @@ class TestBorderedSolve:
         keep = [0, 2]
         np.testing.assert_allclose(got[:, keep], lapack_steps(
             h[keep], g[:, keep], res[:, keep]), rtol=1e-12)
-        assert pinv_calls == []
 
     def test_searches_make_no_lapack_solve(self, monkeypatch):
         def refused(*args):
@@ -1671,20 +1699,39 @@ class TestStoredLevelSetWork:
         assert calls == [1000, 1100, extra]
 
     def test_seed_grid_rows_match_a_fresh_projection(self):
-        # projection is row by row, so the stored grid followed by the
-        # extra seeds is the projection of all of them at once
+        # projection is row by row, so the stored grid is the projection of
+        # all seeds at once, at the first row of each dedup cell, and the
+        # extra seeds follow it as projected with them
         fn._level_store.cache_clear()
         surface = fn.epsilon_sphere_surface(epsilon=0.8)
         fn.find_critical_orbits(surface)
         tols = surface.tolerances
-        grid = fn._level_store(surface.level, surface.level_grad).grids[
-            tols.seed_count, tols.seed_radii]
         extra = np.random.default_rng(7).uniform(-2.0, 2.0, (30, 3))
-        fresh = fn._project_batch(surface, np.concatenate([
-            r * fn._fibonacci_directions(tols.seed_count)
-            for r in tols.seed_radii] + [extra]))
-        assert np.array_equal(
-            fresh, np.concatenate([grid, fn._project_batch(surface, extra)]))
+        fresh = fn._project_batch(surface, np.concatenate(
+            [default_seeds(surface), extra]))
+        first = {}
+        for row in fresh[:-len(extra)]:
+            first.setdefault(tuple(np.floor(
+                row / (tols.dedup_tol / np.sqrt(3)))), row)
+        assert np.array_equal(stored_grid(surface), list(first.values()))
+        assert np.array_equal(fresh[-len(extra):],
+                              fn._project_batch(surface, extra))
+
+    @pytest.mark.parametrize("tols", [(1e-6, 0.5), (0.5, 1e-6)],
+                             ids=["fine-first", "coarse-first"])
+    def test_each_dedup_tol_keeps_its_own_grid(self, tols):
+        # surfaces with one F share the store, so a grid thinned at an
+        # earlier search's dedup_tol must not serve a later one: at 0.5 the
+        # sphere grid keeps 162 rows, at 1e-6 220
+        fn._level_store.cache_clear()
+        for tol in tols:
+            surface = fn.sphere_surface(tolerances=fn.Tolerances(
+                dedup_tol=tol))
+            fn.find_critical_orbits(surface)
+            grid = stored_grid(surface)
+            assert len(grid) == {1e-6: 220, 0.5: 162}[tol]
+            assert np.array_equal(grid, fn._first_per_cell(
+                fn._project_batch(surface, default_seeds(surface)), tol))
 
     @pytest.mark.parametrize("make, before", [
         (lambda t: fn.torus_surface(tilt=t), (0.2, 0.3, 0.25)),
