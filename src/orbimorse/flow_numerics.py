@@ -7,13 +7,13 @@ stability, counts signed flow lines of the projected negative gradient by
 following the descending and ascending branches of every saddle, and
 descends everything to a Morse datum for the quotient.
 
-Every surface field (``level``, ``morse`` and their ``_grad`` and ``_hess``)
-takes a batch of positions of shape (n, 3) and returns values of shape
-(n,), gradients of shape (n, 3) and Hessians of shape (n, 3, 3); none
-accepts a single point.  The saddle branches are integrated as one batch in
-a fixed order, so runs produce identical output.  The metric is the induced
-Euclidean metric, which is automatically equivariant for an orthogonal
-group action.
+A surface gives F and f as two jets (``ImplicitQuotientSurface``): at a
+batch of points in component rows, shape (3, n), a jet returns the value,
+the gradient (3, n) and the Hessian as six entry rows (6, n), up to an
+order; none accepts a single point.  The saddle branches are integrated as
+one batch in a fixed order, so runs produce identical output.  The metric
+is the induced Euclidean metric, which is automatically equivariant for an
+orthogonal group action.
 """
 
 from __future__ import annotations
@@ -67,7 +67,12 @@ __all__ = [
 
 _STALL_SPEED = 1e-12          # below this the flow is considered parked
 _MAX_STEPS = 20000
-_EYE3 = np.eye(3)
+# Hessians are entry rows xx, xy, xz, yy, yz, zz: the row of each (i, j) of
+# a 3 x 3 matrix, row-major; the (i, j) of each row; the diagonal; 2 I
+_SYMMETRIC = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+_ROWS, _COLUMNS = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
+_DIAGONAL = np.array([0, 3, 5])
+_TWICE_UNIT = np.array([[2.0], [0.0], [0.0], [2.0], [0.0], [2.0]])
 
 
 @dataclass(frozen=True)
@@ -135,15 +140,16 @@ def _finite(**params):
 @dataclass(frozen=True, eq=False)
 class ImplicitQuotientSurface:
     """A level-set surface F = 0 with a Morse function f and a finite
-    orthogonal group under which both are invariant."""
+    orthogonal group under which both are invariant.  F and f are jets:
+    ``level_jet(x, order)`` and ``morse_jet(x, order)`` take points x as
+    component rows, shape (3, n), and return the tuple of the value (n,),
+    the gradient (3, n) and the Hessian entry rows xx, xy, xz, yy, yz, zz
+    (6, n) up to ``order`` 0, 1 or 2, lower orders bit for bit the leading
+    outputs of order 2."""
 
     name: str
-    level: object
-    level_grad: object
-    level_hess: object
-    morse: object
-    morse_grad: object
-    morse_hess: object
+    level_jet: object
+    morse_jet: object
     group: tuple
     tolerances: Tolerances = field(default_factory=Tolerances)
     euler_characteristic: int | None = None
@@ -240,37 +246,37 @@ def group_from_generators(names):
     return tuple(elements[k] for k in ordered)
 
 
-# F = |x|^2 - 1 for the unit sphere, and the Hessian of a linear f
-
-def _sphere_level(x):
-    return np.einsum("ij,ij->i", x, x) - 1.0
-
-
-def _sphere_level_grad(x):
-    return 2.0 * x
+def _sphere_level(x, order):
+    """The jet of F = |x|^2 - 1, the unit sphere."""
+    if order < 2:
+        return (np.add.reduce(x * x) - 1.0, 2.0 * x)[:order + 1]
+    return *_sphere_level(x, 1), np.full((6, x.shape[1]), _TWICE_UNIT)
 
 
-def _sphere_level_hess(x):
-    return np.full((x.shape[0], 3, 3), 2.0 * _EYE3)
+def _quadric(linear, diagonal=(0.0, 0.0, 0.0)):
+    """The jet of f = c . x + (d . x^2) / 2 for the 3-vectors c
+    (``linear``) and d (``diagonal``)."""
+    c, half = np.reshape(linear, (3, 1)), 0.5 * np.reshape(diagonal, (3, 1))
+    hess = np.reshape([diagonal[0], 0, 0, diagonal[1], 0, diagonal[2]], (6, 1))
+    linear_only = not any(diagonal)
 
+    def jet(x, order):
+        if order == 2:
+            return *jet(x, 1), np.full((6, x.shape[1]), hess)
+        if linear_only:  # the gradient is c
+            return (np.add.reduce(x * c), np.full(x.shape, c))[:order + 1]
+        hx = half * x
+        t = hx + c  # the gradient is t + hx, and f is x . t
+        return (np.add.reduce(x * t), t + hx)[:order + 1]
 
-def _zero_hess(x):
-    return np.zeros((x.shape[0], 3, 3))
+    return jet
 
 
 def sphere_surface(tolerances=None, group=()):
     """The unit sphere with the plain height function."""
-
-    def morse(x):
-        return x[:, 2].copy()
-
-    def morse_grad(x):
-        return np.full(x.shape, (0.0, 0.0, 1.0))
-
     return ImplicitQuotientSurface(
-        name="sphere", level=_sphere_level, level_grad=_sphere_level_grad,
-        level_hess=_sphere_level_hess,
-        morse=morse, morse_grad=morse_grad, morse_hess=_zero_hess,
+        name="sphere", level_jet=_sphere_level,
+        morse_jet=_quadric((0.0, 0.0, 1.0)),
         group=group_from_generators(group),
         tolerances=tolerances or Tolerances(),
         euler_characteristic=2)
@@ -278,30 +284,27 @@ def sphere_surface(tolerances=None, group=()):
 
 @functools.lru_cache(maxsize=16)
 def _torus_level(major, minor):
-    """F, grad F and Hess F of the torus with these radii: one set of
-    function objects per shape, so its tori share ``_level_store``."""
+    """The jet of F of the torus with these radii, rho computed once per
+    call: one function object per shape, so its tori share ``_level_store``."""
 
-    def rho(x):
-        return np.maximum(np.hypot(x[:, 0], x[:, 1]), 1e-9)
-
-    def value(x):
-        return (rho(x) - major) ** 2 + x[:, 2] ** 2 - minor ** 2
-
-    def grad(x):
-        p = rho(x)
-        s = 2.0 * (p - major) / p
-        return np.stack([s * x[:, 0], s * x[:, 1], 2.0 * x[:, 2]], axis=1)
-
-    def hess(x):
-        p3 = rho(x) ** 3
-        out = np.zeros((x.shape[0], 3, 3))
-        out[:, 0, 0] = 2.0 - 2.0 * major * x[:, 1] ** 2 / p3
-        out[:, 1, 1] = 2.0 - 2.0 * major * x[:, 0] ** 2 / p3
-        out[:, 0, 1] = out[:, 1, 0] = 2.0 * major * x[:, 0] * x[:, 1] / p3
-        out[:, 2, 2] = 2.0
+    def jet(x, order):
+        p = np.maximum(np.hypot(x[0], x[1]), 1e-9)
+        out = ((p - major) ** 2 + x[2] ** 2 - minor ** 2,)
+        if order >= 1:
+            grad = 2.0 * (p - major) / p * x
+            grad[2] = 2.0 * x[2]
+            out += (grad,)
+        if order >= 2:
+            p3 = p ** 3
+            h = np.zeros((6, len(p)))
+            h[0] = 2.0 - 2.0 * major * x[1] ** 2 / p3
+            h[1] = 2.0 * major * x[0] * x[1] / p3
+            h[3] = 2.0 - 2.0 * major * x[0] ** 2 / p3
+            h[5] = 2.0
+            out += (h,)
         return out
 
-    return value, grad, hess
+    return jet
 
 
 def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
@@ -318,17 +321,9 @@ def torus_surface(tilt=0.25, major=2.0, minor=1.0, tolerances=None, group=()):
     if not 0 < minor < major:
         raise BadParams(f"need 0 < minor < major, got {minor} and {major}:"
                         " otherwise the torus is not a smooth surface")
-    value, grad, hess = _torus_level(major, minor)
-
-    def morse(x):
-        return x[:, 2] + tilt * x[:, 0]
-
-    def morse_grad(x):
-        return np.full(x.shape, (tilt, 0.0, 1.0))
-
     return ImplicitQuotientSurface(
-        name="torus", level=value, level_grad=grad, level_hess=hess,
-        morse=morse, morse_grad=morse_grad, morse_hess=_zero_hess,
+        name="torus", level_jet=_torus_level(major, minor),
+        morse_jet=_quadric((tilt, 0.0, 1.0)),
         group=group_from_generators(group),
         tolerances=tolerances or Tolerances(),
         euler_characteristic=0)
@@ -339,19 +334,6 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
     half-turn about the z-axis.  For epsilon > 1/2 the poles are saddles
     whose descending line is reversed by the half-turn."""
     _finite(epsilon=epsilon)
-    hess = np.diag([2.0 * epsilon, -2.0 * epsilon, 0.0])
-    coef = np.array([2.0 * epsilon, -2.0 * epsilon, 1.0])
-
-    def morse(x):
-        return x[:, 2] + epsilon * (x[:, 0] ** 2 - x[:, 1] ** 2)
-
-    def morse_grad(x):
-        out = x * coef
-        out[:, 2] = 1.0
-        return out
-
-    def morse_hess(x):
-        return np.full((x.shape[0], 3, 3), hess)
 
     def namer(pos):
         for name, z in (("north_pole", 1.0), ("south_pole", -1.0)):
@@ -360,9 +342,8 @@ def epsilon_sphere_surface(epsilon=0.8, group=("rotation_pi_z",), tolerances=Non
         return None
 
     return ImplicitQuotientSurface(
-        name="epsilon_sphere", level=_sphere_level,
-        level_grad=_sphere_level_grad, level_hess=_sphere_level_hess,
-        morse=morse, morse_grad=morse_grad, morse_hess=morse_hess,
+        name="epsilon_sphere", level_jet=_sphere_level,
+        morse_jet=_quadric((0.0, 0.0, 1.0), (2 * epsilon, -2 * epsilon, 0.0)),
         group=group_from_generators(group),
         tolerances=tolerances or Tolerances(),
         euler_characteristic=2,
@@ -409,9 +390,9 @@ def _fibonacci_directions(n):
 def _level_step(surface, x):
     """The Newton step along the level gradient towards F = 0 at each row,
     F grad F / |grad F|^2; zero where the level gradient vanishes."""
-    g = surface.level_grad(x)
-    denom = np.maximum(np.einsum("ij,ij->i", g, g), 1e-300)
-    return (surface.level(x) / denom)[:, None] * g
+    value, g = surface.level_jet(x.T, 1)
+    denom = np.maximum(np.add.reduce(g * g), 1e-300)
+    return (value / denom * g).T
 
 
 def _project_batch(surface, pts):
@@ -444,33 +425,37 @@ def _row_norms(v):
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
-def _velocity(surface, x):
-    """Negative gradient of f projected onto the tangent planes, with the
-    norms |grad F| and |grad f| it was made from (``_local_rate`` and the
-    value rule read them)."""
-    g = surface.level_grad(x)
-    level_norm = _row_norms(g)
-    n = g / level_norm[:, None]
-    gf = surface.morse_grad(x)
-    velocity = np.einsum("ij,ij->i", n, gf)[:, None] * n - gf
-    return velocity, level_norm, _row_norms(gf)
+def _velocity(surface, x, order=1):
+    """Negative gradient of f projected onto the tangent planes at the rows
+    of ``x`` (n, 3), and the jets of F and f up to ``order`` and |grad F|."""
+    level, morse = surface.level_jet(x.T, order), surface.morse_jet(x.T, order)
+    g, gf = level[1], morse[1]
+    level_norm = np.sqrt(np.add.reduce(g * g))
+    n = g / level_norm
+    return (np.add.reduce(n * gf) * n - gf).T, level, morse, level_norm
 
 
-def _local_rate(surface, x, level_norm, morse_norm):
+def _hess_matrices(h):
+    """Symmetric (n, 3, 3) matrices of the Hessian entry rows ``h`` (6, n)."""
+    return h[_SYMMETRIC].T.reshape(-1, 3, 3)
+
+
+def _local_rate(level, morse, level_norm):
     """A bound on the Lipschitz rate of the projected flow at each row,
     ||Hess f|| + |grad f| ||Hess F|| / |grad F| in spectral norms, from the
-    gradient norms at the rows.  At a critical point, where
+    order-2 jets and |grad F| at the rows.  At a critical point, where
     grad f = lambda grad F, it is at least the largest |tangent-Hessian
     eigenvalue|."""
-    level_hess, morse_hess = np.abs(np.linalg.eigvalsh(np.stack(
-        [surface.level_hess(x), surface.morse_hess(x)]))).max(axis=2)
-    return morse_hess + morse_norm * level_hess / level_norm
+    norms = np.abs(np.linalg.eigvalsh(_hess_matrices(np.concatenate(
+        [level[2], morse[2]], axis=1)))).max(axis=1)
+    k = len(level_norm)
+    return norms[k:] + _row_norms(morse[1].T) * norms[:k] / level_norm
 
 
 @functools.lru_cache(maxsize=32)
-def _level_store(level, level_grad):
-    """Level-set work shared by every surface with these F and grad F
-    objects, read-only: the landed check ``samples`` and the projected seed
+def _level_store(level_jet):
+    """Level-set work shared by every surface with this level jet object,
+    read-only: the landed check ``samples`` and the projected seed
     ``grids`` by seed count, radii and dedup_tol.  Holds keys strongly."""
     return types.SimpleNamespace(samples=None, grids={})
 
@@ -482,8 +467,8 @@ def check_surface(surface):
     must land within 1e-9 of F = 0.
 
     Every call runs every check.  The samples that landed are kept in
-    ``_level_store``, and every surface with the same F and grad F checks
-    on them instead of projecting again; a failed projection keeps none."""
+    ``_level_store``, and every surface with the same level jet checks on
+    them instead of projecting again; a failed projection keeps none."""
     tol = surface.tolerances.stab_tol
     try:
         group = np.array(surface.group, dtype=float)
@@ -503,24 +488,23 @@ def check_surface(surface):
             if _group_key(g @ h) not in keys:
                 raise BadParams("group is not closed under products")
 
-    store = _level_store(surface.level, surface.level_grad)
+    store = _level_store(surface.level_jet)
     pts = store.samples
     if pts is None:
         samples = _fibonacci_directions(1000)
         pts = _project_batch(surface, samples)
-        pts = pts[np.abs(surface.level(pts)) < 1e-9]
-        if len(pts) < len(samples) // 2:
+        pts = pts[np.abs(surface.level_jet(pts.T, 0)[0]) < 1e-9].T.copy()
+        if pts.shape[1] < len(samples) // 2:
             raise BadParams(
                 "could not project the sample grid onto the surface")
         pts.flags.writeable = False
         store.samples = pts
-    f_vals, lvl_vals = surface.morse(pts), surface.level(pts)
-    for g in group:
-        moved = pts @ g.T
-        if np.max(np.abs(surface.morse(moved) - f_vals)) > tol:
-            raise BadParams("the Morse function is not group invariant")
-        if np.max(np.abs(surface.level(moved) - lvl_vals)) > tol:
-            raise BadParams("the level function is not group invariant")
+    for jet, name in ((surface.morse_jet, "Morse"),
+                      (surface.level_jet, "level")):
+        values = jet(pts, 0)[0]
+        if any(np.max(np.abs(jet(g @ pts, 0)[0] - values)) > tol
+               for g in group):
+            raise BadParams(f"the {name} function is not group invariant")
 
 
 # --------------------------------------------------------------------------
@@ -528,12 +512,12 @@ def check_surface(surface):
 
 def _bordered_solve(h, g, res):
     """Solve J d = -r, J = [[H, -g], [g^T, 0]], per column of ``g`` (3, n)
-    and r = ``res`` (4, n), H symmetric in ``h`` (n, 3, 3); d is (4, n).
-    With A = adj H, w = g x r[:3] and D = g^T A g = det J, d = ((g x Hw -
-    Ag r[3]) / D, (Ag . r[:3] - det H r[3]) / D): a singular H with a regular
-    J solves.  A D exactly zero is made NaN, so its row's step is NaN."""
-    entries = h.reshape(len(h), 9).T
-    a, b, c, d, e, f = (entries[i] for i in (0, 1, 2, 4, 5, 8))
+    and r = ``res`` (4, n), H symmetric with the entry rows ``h`` (6, n);
+    d is (4, n).  With A = adj H, w = g x r[:3] and D = g^T A g = det J,
+    d = ((g x Hw - Ag r[3]) / D, (Ag . r[:3] - det H r[3]) / D): a singular
+    H with a regular J solves.  A D exactly zero is made NaN, so its row's
+    step is NaN."""
+    a, b, c, d, e, f = h
     a00, a01, a02 = d * f - e * e, c * e - b * f, b * e - c * d
     a11, a12, a22 = a * f - c * c, b * c - a * e, a * d - b * b
     g0, g1, g2 = g
@@ -573,46 +557,46 @@ def _newton_critical_points(surface, starts):
     over all rows at the end alone decides which points are returned.
 
     Points, residuals and steps are component rows, (3, n) and (4, n), so
-    each test reduces over a short leading axis; the fields see the (n, 3)
-    transposes.  Steps come from the closed form of ``_bordered_solve``.
+    each test reduces over a short leading axis.  A round evaluates the
+    order-2 jets of F and f once, at the points just stepped to: their
+    gradients and F make the residual, and their Hessians H_f - lambda H_F,
+    entry row by entry row, for the closed form of ``_bordered_solve``.
     """
-    def residual(x, lam, g=None, mg=None):
-        if g is None:
-            g, mg = surface.level_grad(x.T).T, surface.morse_grad(x.T).T
-        return g, np.concatenate([mg - lam * g, surface.level(x.T)[None]])
+    def residual(level, morse, lam):
+        return np.concatenate([morse[1] - lam * level[1], level[0][None]])
 
-    x = np.array(starts, dtype=float)
     tols = surface.tolerances
-    g, mg = surface.level_grad(x), surface.morse_grad(x)
-    gg = np.einsum("ij,ij->i", g, g)
+    x = np.array(starts, dtype=float).T.copy()
+    level, morse = surface.level_jet(x, 2), surface.morse_jet(x, 2)
+    gg = np.add.reduce(level[1] * level[1])
     enters = gg > 0.0  # False for a vanishing or non-finite level gradient
-    live = np.flatnonzero(enters)
-    lam = np.divide(np.einsum("ij,ij->i", mg, g), gg,
-                    out=np.zeros(len(x)), where=enters)
-    x = x.T.copy()
-    g, res = residual(x[:, live], lam[live], g[live].T, mg[live].T)
-    keep = np.maximum.reduce(np.abs(res)) >= tols.newton_tol  # NaN: False
-    live, g, res = live[keep], g[:, keep], res[:, keep]
+    lam = np.divide(np.add.reduce(morse[1] * level[1]), gg,
+                    out=np.zeros(len(gg)), where=enters)
+    res = residual(level, morse, lam)
+    live = np.flatnonzero(  # NaN: False
+        enters & (np.maximum.reduce(np.abs(res)) >= tols.newton_tol))
+    g, res, h = level[1][:, live], res[:, live], (
+        morse[2] - lam * level[2])[:, live]
 
     for _ in range(80):
         if not len(live):
             break
         xl, laml = x[:, live], lam[live]
-        step = np.clip(_bordered_solve(
-            surface.morse_hess(xl.T)
-            - laml[:, None, None] * surface.level_hess(xl.T), g, res),
-            -0.5, 0.5)
+        step = np.clip(_bordered_solve(h, g, res), -0.5, 0.5)
         x[:, live] = xl = xl + step[:3]
         lam[live] = laml = laml + step[3]
         inside = np.add.reduce(xl * xl) <= tols.escape_radius ** 2
         live, merit = live[inside], np.add.reduce(res * res)[inside]
-        g, res = residual(xl[:, inside], laml[inside])
+        xl, laml = xl[:, inside], laml[inside]
+        level, morse = surface.level_jet(xl, 2), surface.morse_jet(xl, 2)
+        res = residual(level, morse, laml)
         keep = ((np.add.reduce(res * res) < merit)  # False if not finite
                 & (np.maximum.reduce(np.abs(res)) >= tols.newton_tol))
-        live, g, res = live[keep], g[:, keep], res[:, keep]
+        live, g, res = live[keep], level[1][:, keep], res[:, keep]
+        h = (morse[2] - laml * level[2])[:, keep]
 
-    ok = np.maximum.reduce(np.abs(residual(x, lam)[1])) < tols.newton_tol
-    return x.T[ok]
+    res = residual(surface.level_jet(x, 1), surface.morse_jet(x, 1), lam)
+    return x.T[np.maximum.reduce(np.abs(res)) < tols.newton_tol]
 
 
 def _first_of_clusters(points, tol):
@@ -639,9 +623,10 @@ def _tangent_data(surface, reps):
     of the Hessian of f - lambda F on the tangent plane, (k, 2), and their
     unit eigenvectors in space, (k, 2, 3), each signed so that its largest
     |entry| is positive.  Degeneracy is checked by the caller."""
-    g, gf = surface.level_grad(reps), surface.morse_grad(reps)
+    level, morse = surface.level_jet(reps.T, 2), surface.morse_jet(reps.T, 2)
+    g, gf = level[1].T, morse[1].T
     lam = np.einsum("ij,ij->i", gf, g) / np.einsum("ij,ij->i", g, g)
-    h = surface.morse_hess(reps) - lam[:, None, None] * surface.level_hess(reps)
+    h = _hess_matrices(morse[2] - lam * level[2])
     n = g / _row_norms(g)[:, None]
     axis = np.arange(len(n)), np.argmin(np.abs(n), axis=1)
     t1 = -n[axis][:, None] * n
@@ -672,12 +657,12 @@ def find_critical_orbits(surface, extra_seeds=None):
     projected seed grid, at the ``_first_per_cell`` row of each cube of
     diameter ``dedup_tol`` (radii meet where grad F is radial), is kept in
     ``_level_store`` per seed count, radii and ``dedup_tol`` for every
-    surface with the same F and grad F; a search on such a surface projects
+    surface with the same level jet; a search on such a surface projects
     only its ``extra_seeds``, which are iterated as given.
     """
     check_surface(surface)
     tols = surface.tolerances
-    grids = _level_store(surface.level, surface.level_grad).grids
+    grids = _level_store(surface.level_jet).grids
     key = tols.seed_count, tols.seed_radii, tols.dedup_tol
     starts = grids.get(key)
     if starts is None:
@@ -876,17 +861,36 @@ class FlowLineCounter:
         from it into that saddle lift.  Its sign compares the maximum's
         frame orientation sign((f0 x f1) . n) with sign((-+a) x u . n),
         the arrival direction against u, which is +1 on the +a branch.
+
+        A start must lie nearer its saddle than any other lift does, or
+        BadParams names ``dedup_tol``.
         """
         s = self.surface
         offset = 10 * self.tols.dedup_tol
-        level_grads = s.level_grad(self.lift_positions)
+        lifts = self.lift_positions
+        normals = s.level_jet(lifts.T, 1)[1].T
+        normals = normals / _row_norms(normals)[:, None]
+        saddles = [lift for lift, (_, p) in enumerate(self.lifts)
+                   if p.index == 1]
+        apart = np.linalg.norm(lifts[saddles, None] - lifts, axis=2)
+        nearest = np.where(apart > 0.0, apart, np.inf).min(initial=np.inf)
+        if offset >= nearest:
+            raise BadParams(
+                f"tolerances.dedup_tol: a saddle branch starts 10 * dedup_tol"
+                f" = {offset:.3g} from its saddle, not below the distance"
+                f" {nearest:.3g} to the nearest other critical lift")
+        down = np.reshape([self.lifts[lift][1].negative_frame[0]
+                           for lift in saddles], (-1, 3))
+        tops = [lift for lift, (oi, p) in enumerate(self.lifts)
+                if p.index == 2 and p is self.orbits[oi].representative]
+        frames = np.reshape([self.lifts[lift][1].negative_frame
+                             for lift in tops], (-1, 2, 3))
+        turn = np.einsum("ij,ij->i", np.cross(frames[:, 0], frames[:, 1]),
+                         normals[tops])
+        orientation = dict(zip(tops, np.where(turn > 0, 1, -1).tolist()))
         starts, branches = [], []
-        for lift, (oi, p) in enumerate(self.lifts):
-            if p.index != 1:
-                continue
-            u = p.negative_frame[0]
-            g = level_grads[lift]
-            a = np.cross(g / np.linalg.norm(g), u)
+        for lift, u, a in zip(saddles, down, np.cross(normals[saddles], down)):
+            oi, p = self.lifts[lift]
             for sign in (1, -1):
                 if p is self.orbits[oi].representative:
                     starts.append(p.position + sign * offset * u)
@@ -910,10 +914,8 @@ class FlowLineCounter:
                 raise BrokenFlowDetected(
                     f"ascending trajectory of {label!r} limits to an"
                     f" index-{hit.index} point: the pair is not Morse-Smale")
-            if hit is self.orbits[ti].representative:
-                f0, f1 = hit.negative_frame
-                frame = 1 if np.cross(f0, f1) @ level_grads[end] > 0 else -1
-                census[ti].append((lift, frame * sign))
+            if end in orientation:
+                census[ti].append((lift, orientation[end] * sign))
         return census
 
     def _endpoints(self, starts, branches):
@@ -954,7 +956,7 @@ class FlowLineCounter:
             squared = np.add.reduce(diff * diff, axis=2)
             nearest = squared.argmin(axis=1)
             dmin = np.sqrt(squared[np.arange(len(x)), nearest])
-            velocity, level_norm, morse_norm = _velocity(s, x)
+            velocity, level, morse, level_norm = _velocity(s, x, 2)
 
             done = dmin < capture
             stranded = ~done & (_row_norms(velocity) < _STALL_SPEED)
@@ -963,15 +965,16 @@ class FlowLineCounter:
                            " point", stranded.argmax())
             ended = done
             if decides:
-                ended = done | self._passed(x, sign[:, 0], limit,
-                                            level_norm, morse_norm)
+                ended = done | self._passed(sign[:, 0], limit, level, morse,
+                                            level_norm)
             if ended.any():
                 ends[live[ended]] = np.where(done, nearest, target)[ended]
                 keep = ~ended
-                live, x, sign, velocity, limit, target = (
+                live, x, sign, velocity, limit, target, level_norm = (
                     live[keep], x[keep], sign[keep], velocity[keep],
-                    limit[keep], target[keep])
-                level_norm, morse_norm = level_norm[keep], morse_norm[keep]
+                    limit[keep], target[keep], level_norm[keep])
+                level, morse = ([a[..., keep] for a in jet]
+                                for jet in (level, morse))
                 if not len(live):
                     return ends
             escaped = _row_norms(x) > escape
@@ -979,7 +982,7 @@ class FlowLineCounter:
                 raise lost(f"a trajectory escaped to radius {escape}",
                            escaped.argmax())
 
-            rate = _local_rate(s, x, level_norm, morse_norm)
+            rate = _local_rate(level, morse, level_norm)
             bad_rate = ~(np.isfinite(rate) & (rate > 0.0))
             if bad_rate.any():
                 raise lost("the local rate of the flow is zero or not finite",
@@ -997,15 +1000,16 @@ class FlowLineCounter:
         raise lost(f"{len(live)} trajectories failed to settle within the"
                    " step budget", 0)
 
-    def _passed(self, x, direction, limit, level_norm, morse_norm):
-        """The rows of ``x`` that the value rule decides: direction times f
-        plus |F| |grad f| / |grad F| is below ``limit``, the norms taken at
-        the rows.  A row is corrected towards F = 0 once per step, not
-        projected, and the added slack is how far f moves to first order
-        along the Newton step |F| / |grad F| that would take it there."""
-        s = self.surface
-        slack = np.abs(s.level(x)) * morse_norm / level_norm
-        return direction * s.morse(x) + slack < limit
+    @staticmethod
+    def _passed(direction, limit, level, morse, level_norm):
+        """The rows that the value rule decides: direction times f plus
+        |F| |grad f| / |grad F| is below ``limit``, from the jets of F and f
+        and |grad F| at the rows.  A row is corrected towards F = 0 once per
+        step, not projected, and the added slack is how far f moves to first
+        order along the Newton step |F| / |grad F| that would take it
+        there."""
+        slack = np.abs(level[0]) * _row_norms(morse[1].T) / level_norm
+        return direction * morse[0] + slack < limit
 
     def _value_rule(self, direction, sources):
         """Per row of ``direction`` (1 descending, -1 ascending) and of
@@ -1027,7 +1031,7 @@ class FlowLineCounter:
         target = np.full(len(direction), -1)
         if not {0, 2} & {o.index for o in self.orbits if len(o.points) == 1}:
             return limit, target
-        values = self.surface.morse(self.lift_positions)
+        values = self.surface.morse_jet(self.lift_positions.T, 0)[0]
         lift_orbits = np.array([oi for oi, _ in self.lifts])
         margin = self.tols.stab_tol
         for d, oi in set(zip(direction.tolist(), sources.tolist())):
@@ -1084,46 +1088,42 @@ def _orbit_bump(point, orbits):
 
 
 def _bump_parts(x, centers, neg_a2, amplitudes):
-    """Offsets from every center and the bump values a exp(|d|^2 / -w^2),
-    shapes (n, c, 3) and (n, c)."""
-    diff = x[:, None, :] - centers
-    e = amplitudes * np.exp(np.einsum("ncj,ncj->nc", diff, diff) / neg_a2)
+    """Offsets of the points ``x`` (3, n) from the ``centers`` (3, 1, c) and
+    the bump values a exp(|d|^2 / -w^2), shapes (3, n, c) and (n, c)."""
+    diff = x[:, :, None] - centers
+    e = amplitudes * np.exp(np.einsum("jnc,jnc->nc", diff, diff) / neg_a2)
     return diff, e
 
 
 def _bumped(surface, bumps):
     """The surface with f minus one radial bump per center, each bump given
-    as (centers, width, amplitude); every field evaluates all centers in
-    one ``_bump_parts`` call.
+    as (centers, width, amplitude); every evaluation of its Morse jet
+    evaluates all centers in one ``_bump_parts`` call.
 
     F, its group and its tolerances are those of ``surface``, so the
     bumped surface shares its ``_level_store`` entry: the checked samples
     of ``check_surface`` and the projected seed grid of
     ``find_critical_orbits``.  Both are projections onto F = 0 alone."""
-    centers = np.concatenate([c for c, _, _ in bumps])
+    centers = np.concatenate([c for c, _, _ in bumps]).T[:, None, :]
     a2 = np.concatenate([np.full(len(c), w ** 2) for c, w, _ in bumps])
     amplitudes = np.concatenate([np.full(len(c), a) for c, _, a in bumps])
     neg_a2, two_a2, four_a4 = -a2, 2.0 / a2, 4.0 / a2 ** 2
 
-    def morse(x):
+    def morse_jet(x, order):
+        base = surface.morse_jet(x, order)
         diff, e = _bump_parts(x, centers, neg_a2, amplitudes)
-        return surface.morse(x) - e.sum(axis=1)
+        out, we = (base[0] - np.add.reduce(e, axis=1),), two_a2 * e
+        if order >= 1:
+            out += (base[1] + np.einsum("nc,jnc->jn", we, diff),)
+        if order >= 2:
+            h = base[2] - np.einsum("nc,inc->in", four_a4 * e,
+                                    diff[_ROWS] * diff[_COLUMNS])
+            h[_DIAGONAL] += np.add.reduce(we, axis=1)
+            out += (h,)
+        return out
 
-    def morse_grad(x):
-        diff, e = _bump_parts(x, centers, neg_a2, amplitudes)
-        return surface.morse_grad(x) + np.einsum("nc,ncj->nj", two_a2 * e,
-                                                 diff)
-
-    def morse_hess(x):
-        diff, e = _bump_parts(x, centers, neg_a2, amplitudes)
-        outer = np.einsum("nci,ncj->ncij", diff, diff)
-        return (surface.morse_hess(x)
-                - np.einsum("nc,ncij->nij", four_a4 * e, outer)
-                + (two_a2 * e).sum(axis=1)[:, None, None] * _EYE3)
-
-    return dataclasses.replace(
-        surface, name=surface.name + "+stabilized",
-        morse=morse, morse_grad=morse_grad, morse_hess=morse_hess)
+    return dataclasses.replace(surface, name=surface.name + "+stabilized",
+                               morse_jet=morse_jet)
 
 
 def stabilize_all(surface, orbits):

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -25,6 +27,20 @@ from orbimorse.errors import (
     UnsupportedProfile,
 )
 from orbimorse.morse_datum import coinvariant_complex, invariant_complex, validate
+
+
+def _load_tool(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the unit sphere with f = z^2 + x^2 / 2 and the antipodal group: its free
+# quotient is the projective plane
+antipodal_sphere_surface = _load_tool(
+    "reference_digest").antipodal_sphere_surface
 
 
 def profile(groups):
@@ -78,7 +94,7 @@ class TestSurfaceFromSpec:
 
     def test_known_parameters_and_kinds(self):
         torus = fn.surface_from_spec("torus", {"tilt": 0.3, "major": 3.0})
-        assert torus.morse(np.array([[1.0, 0.0, 0.0]]))[0] == 0.3
+        assert torus.morse_jet(np.array([[1.0], [0.0], [0.0]]), 0)[0] == 0.3
         assert len(fn.surface_from_spec("epsilon_sphere", {}).group) == 2
         with pytest.raises(UnknownBuiltin):
             fn.surface_from_spec("moebius")
@@ -229,10 +245,11 @@ class TestSurfaceChecks:
         ({"group": (np.eye(3), np.diag([-1.0, 1.0, 1.0]),
                     np.diag([1.0, -1.0, 1.0]))},
          "not closed under products"),
-        ({"level": lambda x: np.einsum("ij,ij->i", x, x) + 1.0},
+        ({"level_jet": lambda x, order: (np.einsum("ij,ij->j", x, x) + 1.0,
+                                         2.0 * x)[:order + 1]},
          "could not project the sample grid"),
-        ({"level": lambda x: fn._sphere_level(x - [0.1, 0.0, 0.0]),
-          "level_grad": lambda x: fn._sphere_level_grad(x - [0.1, 0.0, 0.0]),
+        ({"level_jet": lambda x, order: fn._sphere_level(
+            x - [[0.1], [0.0], [0.0]], order),
           "group": fn.group_from_generators(("rotation_pi_z",))},
          "level function is not group invariant"),
     ]
@@ -285,18 +302,8 @@ class TestSurfaceChecks:
     def test_degenerate_critical_point_detected(self):
         # plain height on the torus of revolution is critical along two
         # whole circles; the tangent Hessian there has a zero eigenvalue
-        base = fn.torus_surface()
-
-        def morse(x):
-            return x[:, 2].copy()
-
-        def morse_grad(x):
-            g = np.zeros_like(x)
-            g[:, 2] = 1.0
-            return g
-
         degenerate = dataclasses.replace(
-            base, morse=morse, morse_grad=morse_grad, morse_hess=fn._zero_hess,
+            fn.torus_surface(), morse_jet=fn._quadric((0.0, 0.0, 1.0)),
             euler_characteristic=None)
         with pytest.raises(DegenerateCritical):
             fn.find_critical_orbits(degenerate)
@@ -394,17 +401,8 @@ class TestTorus(object):
         # f = x on the torus of revolution: the saddles at (+-1, 0, 0) are
         # joined by both arcs of the inner equator, so the pair is not
         # Morse-Smale
-        def morse(x):
-            return x[:, 0].copy()
-
-        def morse_grad(x):
-            g = np.zeros_like(x)
-            g[:, 0] = 1.0
-            return g
-
         surface = dataclasses.replace(
-            fn.torus_surface(), morse=morse, morse_grad=morse_grad,
-            morse_hess=fn._zero_hess)
+            fn.torus_surface(), morse_jet=fn._quadric((1.0, 0.0, 0.0)))
         orbits = fn.find_critical_orbits(surface)
         assert [o.index for o in orbits] == [2, 1, 1, 0]
         with pytest.raises(BrokenFlowDetected):
@@ -624,31 +622,6 @@ class TestOrbitsFromRepresentatives:
         assert fn.quotient_to_datum(stabilized, orbits) == epsilon_run.datum
 
 
-def antipodal_sphere_surface():
-    """Unit sphere with an antipodally symmetric Morse function; the free
-    half-order quotient is the projective plane."""
-
-    def morse(x):
-        return x[:, 2] ** 2 + 0.5 * x[:, 0] ** 2
-
-    def morse_grad(x):
-        return np.stack(
-            [x[:, 0], np.zeros(x.shape[0]), 2.0 * x[:, 2]], axis=1)
-
-    def morse_hess(x):
-        out = np.zeros((x.shape[0], 3, 3))
-        out[:, 0, 0] = 1.0
-        out[:, 2, 2] = 2.0
-        return out
-
-    return fn.ImplicitQuotientSurface(
-        name="antipodal_sphere", level=fn._sphere_level,
-        level_grad=fn._sphere_level_grad, level_hess=fn._sphere_level_hess,
-        morse=morse, morse_grad=morse_grad, morse_hess=morse_hess,
-        group=fn.group_from_generators(("antipodal",)),
-        tolerances=fn.Tolerances(), euler_characteristic=2)
-
-
 class TestAntipodalQuotient:
     """The free antipodal quotient is a projective plane: its torsion must
     emerge from the signed counts alone, which pins down the absolute sign
@@ -679,54 +652,102 @@ class TestAntipodalQuotient:
 
 
 def central_difference(field, x, h=1e-6):
-    """Central differences of ``field`` along each axis, stacked last."""
+    """Central differences of ``field`` at the component rows ``x`` (3, n)
+    along each axis, stacked after the output's leading axis."""
     return np.stack([(field(x + step) - field(x - step)) / (2.0 * h)
-                     for step in h * np.eye(3)], axis=-1)
+                     for step in h * np.eye(3)[:, :, None]], axis=-2)
+
+
+ENTRIES = ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])  # xx, xy, xz, yy, yz, zz
+
+
+def entry_rows(h):
+    """The six entry rows (6, n) of symmetric matrices ``h`` (n, 3, 3)."""
+    return h[:, ENTRIES[0], ENTRIES[1]].T
 
 
 class TestFieldContract:
-    """Every field takes an (n, 3) batch and returns (n,), (n, 3) or
-    (n, 3, 3); each gradient and Hessian matches central differences of
-    the value and the gradient (the differences err by less than 1e-8
-    on these points)."""
+    """A jet takes component rows (3, n) and returns the value (n,), the
+    gradient (3, n) and the Hessian's entry rows (6, n) up to its order.
+    Each derivative matches central differences of the order below (they
+    err by less than 1e-8 on these points), the lower orders are the
+    leading outputs of order 2 bit for bit, and F and f are invariant:
+    F(gx) = F(x), grad(gx) = g grad(x) and H(gx) = g H g^T."""
 
     @pytest.fixture(scope="class")
     def cases(self, epsilon_run):
         rng = np.random.default_rng(7)
-        box = rng.uniform(-1.5, 1.5, (50, 3))
+        box = rng.uniform(-1.5, 1.5, (3, 50))
         # 0.1 to 0.3 from the z-axis, where the torus' sqrt bends hardest
         r, t = rng.uniform(0.1, 0.3, 50), rng.uniform(0.0, 2.0 * np.pi, 50)
-        near_axis = np.column_stack(
+        near_axis = np.stack(
             [r * np.cos(t), r * np.sin(t), rng.uniform(-1.0, 1.0, 50)])
         north = next(o for o in epsilon_run.pre_orbits
                      if o.label == "north_pole").representative
-        bumped = fn.stabilize_numeric(epsilon_run.raw_surface, north,
-                                      epsilon_run.pre_orbits)
-        near_north = north.position + rng.uniform(-0.4, 0.4, (50, 3))
+        near_north = north.position[:, None] + rng.uniform(-0.4, 0.4, (3, 50))
         return {
-            "sphere": (fn.sphere_surface(), box),
+            "sphere": (fn.sphere_surface(group=("rotation_pi_z",)), box),
             "torus": (fn.torus_surface(), 2.0 * box),
+            "torus-0.02": (fn.torus_surface(tilt=0.02), 2.0 * box),
+            "torus-0.5": (fn.torus_surface(tilt=0.5), 2.0 * box),
             "torus_near_axis": (fn.torus_surface(), near_axis),
             "epsilon_sphere": (fn.epsilon_sphere_surface(), box),
             "antipodal_sphere": (antipodal_sphere_surface(), box),
-            "bumped_north_pole": (bumped, near_north),
+            # the north pole bumped alone, and both poles, as stabilize_all
+            # bumps them
+            "bumped_north_pole": (fn.stabilize_numeric(
+                epsilon_run.raw_surface, north, epsilon_run.pre_orbits),
+                near_north),
+            "bumped_epsilon_0.8": (epsilon_run.surface, near_north),
         }
 
+    NAMES = ["sphere", "torus", "torus-0.02", "torus-0.5", "torus_near_axis",
+             "epsilon_sphere", "antipodal_sphere", "bumped_north_pole",
+             "bumped_epsilon_0.8"]
+
     @pytest.mark.parametrize("n", [1, 50])
-    @pytest.mark.parametrize("name", [
-        "sphere", "torus", "torus_near_axis", "epsilon_sphere",
-        "antipodal_sphere", "bumped_north_pole"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_shapes_and_derivatives(self, cases, name, n):
         surface, points = cases[name]
-        x = points[:n]
-        for value, grad, hess in (
-                (surface.level, surface.level_grad, surface.level_hess),
-                (surface.morse, surface.morse_grad, surface.morse_hess)):
-            assert value(x).shape == (n,)
-            assert grad(x).shape == (n, 3)
-            assert hess(x).shape == (n, 3, 3)
-            assert np.max(np.abs(central_difference(value, x) - grad(x))) < 1e-6
-            assert np.max(np.abs(central_difference(grad, x) - hess(x))) < 1e-6
+        x = points[:, :n]
+        for jet in (surface.level_jet, surface.morse_jet):
+            value, grad, hess = jet(x, 2)
+            assert (value.shape, grad.shape, hess.shape) == (
+                (n,), (3, n), (6, n))
+            assert np.max(np.abs(central_difference(
+                lambda y: jet(y, 0)[0], x) - grad)) < 1e-6
+            matrices = central_difference(lambda y: jet(y, 1)[1], x)
+            assert np.max(np.abs(entry_rows(np.moveaxis(matrices, -1, 0))
+                                 - hess)) < 1e-6
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_lower_orders_lead_order_two(self, cases, name):
+        surface, x = cases[name]
+        for jet in (surface.level_jet, surface.morse_jet):
+            full = jet(x, 2)
+            for order in (0, 1):
+                lower = jet(x, order)
+                assert len(lower) == order + 1
+                for got, want in zip(lower, full):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_group_invariance(self, cases, name):
+        # F of the sphere and of the torus is invariant under the half-turn
+        # and the antipodal map, f under the surface's group
+        surface, x = cases[name]
+        both = fn.group_from_generators(("rotation_pi_z", "antipodal"))
+        for jet, group in ((surface.level_jet, both),
+                           (surface.morse_jet, surface.group)):
+            value, grad, hess = jet(x, 2)
+            matrices = fn._hess_matrices(hess)
+            for g in group:
+                moved = jet(g @ x, 2)
+                for got, want in ((moved[0], value), (moved[1], g @ grad), (
+                        fn._hess_matrices(moved[2]), g @ matrices @ g.T)):
+                    np.testing.assert_allclose(got, want, rtol=1e-12,
+                                               atol=1e-12)
 
 
 class TestParameterRobustness:
@@ -816,14 +837,13 @@ class TestCensusWork:
             lifts = np.array([p.position for o in orbits for p in o.points])
             spectra = fn._tangent_data(surface, lifts)[0]
             assert spectra.shape == (len(lifts), 2)
-            norms = fn._velocity(surface, lifts)[1:]
-            rate = fn._local_rate(surface, lifts, *norms)
+            rate = fn._local_rate(*fn._velocity(surface, lifts, 2)[1:])
             assert np.all(rate >= np.max(np.abs(spectra), axis=1) - 1e-9)
 
     @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
     def test_bad_rate_raises(self, monkeypatch, torus_run, value):
-        monkeypatch.setattr(fn, "_local_rate",
-                            lambda surface, x, *norms: np.full(len(x), value))
+        monkeypatch.setattr(fn, "_local_rate", lambda level, *rest: np.full(
+            len(level[0]), value))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonConvergentTrajectory,
@@ -852,20 +872,22 @@ class TestCensusWork:
         # RK4 evaluates each gradient four times a step, and once more
         # where every branch has ended; the local rate reads its gradient
         # norms off the first of the four (it took a fifth pair, 311 calls).
-        # Branches end within dedup_tol of a lift (at 1e-9 it took 62 steps)
-        surface, counts = counted_fields(epsilon_run.surface, ("morse_grad",))
+        # Branches end within dedup_tol of a lift (at 1e-9 it took 62 steps).
+        # The value rule's one read of f at the lifts takes no gradient
+        surface, counts = counted_fields(epsilon_run.surface, ("morse_jet",))
         steps = []
         rate = fn._local_rate
 
-        def counted_rate(surface, x, *norms):
-            steps.append(len(x))
-            return rate(surface, x, *norms)
+        def counted_rate(*args):
+            steps.append(args)
+            return rate(*args)
 
         monkeypatch.setattr(fn, "_local_rate", counted_rate)
         assert fn.quotient_to_datum(surface, epsilon_run.orbits) == (
             epsilon_run.datum)
         assert len(steps) == 47
-        assert len(counts["morse_grad"]) == 4 * 47 + 1
+        assert len([n for n, order in counts["morse_jet"] if order >= 1]) == (
+            4 * 47 + 1)
 
 
 class TestCensusCorrection:
@@ -900,9 +922,9 @@ class TestCensusCorrection:
         starts = []
         rate = fn._local_rate
 
-        def recorded(surface, x, *norms):
-            starts.append(np.abs(surface.level(x)))
-            return rate(surface, x, *norms)
+        def recorded(level, *rest):
+            starts.append(np.abs(level[0]))
+            return rate(level, *rest)
 
         monkeypatch.setattr(fn, "_local_rate", recorded)
         fn.quotient_to_datum(surface, orbits)
@@ -939,26 +961,26 @@ def counted_velocity(monkeypatch):
     calls = []
     velocity = fn._velocity
 
-    def counted(surface, x):
+    def counted(surface, x, *order):
         calls.append(len(x))
-        return velocity(surface, x)
+        return velocity(surface, x, *order)
 
     monkeypatch.setattr(fn, "_velocity", counted)
     return calls
 
 
 def counted_fields(surface, names):
-    """The surface with each named field recording its batch sizes, and the
-    records by name."""
+    """The surface with each named jet recording the batch size and order
+    of every call, and the records by name."""
     counts = {name: [] for name in names}
 
     def counted(name):
         real = getattr(surface, name)
 
-        def field_(x):
-            counts[name].append(len(x))
-            return real(x)
-        return field_
+        def jet(x, order):
+            counts[name].append((x.shape[1], order))
+            return real(x, order)
+        return jet
 
     return dataclasses.replace(
         surface, **{name: counted(name) for name in names}), counts
@@ -1015,16 +1037,26 @@ class TestValueRule:
         # |grad F| of f at the row projected to roundoff.  The rule decides
         # 400 torus rows here, the largest ratio 0.99, and no row of the
         # stabilized epsilon spheres, whose rows are all captured
-        decided = []
-        passed = fn.FlowLineCounter._passed
+        # (the rule reads the jets of the step's first velocity batch, at
+        # the rows that batch recorded)
+        decided, batch = [], []
+        passed, velocity = fn.FlowLineCounter._passed, fn._velocity
 
-        def recorded(self, x, direction, limit, level_norm, morse_norm):
-            out = passed(self, x, direction, limit, level_norm, morse_norm)
-            slack = np.abs(self.surface.level(x)) * morse_norm / level_norm
-            decided.append((self.surface, x[out], slack[out]))
+        def recorded_velocity(surface, x, order=1):
+            if order == 2:
+                batch[:] = surface, x
+            return velocity(surface, x, order)
+
+        def recorded(direction, limit, level, morse, level_norm):
+            out = passed(direction, limit, level, morse, level_norm)
+            slack = (np.abs(level[0]) * np.linalg.norm(morse[1], axis=0)
+                     / level_norm)
+            decided.append((batch[0], batch[1][out], slack[out]))
             return out
 
-        monkeypatch.setattr(fn.FlowLineCounter, "_passed", recorded)
+        monkeypatch.setattr(fn, "_velocity", recorded_velocity)
+        monkeypatch.setattr(fn.FlowLineCounter, "_passed",
+                            staticmethod(recorded))
         cases = [("torus", float(t)) for t in np.linspace(0.01, 0.5, 50)] + [
             ("epsilon", float(e)) for e in np.linspace(0.55, 1.5, 20)]
         for kind, value in cases:
@@ -1032,8 +1064,9 @@ class TestValueRule:
         rows = 0
         for surface, x, slack in decided:
             projected = fn._project_batch(surface, x)
-            assert np.all(np.abs(surface.morse(x) - surface.morse(projected))
-                          <= slack)
+            f, f_projected = (surface.morse_jet(y.T, 0)[0]
+                              for y in (x, projected))
+            assert np.all(np.abs(f - f_projected) <= slack)
             rows += len(x)
         assert rows >= 100
 
@@ -1045,15 +1078,19 @@ class TestValueRule:
         surface, orbits = torus_run.surface, torus_run.orbits
         assert [o.label for o in orbits[1:3]] == ["saddle0", "saddle1"]
         lifts = np.array([o.representative.position for o in orbits])
-        values = surface.morse(lifts)
+        values = surface.morse_jet(lifts.T, 0)[0]
         raised = values[1] + 5e-9 - values[2]
 
-        def morse(x):
-            at = (np.linalg.norm(x - lifts[2], axis=1)
+        def morse_jet(x, order):
+            at = (np.linalg.norm(x - lifts[2][:, None], axis=0)
                   < surface.tolerances.dedup_tol)
-            return surface.morse(x) + np.where(at, raised, 0.0)
+            out = surface.morse_jet(x, order)
+            return (out[0] + np.where(at, raised, 0.0), *out[1:])
 
-        near = dataclasses.replace(surface, morse=morse)
+        def morse(points):
+            return morse_jet(points.T, 0)[0]
+
+        near = dataclasses.replace(surface, morse_jet=morse_jet)
         assert 0 < morse(lifts)[2] - values[1] < near.tolerances.stab_tol
         shots, rules = [], []
         endpoints = fn.FlowLineCounter._endpoints
@@ -1090,42 +1127,47 @@ class TestValueRule:
         else:
             surface = make()
             orbits = fn.find_critical_orbits(surface)
-        surface, counts = counted_fields(surface, ("morse",))
+        surface, counts = counted_fields(surface, ("morse_jet",))
         calls = counted_velocity(monkeypatch)
         fn.quotient_to_datum(surface, orbits)
         assert len(calls) == 4 * steps + 1
         lifts = sum(len(o.points) for o in orbits)
+        values = [n for n, order in counts["morse_jet"] if order == 0]
         if make is None:
             # the stabilized poles are minima of one lift each: one value
             # per lift shows that min0's two lifts lie below them
-            assert counts["morse"] == [lifts]
+            assert values == [lifts]
         else:
             # every orbit has two lifts, so no value is unique
-            assert counts["morse"] == []
+            assert values == []
 
     @pytest.mark.parametrize("delta, fires", [(2e-9, False), (1e-6, True)],
                              ids=["near_tie", "clear_gap"])
     def test_margin(self, monkeypatch, delta, fires):
         # two minima at y = -1 and y = 1 whose values differ by 2 delta;
         # within stab_tol = 1e-8 they count as equal and decide nothing
-        def morse(x):
-            return x[:, 2] ** 2 + 0.5 * x[:, 0] ** 2 + delta * x[:, 1]
-
-        def morse_grad(x):
-            return np.stack([x[:, 0], np.full(x.shape[0], delta),
-                             2.0 * x[:, 2]], axis=1)
-
         surface, counts = counted_fields(dataclasses.replace(
-            antipodal_sphere_surface(), name="tilted_sphere", morse=morse,
-            morse_grad=morse_grad, group=fn.group_from_generators(())),
-            ("morse",))
+            antipodal_sphere_surface(), name="tilted_sphere",
+            morse_jet=fn._quadric((0.0, delta, 0.0), (1.0, 0.0, 2.0)),
+            group=fn.group_from_generators(())), ("morse_jet",))
         orbits = fn.find_critical_orbits(surface)
         assert [o.index for o in orbits] == [2, 2, 1, 1, 0, 0]
-        counts["morse"].clear()
+        counts["morse_jet"].clear()
         calls = counted_velocity(monkeypatch)
+        consulted = []
+        passed = fn.FlowLineCounter._passed
+
+        def counted_passed(*args):
+            consulted.append(len(args[0]))
+            return passed(*args)
+
+        monkeypatch.setattr(fn.FlowLineCounter, "_passed",
+                            staticmethod(counted_passed))
         ruled = self.census(surface, orbits)
-        # f at the six lifts, and at the live rows of each step if it fires
-        assert (counts["morse"] != [6]) == fires
+        # f alone at the six lifts, and the rule at the live rows of each
+        # step only if it fires
+        assert [n for n, order in counts["morse_jet"] if order == 0] == [6]
+        assert bool(consulted) == fires
         # the velocity rows: a branch that ends early takes fewer
         ruled_rows = sum(calls)
         calls.clear()
@@ -1172,6 +1214,44 @@ class TestCaptureDistance:
             starts[:, None] - saddles[None], axis=2).min(axis=1),
             10 * dedup_tol, rtol=1e-9)
 
+    def test_coarse_dedup_tol_names_the_tolerance(self):
+        # branches started 10 * 0.3 = 3 from their saddle, past the other
+        # lifts (2 away), and one read as a saddle connection
+        # (BrokenFlowDetected)
+        surface = fn.torus_surface(tolerances=fn.Tolerances(dedup_tol=0.3))
+        orbits = fn.find_critical_orbits(surface)
+        with pytest.raises(BadParams, match=re.escape(
+                "tolerances.dedup_tol: a saddle branch starts 10 * dedup_tol"
+                " = 3 from its saddle, not below the distance 2 to the"
+                " nearest other critical lift")):
+            fn.quotient_to_datum(surface, orbits)
+
+    def test_dedup_tol_below_the_lift_distance_counts(self, torus_run):
+        surface = fn.torus_surface(tolerances=fn.Tolerances(dedup_tol=0.05))
+        datum = fn.quotient_to_datum(surface, fn.find_critical_orbits(surface))
+        assert counts_of(datum) == counts_of(torus_run.datum)
+        assert list(counts_of(datum).values()) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("kind, value", [("torus", 0.25),
+                                             ("epsilon", 0.8)])
+    def test_two_cross_products_per_census(self, monkeypatch, kind, value):
+        # one for the directions of all saddle lifts, one for the frame
+        # orientations of all maxima; one per saddle lift and one per
+        # ascending branch into a maximum took 6 on the torus
+        surface, orbits = surface_and_orbits(kind, value)
+        counter = fn.FlowLineCounter(surface, orbits)
+        want = counter._saddle_census()
+        calls = []
+        cross = np.cross
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return cross(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cross", counted)
+        assert counter._saddle_census() == want
+        assert len(calls) == 2
+
 
 def default_seeds(surface):
     tols = surface.tolerances
@@ -1192,7 +1272,7 @@ def counted_solve(monkeypatch):
     solve = fn._bordered_solve
 
     def counted(h, g, res):
-        rows.append(len(h))
+        rows.append(res.shape[1])
         return solve(h, g, res)
 
     monkeypatch.setattr(fn, "_bordered_solve", counted)
@@ -1205,17 +1285,11 @@ class TestProjection:
     def test_torus_level_gradient_rows(self):
         # projecting the check samples and the Newton seeds by a fixed 60
         # steps each, one search took 133,205 level-gradient rows
-        rows = []
-        surface = fn.torus_surface(tilt=0.25)
-        level_grad = surface.level_grad
-
-        def counted(x):
-            rows.append(len(x))
-            return level_grad(x)
-
-        fn.find_critical_orbits(dataclasses.replace(surface,
-                                                    level_grad=counted))
-        assert sum(rows) <= 23000
+        surface, counts = counted_fields(fn.torus_surface(tilt=0.25),
+                                         ("level_jet",))
+        fn.find_critical_orbits(surface)
+        assert sum(n for n, order in counts["level_jet"] if order >= 1) <= (
+            23000)
 
     @pytest.mark.parametrize("surface", [
         fn.torus_surface(), fn.sphere_surface(), fn.epsilon_sphere_surface(),
@@ -1229,7 +1303,8 @@ class TestProjection:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             x = fn._project_batch(surface, pts)
-        assert np.all(np.abs(surface.level(x[:len(seeds)])) < 1e-9)
+        assert np.all(np.abs(surface.level_jet(x[:len(seeds)].T, 0)[0])
+                      < 1e-9)
         assert np.all(np.isnan(x[-2]))
         assert np.array_equal(x[-1], np.zeros(3))
 
@@ -1239,16 +1314,30 @@ def newton_rounds(monkeypatch, surface, seeds, edit=None):
     rows it steps, and the points it returns.  ``edit(round, delta)`` may
     change a round's solved steps in place.  Rows are followed by position:
     a row stepped in a later round must sit exactly where its own clipped
-    step of the round before took it, so a restarted row fails the run."""
-    stepped, steps = [], []
-    hess = surface.morse_hess
+    step of the round before took it, so a restarted row fails the run.
+
+    A round steps some of the rows at which the last order-2 level jet was
+    evaluated, in order; they are the rows whose level gradients it is
+    given, each a column of that jet's gradient."""
+    stepped, steps, evaluated = [], [], []
+    jet = surface.level_jet
     solve = fn._bordered_solve
 
-    def recorded_hess(x):
-        stepped.append(x.copy())
-        return hess(x)
+    def recorded_jet(x, order):
+        out = jet(x, order)
+        if order == 2:
+            evaluated[:] = x.T.copy(), out[1].T
+        return out
 
     def edited(h, g, res):
+        x, grads = evaluated
+        rows = []
+        for column in g.T:
+            j = rows[-1] + 1 if rows else 0
+            while not np.array_equal(grads[j], column):
+                j += 1
+            rows.append(j)
+        stepped.append(x[rows])
         delta = solve(h, g, res)  # (4, n): the rows of delta.T are steps
         if edit is not None:
             edit(len(steps), delta.T)
@@ -1257,7 +1346,7 @@ def newton_rounds(monkeypatch, surface, seeds, edit=None):
 
     monkeypatch.setattr(fn, "_bordered_solve", edited)
     found = projected_newton(
-        dataclasses.replace(surface, morse_hess=recorded_hess), seeds)
+        dataclasses.replace(surface, level_jet=recorded_jet), seeds)
     candidates = fn._project_batch(surface, seeds)
     labels = np.arange(len(seeds))
     rounds = []
@@ -1357,6 +1446,24 @@ class TestNewtonWork:
         assert len(found) == len(seeds) - 1
         assert distinct(surface, found) == 4
 
+    def test_one_jet_pair_per_round(self, monkeypatch):
+        # the torus search takes 10 rounds; the jets at the starts serve the
+        # first, each round's jets at its stepped points the next, and an
+        # order-1 pair at the end checks every row.  No round builds
+        # (n, 3, 3) Hessians.  Evaluating F, grad F and Hess F apart took 34
+        # level-field calls: 3 per round, 2 at the starts and 2 at the end
+        plain = fn.torus_surface(tilt=0.25)
+        fn.find_critical_orbits(plain)
+        surface, counts = counted_fields(plain, ("level_jet", "morse_jet"))
+
+        def refused(h):
+            raise AssertionError("an (n, 3, 3) Hessian stack was built")
+
+        monkeypatch.setattr(fn, "_hess_matrices", refused)
+        fn._newton_critical_points(surface, stored_grid(plain))
+        for name in ("level_jet", "morse_jet"):
+            assert [order for _, order in counts[name]] == [2] * 11 + [1]
+
     def test_torus_solves_live_rows_only(self, monkeypatch):
         # 423 of the 1,100 torus seeds never converge; iterated until the
         # round cap they solved 39,900 systems over 80 rounds
@@ -1403,7 +1510,7 @@ class TestNewtonCompleteness:
 
 def stored_grid(surface):
     tols = surface.tolerances
-    return fn._level_store(surface.level, surface.level_grad).grids[
+    return fn._level_store(surface.level_jet).grids[
         tols.seed_count, tols.seed_radii, tols.dedup_tol]
 
 
@@ -1472,10 +1579,10 @@ class TestDistinctSeeds:
 
 
 def bordered_jacobians(h, g):
-    """The (n, 4, 4) matrices [[H, -g], [g^T, 0]] of ``h`` (n, 3, 3) and
-    the component rows ``g`` (3, n)."""
-    jac = np.zeros((len(h), 4, 4))
-    jac[:, :3, :3] = h
+    """The (n, 4, 4) matrices [[H, -g], [g^T, 0]] of the entry rows ``h``
+    (6, n) and the component rows ``g`` (3, n)."""
+    jac = np.zeros((h.shape[1], 4, 4))
+    jac[:, :3, :3] = fn._hess_matrices(h)
     jac[:, :3, 3] = -g.T
     jac[:, 3, :3] = g.T
     return jac
@@ -1492,7 +1599,7 @@ class TestBorderedSolve:
     def test_agrees_with_lapack(self):
         rng = np.random.default_rng(29)
         m = rng.normal(size=(500, 3, 3))
-        h = m + m.transpose(0, 2, 1)
+        h = entry_rows(m + m.transpose(0, 2, 1))
         g, res = rng.normal(size=(3, 500)), rng.normal(size=(4, 500))
         ref = lapack_steps(h, g, res)
         got = fn._bordered_solve(h, g, res)
@@ -1505,8 +1612,9 @@ class TestBorderedSolve:
         # circle of the tube's centre; a level gradient with a component
         # along that direction keeps J regular
         surface = fn.torus_surface()
-        h = surface.level_hess(np.array([[2.0, 0.0, 0.5], [0.0, 2.0, -0.3]]))
-        assert np.all(np.linalg.det(h) == 0.0)
+        h = surface.level_jet(np.array([[2.0, 0.0], [0.0, 2.0], [0.5, -0.3]]),
+                              2)[2]
+        assert np.all(np.linalg.det(fn._hess_matrices(h)) == 0.0)
         g = np.array([[0.3, 1.0], [1.0, 0.2], [0.2, -0.4]])
         res = np.array([[0.1, -0.2], [0.5, 0.3], [-0.7, 0.2], [0.05, 0.4]])
         monkeypatch.setattr(np.linalg, "pinv", None)
@@ -1517,8 +1625,8 @@ class TestBorderedSolve:
         # H = 0 (the sphere's height at lambda = 0, on the equator) makes
         # det J = g^T adj(H) g zero: that row's step is NaN, and the other
         # row is solved as if alone
-        h = np.zeros((2, 3, 3))
-        h[1] = np.diag([1.0, 2.0, 3.0])
+        h = np.zeros((6, 2))
+        h[[0, 3, 5], 1] = 1.0, 2.0, 3.0
         g = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         res = np.array([[0.0, 0.5], [0.0, -0.1], [1.0, 0.3], [0.0, 0.2]])
         monkeypatch.setattr(np.linalg, "pinv", None)
@@ -1527,7 +1635,7 @@ class TestBorderedSolve:
             got = fn._bordered_solve(h, g, res)
         assert np.all(np.isnan(got[:, 0]))
         assert np.array_equal(got[:, 1:], fn._bordered_solve(
-            h[1:], g[:, 1:], res[:, 1:]))
+            h[:, 1:], g[:, 1:], res[:, 1:]))
 
     def test_equator_seed_leaves_after_one_step(self, monkeypatch):
         # on the sphere lambda = z / (2 |x|^2) is zero on the equator, so
@@ -1547,9 +1655,9 @@ class TestBorderedSolve:
     def test_nan_row_stays_nan(self, monkeypatch):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(4, 3, 3))
-        h = m + m.transpose(0, 2, 1)
+        h = entry_rows(m + m.transpose(0, 2, 1))
         g, res = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
-        h[1, 0, 2] = h[1, 2, 0] = np.nan
+        h[2, 1] = np.nan  # the xz entry
         g[2, 3] = np.nan
         monkeypatch.setattr(np.linalg, "pinv", None)
         with warnings.catch_warnings():
@@ -1558,7 +1666,7 @@ class TestBorderedSolve:
         assert np.all(np.isnan(got[:, [1, 3]]))
         keep = [0, 2]
         np.testing.assert_allclose(got[:, keep], lapack_steps(
-            h[keep], g[:, keep], res[:, keep]), rtol=1e-12)
+            h[:, keep], g[:, keep], res[:, keep]), rtol=1e-12)
 
     def test_searches_make_no_lapack_solve(self, monkeypatch):
         def refused(*args):
@@ -1576,11 +1684,13 @@ class TestBorderedSolve:
 def tangent_at(surface, pos):
     """Tangent-Hessian eigenvalues and descending frame at one point, one
     row at a time: the per-point formula ``_tangent_data`` batches."""
-    x = pos[None]
-    g = surface.level_grad(x)[0]
+    x = pos[:, None]
+    (_, g, level_hess), (_, morse_grad, morse_hess) = (
+        surface.level_jet(x, 2), surface.morse_jet(x, 2))
+    g = g[:, 0]
     n = g / np.linalg.norm(g)
-    lam = float(surface.morse_grad(x)[0] @ g / (g @ g))
-    h = surface.morse_hess(x)[0] - lam * surface.level_hess(x)[0]
+    lam = float(morse_grad[:, 0] @ g / (g @ g))
+    h = fn._hess_matrices(morse_hess - lam * level_hess)[0]
     e = np.zeros(3)
     e[int(np.argmin(np.abs(n)))] = 1.0
     t1 = e - (e @ n) * n
@@ -1603,21 +1713,9 @@ def quadric_sphere_surface(tolerances=None):
     orbits at +-e_x (minimum, eigenvalues 2 and 2.1), +-e_y (saddle, -2 and
     0.1) and +-e_z (maximum, -2.1 and -0.1), met in that order by the
     orbit partition."""
-    coef = np.array([0.0, 2.0, 2.1])
-
-    def morse(x):
-        return x[:, 1] ** 2 + 1.05 * x[:, 2] ** 2
-
-    def morse_grad(x):
-        return x * coef
-
-    def morse_hess(x):
-        return np.full((len(x), 3, 3), np.diag(coef))
-
     return fn.ImplicitQuotientSurface(
-        name="quadric_sphere", level=fn._sphere_level,
-        level_grad=fn._sphere_level_grad, level_hess=fn._sphere_level_hess,
-        morse=morse, morse_grad=morse_grad, morse_hess=morse_hess,
+        name="quadric_sphere", level_jet=fn._sphere_level,
+        morse_jet=fn._quadric((0.0, 0.0, 0.0), (0.0, 2.0, 2.1)),
         group=fn.group_from_generators(("antipodal",)),
         tolerances=tolerances or fn.Tolerances(), euler_characteristic=2)
 
@@ -1768,8 +1866,8 @@ class TestStoredLevelSetWork:
         # F = |x|^2 + 1 has no zero: every check projects the samples
         # again and raises again
         surface = dataclasses.replace(
-            fn.sphere_surface(),
-            level=lambda x: np.einsum("ij,ij->i", x, x) + 1.0)
+            fn.sphere_surface(), level_jet=lambda x, order: (
+                np.einsum("ij,ij->j", x, x) + 1.0, 2.0 * x)[:order + 1])
         calls = counted_projections(monkeypatch)
         for _ in range(2):
             with pytest.raises(BadParams, match="could not project"):
@@ -1779,7 +1877,7 @@ class TestStoredLevelSetWork:
     def test_stored_arrays_are_read_only(self):
         surface = fn.torus_surface()
         fn.find_critical_orbits(surface)
-        store = fn._level_store(surface.level, surface.level_grad)
+        store = fn._level_store(surface.level_jet)
         for array in (store.samples, *store.grids.values()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
@@ -1803,19 +1901,19 @@ class TestStoredLevelSetWork:
 
 class TestOneBump:
     def test_one_bump_evaluation_per_field_call(self, monkeypatch, epsilon_run):
-        # both unstable poles are bumped, each field evaluates them together
+        # both unstable poles are bumped, each order evaluates them together
         real = fn._bump_parts
         centers = []
 
         def counted(x, c, a2, amplitudes):
-            centers.append(len(c))
+            centers.append(c.shape[-1])
             return real(x, c, a2, amplitudes)
 
         monkeypatch.setattr(fn, "_bump_parts", counted)
         surface = epsilon_run.surface
-        x = np.random.default_rng(3).uniform(-1.0, 1.0, (20, 3))
-        for field_ in (surface.morse, surface.morse_grad, surface.morse_hess):
-            field_(x)
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 20))
+        for order in (0, 1, 2):
+            surface.morse_jet(x, order)
         assert centers == [2, 2, 2]
 
     def test_sum_of_single_orbit_bumps(self, epsilon_run):
@@ -1824,9 +1922,10 @@ class TestOneBump:
         single = [fn.stabilize_numeric(raw, o.representative, orbits)
                   for o in orbits if not o.stable]
         assert len(single) == 2
-        x = np.random.default_rng(5).uniform(-1.0, 1.0, (50, 3))
-        for name in ("morse", "morse_grad", "morse_hess"):
-            base = getattr(raw, name)(x)
-            expected = base + sum(getattr(s, name)(x) - base for s in single)
-            assert np.allclose(getattr(epsilon_run.surface, name)(x), expected,
-                               rtol=0.0, atol=1e-12)
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 50))
+        for order in (0, 1, 2):
+            base = raw.morse_jet(x, 2)[order]
+            expected = base + sum(s.morse_jet(x, 2)[order] - base
+                                  for s in single)
+            assert np.allclose(epsilon_run.surface.morse_jet(x, 2)[order],
+                               expected, rtol=0.0, atol=1e-12)

@@ -58,24 +58,9 @@ from orbimorse.errors import OrbimorseError
 
 def antipodal_sphere_surface():
     """The unit sphere with f = z^2 + x^2 / 2, invariant under x -> -x."""
-
-    def morse(x):
-        return x[:, 2] ** 2 + 0.5 * x[:, 0] ** 2
-
-    def morse_grad(x):
-        return np.stack(
-            [x[:, 0], np.zeros(x.shape[0]), 2.0 * x[:, 2]], axis=1)
-
-    def morse_hess(x):
-        out = np.zeros((x.shape[0], 3, 3))
-        out[:, 0, 0] = 1.0
-        out[:, 2, 2] = 2.0
-        return out
-
     return fn.ImplicitQuotientSurface(
-        name="antipodal_sphere", level=fn._sphere_level,
-        level_grad=fn._sphere_level_grad, level_hess=fn._sphere_level_hess,
-        morse=morse, morse_grad=morse_grad, morse_hess=morse_hess,
+        name="antipodal_sphere", level_jet=fn._sphere_level,
+        morse_jet=fn._quadric((0.0, 0.0, 0.0), (1.0, 0.0, 2.0)),
         group=fn.group_from_generators(("antipodal",)),
         euler_characteristic=2)
 
