@@ -49,12 +49,6 @@ class BoundarySquaredNonzero(OrbimorseError):
     """The boundary built from the given counts does not square to zero."""
 
 
-class NonIntegralCoefficient(OrbimorseError):
-    """A stabilizer-weighted boundary coefficient is not an integer.  Nothing
-    raises it: ``validate``'s ``stabilizer-divisibility`` rule rejects such
-    a datum first (ValidationFailure); it stays exported."""
-
-
 # --- stabilization -------------------------------------------------------
 
 class PointNotFound(OrbimorseError):

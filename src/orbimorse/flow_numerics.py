@@ -161,7 +161,8 @@ class NumericCriticalPoint:
     """One lift of a critical point: position, Morse index, stabilizer
     elements (indices into the group), an orthonormal frame spanning the
     descending directions, both tangent-Hessian eigenvalues (ascending),
-    and the chosen orientation sign of the frame."""
+    and the chosen orientation sign.  A maximum's frame is positively
+    oriented against grad F, so ``orientation`` is its only orientation."""
 
     position: np.ndarray
     index: int
@@ -175,7 +176,7 @@ class NumericCriticalPoint:
 @dataclass
 class CriticalOrbit:
     """A group orbit of critical lifts; the representative comes first and
-    carries the orientation data, the per-lift frames are its pushforwards."""
+    carries the orientation sign; the per-lift frames are its pushforwards."""
 
     label: str
     points: list
@@ -620,9 +621,12 @@ def _first_per_cell(points, tol):
 
 def _tangent_data(surface, reps):
     """At each critical point of ``reps`` (k, 3): the eigenvalues, ascending,
-    of the Hessian of f - lambda F on the tangent plane, (k, 2), and their
-    unit eigenvectors in space, (k, 2, 3), each signed so that its largest
-    |entry| is positive.  Degeneracy is checked by the caller."""
+    of the Hessian of f - lambda F on the tangent plane, (k, 2), and the
+    frames [v, n x v], (k, 2, 3): v the unit eigenvector of the smaller one,
+    signed so that its largest |entry| is positive, n = grad F / |grad F|.
+    n x v is +- the other eigenvector, so every frame is positively oriented
+    against grad F, whatever order eigh gives equal eigenvalues' vectors in.
+    Degeneracy is checked by the caller."""
     level, morse = surface.level_jet(reps.T, 2), surface.morse_jet(reps.T, 2)
     g, gf = level[1].T, morse[1].T
     lam = np.einsum("ij,ij->i", gf, g) / np.einsum("ij,ij->i", g, g)
@@ -635,11 +639,11 @@ def _tangent_data(surface, reps):
     basis = np.stack([t1, np.cross(n, t1)], axis=1)
     m = basis @ h @ basis.transpose(0, 2, 1)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
-    vecs = eigvecs.transpose(0, 2, 1) @ basis
-    vecs /= np.sqrt(np.add.reduce(vecs * vecs, axis=2))[..., None]
-    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=2)[..., None],
-                             axis=2)
-    return eigvals, np.where(top > 0, vecs, -vecs)
+    v = (eigvecs.transpose(0, 2, 1) @ basis)[:, 0]
+    v /= _row_norms(v)[:, None]
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
+    v = np.where(top > 0, v, -v)
+    return eigvals, np.stack([v, np.cross(n, v)], axis=1)
 
 
 def find_critical_orbits(surface, extra_seeds=None):
@@ -858,9 +862,9 @@ class FlowLineCounter:
         unstable vector u; a hit on the captured minimum lift carries the
         branch sign.  Ascending: both branches of every saddle lift along
         a = n x u; a branch ending on a maximum's representative is a line
-        from it into that saddle lift.  Its sign compares the maximum's
-        frame orientation sign((f0 x f1) . n) with sign((-+a) x u . n),
-        the arrival direction against u, which is +1 on the +a branch.
+        from it into that saddle lift.  Maxima frames are positively
+        oriented against n, so its sign is sign((-+a) x u . n), the arrival
+        direction against u, which is +1 on the +a branch.
 
         A start must lie nearer its saddle than any other lift does, or
         BadParams names ``dedup_tol``.
@@ -881,13 +885,8 @@ class FlowLineCounter:
                 f" {nearest:.3g} to the nearest other critical lift")
         down = np.reshape([self.lifts[lift][1].negative_frame[0]
                            for lift in saddles], (-1, 3))
-        tops = [lift for lift, (oi, p) in enumerate(self.lifts)
-                if p.index == 2 and p is self.orbits[oi].representative]
-        frames = np.reshape([self.lifts[lift][1].negative_frame
-                             for lift in tops], (-1, 2, 3))
-        turn = np.einsum("ij,ij->i", np.cross(frames[:, 0], frames[:, 1]),
-                         normals[tops])
-        orientation = dict(zip(tops, np.where(turn > 0, 1, -1).tolist()))
+        tops = {lift for lift, (oi, p) in enumerate(self.lifts)
+                if p.index == 2 and p is self.orbits[oi].representative}
         starts, branches = [], []
         for lift, u, a in zip(saddles, down, np.cross(normals[saddles], down)):
             oi, p = self.lifts[lift]
@@ -914,8 +913,8 @@ class FlowLineCounter:
                 raise BrokenFlowDetected(
                     f"ascending trajectory of {label!r} limits to an"
                     f" index-{hit.index} point: the pair is not Morse-Smale")
-            if end in orientation:
-                census[ti].append((lift, orientation[end] * sign))
+            if end in tops:
+                census[ti].append((lift, sign))
         return census
 
     def _endpoints(self, starts, branches):

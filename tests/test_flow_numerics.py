@@ -640,11 +640,16 @@ class TestAntipodalQuotient:
         counts = counts_of(datum)
         assert counts[("max0", "saddle0")] == 2
         assert counts[("saddle0", "min0")] == 0
-        # swapping the maximum's two frame vectors reverses its orientation
+        # the maximum's frame does not enter its counts: swapping its two
+        # vectors changes nothing, and its stored orientation sign is the
+        # only orientation choice
         for point in orbits[0].points:
             point.negative_frame = point.negative_frame[::-1].copy()
         swapped = counts_of(fn.quotient_to_datum(surface, orbits))
-        assert swapped[("max0", "saddle0")] == -2
+        assert swapped[("max0", "saddle0")] == 2
+        orbits[0].representative.orientation *= -1
+        flipped = counts_of(fn.quotient_to_datum(surface, orbits))
+        assert flipped[("max0", "saddle0")] == -2
         co = homology(coinvariant_complex(datum))
         assert profile(co) == [(1, ()), (0, (2,)), (0, ())]
         reference = simplicial_homology(builtin_space("rp2"))
@@ -1234,10 +1239,11 @@ class TestCaptureDistance:
 
     @pytest.mark.parametrize("kind, value", [("torus", 0.25),
                                              ("epsilon", 0.8)])
-    def test_two_cross_products_per_census(self, monkeypatch, kind, value):
-        # one for the directions of all saddle lifts, one for the frame
-        # orientations of all maxima; one per saddle lift and one per
-        # ascending branch into a maximum took 6 on the torus
+    def test_one_cross_product_per_census(self, monkeypatch, kind, value):
+        # one for the directions of all saddle lifts; maxima frames are
+        # oriented by construction, so none reads their orientation (one
+        # per saddle lift and one per ascending branch into a maximum took
+        # 6 on the torus)
         surface, orbits = surface_and_orbits(kind, value)
         counter = fn.FlowLineCounter(surface, orbits)
         want = counter._saddle_census()
@@ -1250,7 +1256,7 @@ class TestCaptureDistance:
 
         monkeypatch.setattr(np, "cross", counted)
         assert counter._saddle_census() == want
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 def default_seeds(surface):
@@ -1708,6 +1714,12 @@ def tangent_at(surface, pos):
     return eigvals, np.array(frame).reshape(-1, 3)
 
 
+def unit_normal(surface, pos):
+    """grad F / |grad F| at one point."""
+    g = surface.level_jet(pos[:, None], 1)[1][:, 0]
+    return g / np.linalg.norm(g)
+
+
 def quadric_sphere_surface(tolerances=None):
     """The unit sphere with f = y^2 + 1.05 z^2 and the antipodal group:
     orbits at +-e_x (minimum, eigenvalues 2 and 2.1), +-e_y (saddle, -2 and
@@ -1737,12 +1749,64 @@ class TestTangentPass:
                 want, frame = tangent_at(surface, pos)
                 assert abs(want[1] - want[0]) > 1e-3  # frames well defined
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-                np.testing.assert_allclose(got_vecs[got < 0], frame,
+                np.testing.assert_allclose(got_vecs[got < 0][:1], frame[:1],
                                            rtol=0, atol=1e-12)
+                # the second vector is n x the first, and so +- the second
+                # eigenvector
+                np.testing.assert_allclose(
+                    got_vecs[1], np.cross(unit_normal(surface, pos),
+                                          got_vecs[0]), rtol=0, atol=1e-12)
+                if len(frame) == 2:
+                    assert abs(got_vecs[1] @ frame[1]) == pytest.approx(
+                        1.0, rel=0, abs=1e-12)
+        surface = cases[-1][0]
         for orbit in cases[-1][1]:
             rep = orbit.representative
+            frame = tangent_at(surface, rep.position)[1][:1]
+            if orbit.index == 2:
+                frame = np.concatenate([frame, np.cross(
+                    unit_normal(surface, rep.position), frame)])
+            np.testing.assert_allclose(rep.negative_frame, frame,
+                                       rtol=0, atol=1e-12)
+
+    def test_sphere_maximum_oriented_by_the_normal(self, monkeypatch):
+        # the sphere's maximum has the tangent eigenvalues -1, -1, so eigh's
+        # column order there is roundoff's choice; under either order the
+        # frame is positively oriented against grad F
+        eigh = np.linalg.eigh
+        surface = fn.sphere_surface()
+        firsts = []
+        for reverse in (False, True):
+
+            def reordered(a):
+                w, v = eigh(a)
+                if reverse:
+                    equal = (w[..., 0] == w[..., 1])[..., None, None]
+                    v = np.where(equal, v[..., ::-1], v)
+                return w, v
+
+            monkeypatch.setattr(np.linalg, "eigh", reordered)
+            top = next(o for o in fn.find_critical_orbits(surface)
+                       if o.index == 2).representative
+            g = surface.level_jet(top.position[:, None], 1)[1][:, 0]
+            f0, f1 = top.negative_frame
+            assert np.cross(f0, f1) @ g == pytest.approx(2.0, rel=1e-12)
+            firsts.append(f0)
+        # the reversal reached the maximum: its first vector moved
+        assert abs(firsts[0] @ firsts[1]) < 1e-12
+
+    @pytest.mark.parametrize("kind, value", [
+        ("torus", 0.02), ("torus", 0.25), ("torus", 0.5), ("epsilon", 0.55),
+        ("epsilon", 0.8), ("epsilon", 1.5), ("sphere", None),
+        ("antipodal_sphere", None)])
+    def test_maximum_frame_is_normal_cross_first(self, kind, value):
+        surface, orbits = surface_and_orbits(kind, value)
+        tops = [o.representative for o in orbits if o.index == 2]
+        assert tops
+        for rep in tops:
+            f0, f1 = rep.negative_frame
             np.testing.assert_allclose(
-                rep.negative_frame, tangent_at(cases[-1][0], rep.position)[1],
+                f1, np.cross(unit_normal(surface, rep.position), f0),
                 rtol=0, atol=1e-12)
 
     def test_degenerate_second_orbit(self):

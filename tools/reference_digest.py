@@ -38,7 +38,9 @@ sphere at 20 values of epsilon from 0.55 to 1.5, the sphere, an
 antipodally symmetric sphere, the sphere with the antipodal group (its
 height is not invariant), and, on the stabilized epsilon = 0.8 sphere,
 each orbit's orientation flipped in turn and the first descending
-direction of each saddle and of the maximum negated on every lift.  Then
+direction of each saddle and of the maximum negated on every lift; maxima
+frames do not enter counts, so the maximum's frame case must build the
+unedited datum.  Then
 the probes that fail with a typed error: the epsilon = 0.3 sphere and the
 sphere with the half-turn, whose cone points stabilization does not
 handle, and a torus at 20 times the unit scale, which the seed grid
