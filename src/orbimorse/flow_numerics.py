@@ -8,12 +8,12 @@ following the descending and ascending branches of every saddle, and
 descends everything to a Morse datum for the quotient.
 
 A surface gives F and f as two jets (``ImplicitQuotientSurface``): at a
-batch of points in component rows, shape (3, n), a jet returns the value,
-the gradient (3, n) and the Hessian as six entry rows (6, n), up to an
-order; none accepts a single point.  The saddle branches are integrated as
-one batch in a fixed order, so runs produce identical output.  The metric
-is the induced Euclidean metric, which is automatically equivariant for an
-orthogonal group action.
+batch of points in component rows, shape (3, n), a jet returns the value
+(``None`` with ``value=False``), the gradient (3, n) and the Hessian as
+six entry rows (6, n), up to an order; none accepts a single point.  The
+saddle branches are integrated as one batch in a fixed order, so runs
+produce identical output.  The metric is the induced Euclidean metric,
+which is automatically equivariant for an orthogonal group action.
 """
 
 from __future__ import annotations
@@ -141,11 +141,12 @@ def _finite(**params):
 class ImplicitQuotientSurface:
     """A level-set surface F = 0 with a Morse function f and a finite
     orthogonal group under which both are invariant.  F and f are jets:
-    ``level_jet(x, order)`` and ``morse_jet(x, order)`` take points x as
-    component rows, shape (3, n), and return the tuple of the value (n,),
-    the gradient (3, n) and the Hessian entry rows xx, xy, xz, yy, yz, zz
-    (6, n) up to ``order`` 0, 1 or 2, lower orders bit for bit the leading
-    outputs of order 2."""
+    ``level_jet(x, order, value=True)`` and ``morse_jet(x, order, value)``
+    take points x as component rows, shape (3, n), and return the tuple of
+    the value (n,), the gradient (3, n) and the Hessian entry rows xx, xy,
+    xz, yy, yz, zz (6, n) up to ``order`` 0, 1 or 2, lower orders bit for
+    bit the leading outputs of order 2.  With ``value=False`` the value is
+    ``None``, need not be computed, and moves no other output's bytes."""
 
     name: str
     level_jet: object
@@ -247,11 +248,12 @@ def group_from_generators(names):
     return tuple(elements[k] for k in ordered)
 
 
-def _sphere_level(x, order):
+def _sphere_level(x, order, value=True):
     """The jet of F = |x|^2 - 1, the unit sphere."""
     if order < 2:
-        return (np.add.reduce(x * x) - 1.0, 2.0 * x)[:order + 1]
-    return *_sphere_level(x, 1), np.full((6, x.shape[1]), _TWICE_UNIT)
+        return (np.add.reduce(x * x) - 1.0 if value else None,
+                2.0 * x)[:order + 1]
+    return *_sphere_level(x, 1, value), np.full((6, x.shape[1]), _TWICE_UNIT)
 
 
 def _quadric(linear, diagonal=(0.0, 0.0, 0.0)):
@@ -261,14 +263,15 @@ def _quadric(linear, diagonal=(0.0, 0.0, 0.0)):
     hess = np.reshape([diagonal[0], 0, 0, diagonal[1], 0, diagonal[2]], (6, 1))
     linear_only = not any(diagonal)
 
-    def jet(x, order):
+    def jet(x, order, value=True):
         if order == 2:
-            return *jet(x, 1), np.full((6, x.shape[1]), hess)
+            return *jet(x, 1, value), np.full((6, x.shape[1]), hess)
         if linear_only:  # the gradient is c
-            return (np.add.reduce(x * c), np.full(x.shape, c))[:order + 1]
+            return (np.add.reduce(x * c) if value else None,
+                    np.full(x.shape, c))[:order + 1]
         hx = half * x
         t = hx + c  # the gradient is t + hx, and f is x . t
-        return (np.add.reduce(x * t), t + hx)[:order + 1]
+        return (np.add.reduce(x * t) if value else None, t + hx)[:order + 1]
 
     return jet
 
@@ -288,9 +291,9 @@ def _torus_level(major, minor):
     """The jet of F of the torus with these radii, rho computed once per
     call: one function object per shape, so its tori share ``_level_store``."""
 
-    def jet(x, order):
+    def jet(x, order, value=True):
         p = np.maximum(np.hypot(x[0], x[1]), 1e-9)
-        out = ((p - major) ** 2 + x[2] ** 2 - minor ** 2,)
+        out = ((p - major) ** 2 + x[2] ** 2 - minor ** 2 if value else None,)
         if order >= 1:
             grad = 2.0 * (p - major) / p * x
             grad[2] = 2.0 * x[2]
@@ -426,10 +429,17 @@ def _row_norms(v):
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
+def _cross(a, b):
+    """a x b per row of (n, 3) batches, ``np.cross``'s bytes in fewer calls."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+
+
 def _velocity(surface, x, order=1):
     """Negative gradient of f projected onto the tangent planes at the rows
-    of ``x`` (n, 3), and the jets of F and f up to ``order`` and |grad F|."""
-    level, morse = surface.level_jet(x.T, order), surface.morse_jet(x.T, order)
+    of ``x`` (n, 3), and the jets of F and f up to ``order`` and |grad F|;
+    values at order 2 only, as the order-1 callers read no value."""
+    level = surface.level_jet(x.T, order, order == 2)
+    morse = surface.morse_jet(x.T, order, order == 2)
     g, gf = level[1], morse[1]
     level_norm = np.sqrt(np.add.reduce(g * g))
     n = g / level_norm
@@ -636,14 +646,14 @@ def _tangent_data(surface, reps):
     t1 = -n[axis][:, None] * n
     t1[axis] += 1.0
     t1 /= _row_norms(t1)[:, None]
-    basis = np.stack([t1, np.cross(n, t1)], axis=1)
+    basis = np.stack([t1, _cross(n, t1)], axis=1)
     m = basis @ h @ basis.transpose(0, 2, 1)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
     v = (eigvecs.transpose(0, 2, 1) @ basis)[:, 0]
     v /= _row_norms(v)[:, None]
     top = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
     v = np.where(top > 0, v, -v)
-    return eigvals, np.stack([v, np.cross(n, v)], axis=1)
+    return eigvals, np.stack([v, _cross(n, v)], axis=1)
 
 
 def find_critical_orbits(surface, extra_seeds=None):
@@ -801,14 +811,16 @@ class FlowLineCounter:
     from its saddle, outside the distance ``dedup_tol`` that ends it.
 
     Each RK4 step of a branch is 1.5 / L(x), with L the ``_local_rate``
-    bound at the branch's current position: RK4 damps a mode of decay rate
-    k only for steps h with h k below ~2.8, and L bounds every such k near
-    x, so steps are short only where the flow changes fast.  One Newton
-    correction (``_level_step``) after each step returns the row towards
-    F = 0 (Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4):
-    a step leaves the surface by |F| up to ~1e-1, the next step starts
-    within ~2e-4, below the step's own error along the surface, so
-    projecting to roundoff would buy nothing the next step keeps.
+    bound at the branch's current position: RK4 damps a mode of decay rate k
+    only for steps h with h k below ~2.8, and L bounds every such k near x,
+    so steps are short only where the flow changes fast.  Its first stage
+    takes order-2 jets at x (velocity, value rule, L), the inner stages, off
+    the trajectory, order-1 jets without values.  One Newton correction
+    (``_level_step``) after each step returns the row towards F = 0 (Hairer,
+    Lubich & Wanner, Geometric Numerical Integration, IV.4): a step leaves
+    the surface by |F| up to ~1e-1, the next step starts within ~2e-4, below
+    the step's own error along the surface, so projecting to roundoff would
+    buy nothing the next step keeps.
 
     A branch also ends, before it is captured, once critical values decide
     its end (``_value_rule``), which relies on the complete critical set
@@ -888,7 +900,7 @@ class FlowLineCounter:
         tops = {lift for lift, (oi, p) in enumerate(self.lifts)
                 if p.index == 2 and p is self.orbits[oi].representative}
         starts, branches = [], []
-        for lift, u, a in zip(saddles, down, np.cross(normals[saddles], down)):
+        for lift, u, a in zip(saddles, down, _cross(normals[saddles], down)):
             oi, p = self.lifts[lift]
             for sign in (1, -1):
                 if p is self.orbits[oi].representative:
@@ -937,7 +949,6 @@ class FlowLineCounter:
         live = np.arange(len(x))
         limit, target = self._value_rule(
             direction, np.array([oi for oi, *_ in branches]))
-        # f is evaluated per step only when the rule can decide some row
         decides = np.isfinite(limit).any()
         sign = direction[:, None]
 
@@ -955,10 +966,10 @@ class FlowLineCounter:
             squared = np.add.reduce(diff * diff, axis=2)
             nearest = squared.argmin(axis=1)
             dmin = np.sqrt(squared[np.arange(len(x)), nearest])
-            velocity, level, morse, level_norm = _velocity(s, x, 2)
+            k1, level, morse, level_norm = _velocity(s, x, 2)
 
             done = dmin < capture
-            stranded = ~done & (_row_norms(velocity) < _STALL_SPEED)
+            stranded = ~done & (_row_norms(k1) < _STALL_SPEED)
             if stranded.any():
                 raise lost("a trajectory stalled away from every critical"
                            " point", stranded.argmax())
@@ -969,8 +980,8 @@ class FlowLineCounter:
             if ended.any():
                 ends[live[ended]] = np.where(done, nearest, target)[ended]
                 keep = ~ended
-                live, x, sign, velocity, limit, target, level_norm = (
-                    live[keep], x[keep], sign[keep], velocity[keep],
+                live, x, sign, k1, limit, target, level_norm = (
+                    live[keep], x[keep], sign[keep], k1[keep],
                     limit[keep], target[keep], level_norm[keep])
                 level, morse = ([a[..., keep] for a in jet]
                                 for jet in (level, morse))
@@ -990,7 +1001,6 @@ class FlowLineCounter:
             # bit for bit
             dt = sign * (1.5 / rate)[:, None]
             half = 0.5 * dt
-            k1 = velocity
             k2 = _velocity(s, x + half * k1)[0]
             k3 = _velocity(s, x + half * k2)[0]
             k4 = _velocity(s, x + dt * k3)[0]
@@ -1086,38 +1096,38 @@ def _orbit_bump(point, orbits):
     return centers, width, 2.0 * abs(min(point.eigenvalues)) * width ** 2
 
 
-def _bump_parts(x, centers, neg_a2, amplitudes):
-    """Offsets of the points ``x`` (3, n) from the ``centers`` (3, 1, c) and
-    the bump values a exp(|d|^2 / -w^2), shapes (3, n, c) and (n, c)."""
-    diff = x[:, :, None] - centers
-    e = amplitudes * np.exp(np.einsum("jnc,jnc->nc", diff, diff) / neg_a2)
-    return diff, e
+def _bump_parts(x, centers, neg_w2):
+    """Offsets of the points ``x`` (3, n) from the ``centers`` (3, c, 1),
+    (3, c, n), and the Gaussians exp(|d|^2 / -w^2), (c, n)."""
+    diff = x[:, None] - centers
+    return diff, np.exp(np.add.reduce(diff * diff) / neg_w2)
 
 
 def _bumped(surface, bumps):
-    """The surface with f minus one radial bump per center, each bump given
-    as (centers, width, amplitude); every evaluation of its Morse jet
-    evaluates all centers in one ``_bump_parts`` call.
+    """The surface with f minus a bump a exp(|x - c|^2 / -w^2) per center c,
+    given as (centers, width w, amplitude a); its Morse jet evaluates every
+    center in one ``_bump_parts`` call, and a, 2a/w^2, 4a/w^4 are folded.
 
     F, its group and its tolerances are those of ``surface``, so the
     bumped surface shares its ``_level_store`` entry: the checked samples
     of ``check_surface`` and the projected seed grid of
     ``find_critical_orbits``.  Both are projections onto F = 0 alone."""
-    centers = np.concatenate([c for c, _, _ in bumps]).T[:, None, :]
-    a2 = np.concatenate([np.full(len(c), w ** 2) for c, w, _ in bumps])
-    amplitudes = np.concatenate([np.full(len(c), a) for c, _, a in bumps])
-    neg_a2, two_a2, four_a4 = -a2, 2.0 / a2, 4.0 / a2 ** 2
+    centers = np.concatenate([c for c, _, _ in bumps]).T[:, :, None]
+    w2 = np.concatenate([np.full((len(c), 1), w ** 2) for c, w, _ in bumps])
+    amps = np.concatenate([np.full((len(c), 1), a) for c, _, a in bumps])
+    neg_w2, two_a, four_a = -w2, 2.0 * amps / w2, 4.0 * amps / w2 ** 2
 
-    def morse_jet(x, order):
-        base = surface.morse_jet(x, order)
-        diff, e = _bump_parts(x, centers, neg_a2, amplitudes)
-        out, we = (base[0] - np.add.reduce(e, axis=1),), two_a2 * e
+    def morse_jet(x, order, value=True):
+        base = surface.morse_jet(x, order, value)
+        diff, gauss = _bump_parts(x, centers, neg_w2)
+        out = (base[0] - np.add.reduce(amps * gauss) if value else None,)
         if order >= 1:
-            out += (base[1] + np.einsum("nc,jnc->jn", we, diff),)
+            we = two_a * gauss
+            out += (base[1] + np.add.reduce(we * diff, axis=1),)
         if order >= 2:
-            h = base[2] - np.einsum("nc,inc->in", four_a4 * e,
-                                    diff[_ROWS] * diff[_COLUMNS])
-            h[_DIAGONAL] += np.add.reduce(we, axis=1)
+            h = base[2] - np.add.reduce(
+                four_a * gauss * (diff[_ROWS] * diff[_COLUMNS]), axis=1)
+            h[_DIAGONAL] += np.add.reduce(we)
             out += (h,)
         return out
 

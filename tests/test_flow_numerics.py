@@ -737,6 +737,21 @@ class TestFieldContract:
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_gradient_only(self, cases, name, n):
+        # value=False gives None for the value and moves no byte of the
+        # gradient or the Hessian
+        surface, points = cases[name]
+        x = points[:, :n]
+        for jet in (surface.level_jet, surface.morse_jet):
+            for order in (1, 2):
+                full, bare = jet(x, order), jet(x, order, value=False)
+                assert len(bare) == order + 1 and bare[0] is None
+                for got, want in zip(bare[1:], full[1:]):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", NAMES)
     def test_group_invariance(self, cases, name):
         # F of the sphere and of the torus is invariant under the half-turn
@@ -878,7 +893,9 @@ class TestCensusWork:
         # where every branch has ended; the local rate reads its gradient
         # norms off the first of the four (it took a fifth pair, 311 calls).
         # Branches end within dedup_tol of a lift (at 1e-9 it took 62 steps).
-        # The value rule's one read of f at the lifts takes no gradient
+        # The value rule's one read of f at the lifts takes no gradient.
+        # Only the first of the four computes f: the three inner stages
+        # read their velocity alone (computing f too took 189 calls)
         surface, counts = counted_fields(epsilon_run.surface, ("morse_jet",))
         steps = []
         rate = fn._local_rate
@@ -891,8 +908,10 @@ class TestCensusWork:
         assert fn.quotient_to_datum(surface, epsilon_run.orbits) == (
             epsilon_run.datum)
         assert len(steps) == 47
-        assert len([n for n, order in counts["morse_jet"] if order >= 1]) == (
-            4 * 47 + 1)
+        gradients = [value for (_, order), value in zip(
+            counts["morse_jet"], counts["morse_jet", "value"]) if order >= 1]
+        assert len(gradients) == 4 * 47 + 1
+        assert gradients.count(True) == 48
 
 
 class TestCensusCorrection:
@@ -976,15 +995,17 @@ def counted_velocity(monkeypatch):
 
 def counted_fields(surface, names):
     """The surface with each named jet recording the batch size and order
-    of every call, and the records by name."""
-    counts = {name: [] for name in names}
+    of every call, and the records by name; the ``value`` flag of each call
+    is recorded, in the same order, under (name, "value")."""
+    counts = {key: [] for name in names for key in (name, (name, "value"))}
 
     def counted(name):
         real = getattr(surface, name)
 
-        def jet(x, order):
+        def jet(x, order, value=True):
             counts[name].append((x.shape[1], order))
-            return real(x, order)
+            counts[name, "value"].append(value)
+            return real(x, order, value)
         return jet
 
     return dataclasses.replace(
@@ -1086,10 +1107,12 @@ class TestValueRule:
         values = surface.morse_jet(lifts.T, 0)[0]
         raised = values[1] + 5e-9 - values[2]
 
-        def morse_jet(x, order):
+        def morse_jet(x, order, value=True):
             at = (np.linalg.norm(x - lifts[2][:, None], axis=0)
                   < surface.tolerances.dedup_tol)
-            out = surface.morse_jet(x, order)
+            out = surface.morse_jet(x, order, value)
+            if out[0] is None:
+                return out
             return (out[0] + np.where(at, raised, 0.0), *out[1:])
 
         def morse(points):
@@ -1243,18 +1266,19 @@ class TestCaptureDistance:
         # one for the directions of all saddle lifts; maxima frames are
         # oriented by construction, so none reads their orientation (one
         # per saddle lift and one per ascending branch into a maximum took
-        # 6 on the torus)
+        # 6 on the torus).  The product is _cross, np.cross's bytes in
+        # fewer numpy calls
         surface, orbits = surface_and_orbits(kind, value)
         counter = fn.FlowLineCounter(surface, orbits)
         want = counter._saddle_census()
         calls = []
-        cross = np.cross
+        cross = fn._cross
 
-        def counted(*args, **kwargs):
-            calls.append(len(args[0]))
-            return cross(*args, **kwargs)
+        def counted(a, b):
+            calls.append(len(a))
+            return cross(a, b)
 
-        monkeypatch.setattr(np, "cross", counted)
+        monkeypatch.setattr(fn, "_cross", counted)
         assert counter._saddle_census() == want
         assert len(calls) == 1
 
@@ -1736,6 +1760,16 @@ class TestTangentPass:
     """``find_critical_orbits`` computes the tangent data of every orbit
     representative in one batch and checks the orbits in partition order."""
 
+    def test_cross_is_np_cross_bit_for_bit(self):
+        # frames and census directions take their cross products from
+        # _cross, so they keep np.cross's bytes
+        rng = np.random.default_rng(13)
+        for _ in range(1000):
+            n = int(rng.integers(1, 11))
+            a = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-5, 5)
+            b = rng.normal(size=(n, 3))
+            assert fn._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
     def test_matches_per_point_formula(self, epsilon_run):
         surfaces = [fn.torus_surface(tilt=t) for t in (0.02, 0.25, 0.5)]
         surfaces += [antipodal_sphere_surface(), quadric_sphere_surface()]
@@ -1965,20 +1999,23 @@ class TestStoredLevelSetWork:
 
 class TestOneBump:
     def test_one_bump_evaluation_per_field_call(self, monkeypatch, epsilon_run):
-        # both unstable poles are bumped, each order evaluates them together
+        # both unstable poles are bumped, each order evaluates them
+        # together, and so does a call without the value; the centers are
+        # the leading axis after the components
         real = fn._bump_parts
         centers = []
 
-        def counted(x, c, a2, amplitudes):
-            centers.append(c.shape[-1])
-            return real(x, c, a2, amplitudes)
+        def counted(x, c, neg_w2):
+            centers.append(c.shape[1])
+            return real(x, c, neg_w2)
 
         monkeypatch.setattr(fn, "_bump_parts", counted)
         surface = epsilon_run.surface
         x = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 20))
         for order in (0, 1, 2):
             surface.morse_jet(x, order)
-        assert centers == [2, 2, 2]
+        surface.morse_jet(x, 1, value=False)
+        assert centers == [2, 2, 2, 2]
 
     def test_sum_of_single_orbit_bumps(self, epsilon_run):
         # stabilize_all subtracts the bumps stabilize_numeric makes per orbit
