@@ -70,18 +70,9 @@ def _require_keys(obj, required, optional, what, index=None):
             raise ParseError(f"{_context(what, index)}: unknown key {key!r}")
 
 
-def _as_int(value, what, index=None, key=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{_context(what, index, key)}: expected an integer,"
-                         f" got {value!r}")
-    return value
-
-
-def _as_label(value, what, index, key):
-    if not isinstance(value, str):
-        raise ParseError(f"{_context(what, index, key)}: expected a string,"
-                         f" got {value!r}")
-    return value
+def _expected(kind, value, what, index=None, key=None):
+    return ParseError(f"{_context(what, index, key)}: expected {kind},"
+                      f" got {value!r}")
 
 
 def _as_list(value, context):
@@ -95,39 +86,13 @@ _STABLE_POINT_KEYS = _POINT_KEYS | {"stable"}
 _FLOW_KEYS = {"from", "to", "count"}
 
 
-def _point_record(raw, i):
-    """Point record ``points[i]``, every key and value checked."""
-    _require_keys(raw, ("id", "index", "stab"), ("stable",), "points", i)
-    stable = raw.get("stable", True)
-    if not isinstance(stable, bool):
-        raise ParseError(f"points[{i}]: stable must be true or false")
-    return CriticalPointRecord(
-        id=_as_label(raw["id"], "points", i, "id"),
-        index=_as_int(raw["index"], "points", i, "index"),
-        stab_order=_as_int(raw["stab"], "points", i, "stab"),
-        stable=stable)
-
-
-def _flow_record(raw, i):
-    """Flow record ``flows[i]``, every key and value checked; a count of
-    ``"unknown"`` or null is a placeholder."""
-    _require_keys(raw, ("from", "to", "count"), (), "flows", i)
-    count = raw["count"]
-    if count == "unknown":
-        count = None
-    elif count is not None:
-        count = _as_int(count, "flows", i, "count")
-    return FlowCount(_as_label(raw["from"], "flows", i, "from"),
-                     _as_label(raw["to"], "flows", i, "to"), count)
-
-
 def _record(cls, fields):
     """A frozen ``cls`` record holding ``fields``, every field given.
 
-    The fast parse path builds its records here, without the dataclass
-    ``__init__`` that sets each field through ``object.__setattr__``; the
-    values are already checked, and ``==`` and ``hash`` read the same
-    fields either way."""
+    The parser builds its records here, without the dataclass ``__init__``
+    that sets each field through ``object.__setattr__``; the values are
+    already checked, and ``==`` and ``hash`` read the same fields either
+    way."""
     record = object.__new__(cls)
     record.__dict__.update(fields)
     return record
@@ -145,36 +110,47 @@ def datum_from_json(text):
             f"unsupported schema_version {data['schema_version']!r}; this"
             f" build reads version {SCHEMA_VERSION!r}")
     ambient = data.get("ambient_dimension")
-    if ambient is not None:
-        ambient = _as_int(ambient, "ambient_dimension")
+    if ambient is not None and type(ambient) is not int:
+        raise _expected("an integer", ambient, "ambient_dimension")
 
-    # A record with exactly the expected keys and values of exactly the
-    # expected types is taken at once (type(x) is int, so a bool fails);
-    # any other goes through the checks that name what is wrong.
+    # Each record is read once.  The key set is tested first, then each
+    # value by its exact type (type(x) is int, so a bool fails), in the
+    # order that decides which fault a bad record reports.
     points = []
     for i, raw in enumerate(_as_list(data["points"], "points")):
-        if type(raw) is dict and (raw.keys() == _POINT_KEYS
-                                  or raw.keys() == _STABLE_POINT_KEYS):
-            label, index, stab = raw["id"], raw["index"], raw["stab"]
-            stable = raw.get("stable", True)
-            if (type(label) is str and type(index) is int
-                    and type(stab) is int and type(stable) is bool):
-                points.append(_record(CriticalPointRecord, {
-                    "id": label, "index": index, "stab_order": stab,
-                    "stable": stable}))
-                continue
-        points.append(_point_record(raw, i))
+        if type(raw) is not dict or not (raw.keys() == _POINT_KEYS
+                                         or raw.keys() == _STABLE_POINT_KEYS):
+            _require_keys(raw, ("id", "index", "stab"), ("stable",),
+                          "points", i)
+        label, index, stab = raw["id"], raw["index"], raw["stab"]
+        stable = raw.get("stable", True)
+        if type(stable) is not bool:
+            raise ParseError(f"points[{i}]: stable must be true or false")
+        if type(label) is not str:
+            raise _expected("a string", label, "points", i, "id")
+        if type(index) is not int:
+            raise _expected("an integer", index, "points", i, "index")
+        if type(stab) is not int:
+            raise _expected("an integer", stab, "points", i, "stab")
+        points.append(_record(CriticalPointRecord, {
+            "id": label, "index": index, "stab_order": stab,
+            "stable": stable}))
 
     flows = []
     for i, raw in enumerate(_as_list(data["flows"], "flows")):
-        if type(raw) is dict and raw.keys() == _FLOW_KEYS:
-            source, target, count = raw["from"], raw["to"], raw["count"]
-            if (type(source) is str and type(target) is str
-                    and (type(count) is int or count is None)):
-                flows.append(_record(FlowCount, {
-                    "source": source, "target": target, "count": count}))
-                continue
-        flows.append(_flow_record(raw, i))
+        if type(raw) is not dict or raw.keys() != _FLOW_KEYS:
+            _require_keys(raw, ("from", "to", "count"), (), "flows", i)
+        source, target, count = raw["from"], raw["to"], raw["count"]
+        if type(count) is not int and count is not None:
+            if count != "unknown":  # the placeholder, as null is
+                raise _expected("an integer", count, "flows", i, "count")
+            count = None
+        if type(source) is not str:
+            raise _expected("a string", source, "flows", i, "from")
+        if type(target) is not str:
+            raise _expected("a string", target, "flows", i, "to")
+        flows.append(_record(FlowCount, {
+            "source": source, "target": target, "count": count}))
 
     return MorseDatum(points=tuple(points), flows=tuple(flows),
                       ambient_dimension=ambient)

@@ -82,12 +82,12 @@ class Tolerances:
 
     Two lengths place points: positions closer than ``dedup_tol`` are the
     same point (Newton's duplicates, the orbit partition, a lift's
-    stabilizer, the end of a census branch), and a position farther than
-    ``escape_radius`` from the origin is lost (Newton retires it, the
-    census raises).  A saddle branch starts ``10 * dedup_tol`` from its
-    saddle.  No field sizes the census steps: each RK4 step is sized by a
-    bound on how fast the projected flow changes where the trajectory is
-    (see ``FlowLineCounter``).
+    stabilizer, the end of a census branch), and a census trajectory
+    farther than ``escape_radius`` from the origin raises.  A saddle
+    branch starts ``10 * dedup_tol`` from its saddle.  No field sizes the
+    census steps: each RK4 step is sized by a bound on how fast the
+    projected flow changes where the trajectory is (see
+    ``FlowLineCounter``).
 
     Every field is checked on construction, and a bad value raises
     BadParams naming it: ``seed_count`` is a positive integer,
@@ -436,8 +436,9 @@ def _cross(a, b):
 
 def _velocity(surface, x, order=1):
     """Negative gradient of f projected onto the tangent planes at the rows
-    of ``x`` (n, 3), and the jets of F and f up to ``order`` and |grad F|;
-    values at order 2 only, as the order-1 callers read no value."""
+    of ``x`` (n, 3), and the jets of F and f up to ``order`` and |grad F|.
+    ``order`` is the one switch: values at order 2 only (``None`` at 1),
+    read only by a census step's first stage; its inner stages use 1."""
     level = surface.level_jet(x.T, order, order == 2)
     morse = surface.morse_jet(x.T, order, order == 2)
     g, gf = level[1], morse[1]
@@ -560,12 +561,13 @@ def _newton_critical_points(surface, starts):
     changed.  Only live rows are iterated, for at most 80 rounds, and the
     residual is evaluated once per round, at the points just stepped to.  A
     row leaves the batch once its max-norm residual is below ``newton_tol``,
-    or when its clipped step takes it farther than ``escape_radius`` from
-    the origin (or is not finite, as where J is singular) or does not lower
-    its merit |res|^2 (Nocedal & Wright, Numerical Optimization, 2nd ed.,
-    sec. 11.2).  Retired rows are not restarted, and a seed whose level
-    gradient vanishes or is not finite never enters.  The residual filter
-    over all rows at the end alone decides which points are returned.
+    or when its clipped step (non-finite where J is singular) does not
+    lower its merit |res|^2 (Nocedal & Wright, Numerical Optimization, 2nd
+    ed., sec. 11.2); clipped, 80 rounds keep a row within 80 * 0.5 *
+    sqrt(3) of its start, so no radius is tested.  Retired rows are not
+    restarted, and a seed whose level gradient vanishes or is not finite
+    never enters.  The residual filter over all rows at the end alone
+    decides which points are returned.
 
     Points, residuals and steps are component rows, (3, n) and (4, n), so
     each test reduces over a short leading axis.  A round evaluates the
@@ -596,9 +598,7 @@ def _newton_critical_points(surface, starts):
         step = np.clip(_bordered_solve(h, g, res), -0.5, 0.5)
         x[:, live] = xl = xl + step[:3]
         lam[live] = laml = laml + step[3]
-        inside = np.add.reduce(xl * xl) <= tols.escape_radius ** 2
-        live, merit = live[inside], np.add.reduce(res * res)[inside]
-        xl, laml = xl[:, inside], laml[inside]
+        merit = np.add.reduce(res * res)
         level, morse = surface.level_jet(xl, 2), surface.morse_jet(xl, 2)
         res = residual(level, morse, laml)
         keep = ((np.add.reduce(res * res) < merit)  # False if not finite
@@ -1033,13 +1033,11 @@ class FlowLineCounter:
         values of f equal).  Direction times f falls strictly along a branch from
         its saddle's value, which every lift of the saddle's orbit shares,
         so none of them can be its end; every other orbit counts, even at
-        that value.  The lifts of an orbit share their value, so an extreme
-        value is unique only at an orbit of one lift; without such a
-        minimum or maximum, f is not evaluated."""
+        that value.  f is read once, at every lift; an orbit's lifts share
+        it to roundoff, far below ``stab_tol``, so only the lift of a
+        one-lift orbit is ever a target."""
         limit = np.full(len(direction), -np.inf)
         target = np.full(len(direction), -1)
-        if not {0, 2} & {o.index for o in self.orbits if len(o.points) == 1}:
-            return limit, target
         values = self.surface.morse_jet(self.lift_positions.T, 0)[0]
         lift_orbits = np.array([oi for oi, _ in self.lifts])
         margin = self.tols.stab_tol

@@ -80,6 +80,19 @@ class TestGroups:
         with pytest.raises(BadParams):
             fn.group_from_generators(("spin",))
 
+    def test_infinite_group_is_capped(self, monkeypatch):
+        # a rotation by 1 radian has infinite order: closing it must stop
+        # at the element cap instead of multiplying on
+        c, s = math.cos(1.0), math.sin(1.0)
+        monkeypatch.setitem(fn.GENERATOR_NAMES, "spin",
+                            np.array([[c, -s, 0.0], [s, c, 0.0],
+                                      [0.0, 0.0, 1.0]]))
+        start = time.perf_counter()
+        with pytest.raises(BadParams,
+                           match="does not close into a small finite group"):
+            fn.group_from_generators(["spin"])
+        assert time.perf_counter() - start < 1.0
+
 
 class TestSurfaceFromSpec:
     @pytest.mark.parametrize("kind, params, unknown", [
@@ -888,6 +901,23 @@ class TestCensusWork:
         assert "of saddle 'saddle0' was last at [" in message
         assert "from the nearest critical lift" in message
 
+    def test_stall_names_the_branch(self):
+        # without the antipodal sphere's minima, the descending branches
+        # of its saddle park at the empty minimum points, where the flow
+        # vanishes far from every critical lift left
+        surface = antipodal_sphere_surface()
+        orbits = [o for o in fn.find_critical_orbits(surface)
+                  if o.label != "min0"]
+        start = time.perf_counter()
+        with pytest.raises(NonConvergentTrajectory,
+                           match="stalled away from every critical point"
+                           ) as info:
+            fn.FlowLineCounter(surface, orbits)._saddle_census()
+        assert time.perf_counter() - start < 1.0
+        message = str(info.value)
+        assert "the descending branch " in message
+        assert "of saddle 'saddle0' was last at [" in message
+
     def test_gradients_per_step(self, monkeypatch, epsilon_run):
         # RK4 evaluates each gradient four times a step, and once more
         # where every branch has ended; the local rate reads its gradient
@@ -985,9 +1015,9 @@ def counted_velocity(monkeypatch):
     calls = []
     velocity = fn._velocity
 
-    def counted(surface, x, *order):
+    def counted(surface, x, *args, **kwargs):
         calls.append(len(x))
-        return velocity(surface, x, *order)
+        return velocity(surface, x, *args, **kwargs)
 
     monkeypatch.setattr(fn, "_velocity", counted)
     return calls
@@ -1068,10 +1098,11 @@ class TestValueRule:
         decided, batch = [], []
         passed, velocity = fn.FlowLineCounter._passed, fn._velocity
 
-        def recorded_velocity(surface, x, order=1):
-            if order == 2:
+        def recorded_velocity(surface, x, *args, **kwargs):
+            out = velocity(surface, x, *args, **kwargs)
+            if out[2][0] is not None:  # the one call that reads values
                 batch[:] = surface, x
-            return velocity(surface, x, order)
+            return out
 
         def recorded(direction, limit, level, morse, level_norm):
             out = passed(direction, limit, level, morse, level_norm)
@@ -1166,8 +1197,9 @@ class TestValueRule:
             # per lift shows that min0's two lifts lie below them
             assert values == [lifts]
         else:
-            # every orbit has two lifts, so no value is unique
-            assert values == []
+            # f is read once, at the six lifts; every orbit has two lifts,
+            # so no value is unique and none decides
+            assert values == [6]
 
     @pytest.mark.parametrize("delta, fires", [(2e-9, False), (1e-6, True)],
                              ids=["near_tie", "clear_gap"])
@@ -1399,8 +1431,8 @@ def distinct(surface, points):
 
 class TestNewtonWork:
     """Newton steps only the rows still live: converged rows and rows whose
-    step turns them non-finite, runs them away or fails to lower their
-    residual leave the batch and are not restarted."""
+    step turns them non-finite or fails to lower their residual leave the
+    batch and are not restarted."""
 
     def test_rows_per_round_pinned(self, monkeypatch):
         # the stored grid's rule and the retirement rules decide every row
@@ -1434,6 +1466,19 @@ class TestNewtonWork:
             warnings.simplefilter("error", RuntimeWarning)
             found = projected_newton(surface, dirty)
         assert np.array_equal(found[fn._first_of_clusters(found, tol)], clean)
+
+    def test_no_radius_retires_a_row(self):
+        # a clipped step moves a row at most 0.5 per component, so no row
+        # leaves the 80 rounds farther than 80 * 0.5 * sqrt(3) from its
+        # start; retiring rows past escape_radius = 0.5 left no torus
+        # point and raised SeedGridExhausted
+        def lifts(tolerances):
+            orbits = fn.find_critical_orbits(
+                fn.torus_surface(tilt=0.25, tolerances=tolerances))
+            assert len(orbits) == 4
+            return [p.position.tobytes() for o in orbits for p in o.points]
+
+        assert lifts(fn.Tolerances(escape_radius=0.5)) == lifts(None)
 
     def test_non_finite_step_retires_the_row(self, monkeypatch):
         # a restart at the origin would make the next Jacobian singular
@@ -1876,8 +1921,9 @@ def searched(surface):
 class TestStoredLevelSetWork:
     """``check_surface`` keeps its projected samples and
     ``find_critical_orbits`` its projected seed grid in
-    ``fn._level_store``, one entry per F and grad F; every surface with the
-    same fields shares them, the bumped surface of ``_bumped`` included."""
+    ``fn._level_store``, one entry per level jet object; every surface with
+    the same level jet shares them, the bumped surface of ``_bumped``
+    included."""
 
     def test_each_projection_once(self, monkeypatch):
         # projecting the 1,000 samples and the 1,100-seed grid again on the
