@@ -44,7 +44,6 @@ from .morse_datum import (
     FlowCount,
     MorseDatum,
     coinvariant_complex,
-    validate,
 )
 
 __all__ = [
@@ -139,21 +138,22 @@ def _finite(**params):
 
 @dataclass(frozen=True, eq=False)
 class ImplicitQuotientSurface:
-    """A level-set surface F = 0 with a Morse function f and a finite
-    orthogonal group under which both are invariant.  F and f are jets:
-    ``level_jet(x, order, value=True)`` and ``morse_jet(x, order, value)``
-    take points x as component rows, shape (3, n), and return the tuple of
-    the value (n,), the gradient (3, n) and the Hessian entry rows xx, xy,
-    xz, yy, yz, zz (6, n) up to ``order`` 0, 1 or 2, lower orders bit for
-    bit the leading outputs of order 2.  With ``value=False`` the value is
-    ``None``, need not be computed, and moves no other output's bytes."""
+    """A level-set surface F = 0 of known Euler characteristic, with a Morse
+    function f and a finite orthogonal group under which both are invariant.
+    F and f are jets: ``level_jet(x, order, value=True)`` and
+    ``morse_jet(x, order, value)`` take points x as component rows, shape
+    (3, n), and return the tuple of the value (n,), the gradient (3, n) and
+    the Hessian entry rows xx, xy, xz, yy, yz, zz (6, n) up to ``order`` 0,
+    1 or 2, lower orders bit for bit the leading outputs of order 2.  With
+    ``value=False`` the value is ``None``, need not be computed, and moves
+    no other output's bytes."""
 
     name: str
     level_jet: object
     morse_jet: object
     group: tuple
+    euler_characteristic: int
     tolerances: Tolerances = field(default_factory=Tolerances)
-    euler_characteristic: int | None = None
     point_namer: object = None
 
 
@@ -473,14 +473,19 @@ def _level_store(level_jet):
 
 
 def check_surface(surface):
-    """Verify the structural invariants: the group is a closed set of
-    finite orthogonal 3 x 3 matrices, and both fields are invariant on 1,000
-    Fibonacci directions projected onto the surface.  At least half of them
-    must land within 1e-9 of F = 0.
+    """Verify the structural invariants: the Euler characteristic is an
+    integer, the group a set of finite orthogonal 3 x 3 matrices closed
+    under products (so under inverses: each is a power of an element), and
+    both fields are invariant on 1,000 Fibonacci directions projected onto
+    the surface.  At least half of them must land within 1e-9 of F = 0.
 
     Every call runs every check.  The samples that landed are kept in
     ``_level_store``, and every surface with the same level jet checks on
     them instead of projecting again; a failed projection keeps none."""
+    chi = surface.euler_characteristic
+    if not isinstance(chi, numbers.Integral) or isinstance(chi, bool):
+        raise BadParams(
+            f"euler_characteristic: expected an integer, got {chi!r}")
     tol = surface.tolerances.stab_tol
     try:
         group = np.array(surface.group, dtype=float)
@@ -493,12 +498,8 @@ def check_surface(surface):
     if not np.all(np.abs(np.swapaxes(group, 1, 2) @ group - np.eye(3)) <= tol):
         raise BadParams("group contains a non-finite or non-orthogonal matrix")
     keys = {_group_key(g) for g in group}
-    for g in group:
-        if _group_key(np.linalg.inv(g)) not in keys:
-            raise BadParams("group is not closed under inverses")
-        for h in group:
-            if _group_key(g @ h) not in keys:
-                raise BadParams("group is not closed under products")
+    if any(_group_key(g @ h) not in keys for g in group for h in group):
+        raise BadParams("group is not closed under products")
 
     store = _level_store(surface.level_jet)
     pts = store.samples
@@ -662,7 +663,7 @@ def find_critical_orbits(surface, extra_seeds=None):
 
     Seeds come from a deterministic spherical grid at several radii; the
     points found must include a minimum and a maximum, and their
-    alternating count must reproduce the surface's Euler characteristic,
+    alternating count must equal the Euler characteristic (always given),
     otherwise the grid missed a point and SeedGridExhausted is raised; its
     message names the seed radii and the radii at which the seeds meet the
     surface.
@@ -758,7 +759,8 @@ def find_critical_orbits(surface, extra_seeds=None):
                  "project onto no finite point")
         return f"; the seeds at radii {tuple(tols.seed_radii)} {reach}"
 
-    # A Morse function on a closed surface has a minimum and a maximum.
+    # A Morse function on a closed surface has a minimum and a maximum, and
+    # the alternating count of its critical lifts is the Euler characteristic
     missing = [name for index, name in ((0, "minimum"), (2, "maximum"))
                if not any(o.index == index for o in orbits)]
     if missing:
@@ -766,29 +768,22 @@ def find_critical_orbits(surface, extra_seeds=None):
             f"no {' and no '.join(missing)} found among "
             f"{len(orbits)} critical orbits; a Morse function on a closed "
             f"surface has both{seed_reach()}")
-
-    # Euler-characteristic sanity check over all lifts upstairs.
-    if surface.euler_characteristic is not None:
-        total = sum((-1) ** (o.index % 2) * len(o.points) for o in orbits)
-        if total != surface.euler_characteristic:
-            raise SeedGridExhausted(
-                f"alternating critical count {total} does not match the "
-                f"surface Euler characteristic {surface.euler_characteristic}"
-                f"{seed_reach()}")
+    total = sum((-1) ** o.index * len(o.points) for o in orbits)
+    if total != surface.euler_characteristic:
+        raise SeedGridExhausted(
+            f"alternating critical count {total} does not match the "
+            f"surface Euler characteristic {surface.euler_characteristic}"
+            f"{seed_reach()}")
 
     orbits.sort(key=lambda o: (-o.index,
                                tuple(np.round(o.representative.position, 9))))
-    class_names = {2: "max", 1: "saddle", 0: "min"}
-    counters = {}
+    counts = [0, 0, 0]  # unnamed orbits so far, per index
     for orbit in orbits:
-        name = None
-        if surface.point_namer is not None:
-            name = surface.point_namer(orbit.representative.position)
+        namer, i = surface.point_namer, orbit.index
+        name = namer and namer(orbit.representative.position)
         if name is None:
-            word = class_names.get(orbit.index, f"ind{orbit.index}")
-            counters[word] = counters.get(word, 0)
-            name = f"{word}{counters[word]}"
-            counters[word] += 1
+            name = f"{('min', 'saddle', 'max')[i]}{counts[i]}"
+            counts[i] += 1
         orbit.label = name
     return orbits
 
@@ -884,10 +879,10 @@ class FlowLineCounter:
         s = self.surface
         offset = 10 * self.tols.dedup_tol
         lifts = self.lift_positions
-        normals = s.level_jet(lifts.T, 1)[1].T
-        normals = normals / _row_norms(normals)[:, None]
         saddles = [lift for lift, (_, p) in enumerate(self.lifts)
                    if p.index == 1]
+        normals = s.level_jet(lifts[saddles].T, 1)[1].T
+        normals = normals / _row_norms(normals)[:, None]
         apart = np.linalg.norm(lifts[saddles, None] - lifts, axis=2)
         nearest = np.where(apart > 0.0, apart, np.inf).min(initial=np.inf)
         if offset >= nearest:
@@ -900,7 +895,7 @@ class FlowLineCounter:
         tops = {lift for lift, (oi, p) in enumerate(self.lifts)
                 if p.index == 2 and p is self.orbits[oi].representative}
         starts, branches = [], []
-        for lift, u, a in zip(saddles, down, _cross(normals[saddles], down)):
+        for lift, u, a in zip(saddles, down, _cross(normals, down)):
             oi, p = self.lifts[lift]
             for sign in (1, -1):
                 if p is self.orbits[oi].representative:
@@ -1028,14 +1023,15 @@ class FlowLineCounter:
 
         Among the lifts outside the row's own orbit, the target is the lift
         lowest in direction times f, the limit the second lowest such value
-        less ``stab_tol``; a row gets them only where that gap exceeds
-        ``stab_tol`` (the margin within which ``check_surface`` calls two
-        values of f equal).  Direction times f falls strictly along a branch from
-        its saddle's value, which every lift of the saddle's orbit shares,
-        so none of them can be its end; every other orbit counts, even at
-        that value.  f is read once, at every lift; an orbit's lifts share
-        it to roundoff, far below ``stab_tol``, so only the lift of a
-        one-lift orbit is ever a target."""
+        less ``stab_tol``; a row gets them only where there are two such
+        lifts and that gap exceeds ``stab_tol`` (the margin within which
+        ``check_surface`` calls two values of f equal).  Direction times f
+        falls strictly along a branch from its saddle's value, which every
+        lift of the saddle's orbit shares, so none of them can be its end;
+        every other orbit counts, even at that value.  f is read once, at
+        every lift; an orbit's lifts share it to roundoff, far below
+        ``stab_tol``, so only the lift of a one-lift orbit is ever a
+        target."""
         limit = np.full(len(direction), -np.inf)
         target = np.full(len(direction), -1)
         values = self.surface.morse_jet(self.lift_positions.T, 0)[0]
@@ -1044,11 +1040,11 @@ class FlowLineCounter:
         for d, oi in set(zip(direction.tolist(), sources.tolist())):
             others = np.flatnonzero(lift_orbits != oi)
             v = d * values[others]
-            lowest, second = np.argsort(v)[:2]
-            if v[second] - v[lowest] > margin:
+            order = np.argsort(v)
+            if len(v) > 1 and v[order[1]] - v[order[0]] > margin:
                 rows = (direction == d) & (sources == oi)
-                limit[rows] = v[second] - margin
-                target[rows] = others[lowest]
+                limit[rows] = v[order[1]] - margin
+                target[rows] = others[order[0]]
         return limit, target
 
 
@@ -1157,11 +1153,11 @@ def stabilize_all(surface, orbits):
 # descent to the quotient datum
 
 def quotient_to_datum(surface, orbits, counter=None):
-    """Build the Morse datum of the quotient: one critical point per
-    orbit with the stabilizer order of its lifts, and one signed count per
-    index-gap-1 pair of orbits.  The result must validate and its
-    coinvariant boundary d must square to zero; the invariant boundary is
-    S d S^-1, S the diagonal of stabilizer orders, so it then does too."""
+    """Build the Morse datum of the quotient: one critical point per orbit with
+    the stabilizer order of its lifts, and one signed count per index-gap-1
+    pair of orbits.  Its coinvariant complex validates it and checks that
+    its boundary d squares to zero; the invariant boundary is S d S^-1, S
+    the diagonal of stabilizer orders, so it then does too."""
     unstable = sorted(o.label for o in orbits if not o.stable)
     if unstable:
         raise UnstableEndpoint(f"unstable points: {', '.join(unstable)}")
@@ -1177,10 +1173,6 @@ def quotient_to_datum(surface, orbits, counter=None):
                 flows.append(FlowCount(src.label, dst.label,
                                        counter.count(src, dst)))
     datum = MorseDatum(points=points, flows=tuple(flows), ambient_dimension=2)
-    report = validate(datum)
-    if not report.ok:
-        raise NonConvergentTrajectory(
-            f"numerically produced datum is invalid: {report.violations}")
     try:
         coinvariant_complex(datum)
     except BoundarySquaredNonzero as exc:

@@ -104,7 +104,8 @@ def builtin_sphere_datum(name, *params):
     orbit of maxima and one of minima (m of each upstairs).
     two_points_swap: the 0-sphere with its two points exchanged.
     antipodal_sphere2: the antipodal action on the 2-sphere, lifting the
-    three-critical-point function on the quotient.
+    three-critical-point function on the quotient.  None is checked here:
+    ``stabilize_point`` checks whichever sphere datum it is given.
     """
     if name == "cyclic_rotation_circle":
         if len(params) != 1:
@@ -129,7 +130,6 @@ def builtin_sphere_datum(name, *params):
                     SphereOrbit("bot", 0, 1)))
     else:
         raise UnknownBuiltin(f"no built-in sphere datum named {name!r}")
-    datum.check()
     return datum
 
 

@@ -254,7 +254,7 @@ class TestSurfaceChecks:
          "non-finite or non-orthogonal matrix"),
         ({"group": (np.eye(3), np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
                                          [0.0, 0.0, 1.0]]))},
-         "not closed under inverses"),
+         "not closed under products"),
         ({"group": (np.eye(3), np.diag([-1.0, 1.0, 1.0]),
                     np.diag([1.0, -1.0, 1.0]))},
          "not closed under products"),
@@ -265,10 +265,15 @@ class TestSurfaceChecks:
             x - [[0.1], [0.0], [0.0]], order),
           "group": fn.group_from_generators(("rotation_pi_z",))},
          "level function is not group invariant"),
+        ({"euler_characteristic": None},
+         "euler_characteristic: expected an integer, got None"),
+        ({"euler_characteristic": True},
+         "euler_characteristic: expected an integer, got True"),
     ]
     REJECTED_IDS = ["empty", "non-orthogonal", "array-non-orthogonal", "2x2",
                     "string-matrix", "string-entry", "ragged-lists", "nan",
-                    "inverses", "products", "no-zero", "level-not-invariant"]
+                    "inverses", "products", "no-zero", "level-not-invariant",
+                    "euler-none", "euler-bool"]
 
     @pytest.mark.parametrize("change, message", REJECTED, ids=REJECTED_IDS)
     def test_rejections(self, change, message):
@@ -316,10 +321,25 @@ class TestSurfaceChecks:
         # plain height on the torus of revolution is critical along two
         # whole circles; the tangent Hessian there has a zero eigenvalue
         degenerate = dataclasses.replace(
-            fn.torus_surface(), morse_jet=fn._quadric((0.0, 0.0, 1.0)),
-            euler_characteristic=None)
+            fn.torus_surface(), morse_jet=fn._quadric((0.0, 0.0, 1.0)))
         with pytest.raises(DegenerateCritical):
             fn.find_critical_orbits(degenerate)
+
+    def test_euler_check_cannot_be_skipped(self):
+        # a single seed radius misses the torus's saddles: the count of
+        # max0 and min0 is a sphere's 2, not the torus's 0
+        surface = fn.torus_surface(
+            tolerances=fn.Tolerances(seed_count=6, seed_radii=(3.2,)))
+        with pytest.raises(SeedGridExhausted,
+                           match="alternating critical count 2"):
+            fn.find_critical_orbits(surface)
+        with pytest.raises(BadParams, match="euler_characteristic"):
+            fn.find_critical_orbits(dataclasses.replace(
+                surface, euler_characteristic=None))
+
+    def test_numpy_integer_euler_characteristic_accepted(self):
+        fn.check_surface(dataclasses.replace(
+            fn.sphere_surface(), euler_characteristic=np.int64(2)))
 
 
 class TestSphere:
@@ -917,6 +937,22 @@ class TestCensusWork:
         message = str(info.value)
         assert "the descending branch " in message
         assert "of saddle 'saddle0' was last at [" in message
+
+    @pytest.mark.parametrize("names", [
+        ["max0", "saddle0"], ["saddle0", "min0"], ["saddle0"]],
+        ids=["no-minimum", "no-maximum", "saddle-alone"])
+    def test_too_few_other_lifts_leave_rows_undecided(self, torus_run, names):
+        # with fewer than two lifts outside the saddle's orbit the value
+        # rule decides no row, so a branch runs until it stalls where the
+        # missing extremum is, and raises naming itself
+        orbits = [o for o in torus_run.orbits if o.label in names]
+        start = time.perf_counter()
+        with pytest.raises(NonConvergentTrajectory,
+                           match="stalled away from every critical point"
+                           ) as info:
+            fn.FlowLineCounter(torus_run.surface, orbits)._saddle_census()
+        assert time.perf_counter() - start < 1.0
+        assert "of saddle 'saddle0' was last at [" in str(info.value)
 
     def test_gradients_per_step(self, monkeypatch, epsilon_run):
         # RK4 evaluates each gradient four times a step, and once more

@@ -57,16 +57,19 @@ def s3_seed():
 class TestBuiltins:
     def test_cyclic_rotation_circle(self):
         h = builtin_sphere_datum("cyclic_rotation_circle", 3)
+        h.check()
         assert h.sphere_dim == 1 and h.group_order == 3
         assert h.equivariant_count() == 0  # Euler characteristic of a circle
 
     def test_two_points_swap(self):
         h = builtin_sphere_datum("two_points_swap")
+        h.check()
         assert h.sphere_dim == 0 and h.group_order == 2
         assert h.equivariant_count() == 2
 
     def test_antipodal_sphere2(self):
         h = builtin_sphere_datum("antipodal_sphere2")
+        h.check()
         assert h.sphere_dim == 2 and h.group_order == 2
         # three free orbits upstairs: 2 - 2 + 2
         assert h.equivariant_count() == 2
@@ -94,6 +97,7 @@ class TestStabilizePoint:
         for m in (2, 3, 5):
             seed = teardrop_seed(m=m)
             h = builtin_sphere_datum("cyclic_rotation_circle", m)
+            h.check()
             result = stabilize_point(seed, local_data_for(seed, "p", h), h)
             by_id = {p.id: p for p in result.datum.points}
             assert (by_id["p"].index, by_id["p"].stab_order) == (0, m)
