@@ -96,8 +96,9 @@ class UnstableEndpoint(OrbimorseError):
 
 
 class UnsupportedProfile(OrbimorseError):
-    """Numerical stabilization only handles an index-1 point whose
-    descending line is reversed by the stabilizer."""
+    """``flow_numerics.stabilize_all`` only handles an unstable index-1
+    point, whose descending line is reversed by the stabilizer: the sphere
+    datum ``two_points_swap`` is the only one it chooses."""
 
 
 # --- simplicial complexes ------------------------------------------------

@@ -18,7 +18,6 @@ which is automatically equivariant for an orthogonal group action.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -45,6 +44,7 @@ from .morse_datum import (
     MorseDatum,
     coinvariant_complex,
 )
+from .stabilization import builtin_sphere_datum, local_data_for, stabilize_point
 
 __all__ = [
     "Tolerances",
@@ -59,7 +59,6 @@ __all__ = [
     "group_from_generators",
     "check_surface",
     "find_critical_orbits",
-    "stabilize_numeric",
     "stabilize_all",
     "quotient_to_datum",
 ]
@@ -67,10 +66,8 @@ __all__ = [
 _STALL_SPEED = 1e-12          # below this the flow is considered parked
 _MAX_STEPS = 20000
 # Hessians are entry rows xx, xy, xz, yy, yz, zz: the row of each (i, j) of
-# a 3 x 3 matrix, row-major; the (i, j) of each row; the diagonal; 2 I
+# a 3 x 3 matrix, row-major, and 2 I
 _SYMMETRIC = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
-_ROWS, _COLUMNS = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
-_DIAGONAL = np.array([0, 3, 5])
 _TWICE_UNIT = np.array([[2.0], [0.0], [0.0], [2.0], [0.0], [2.0]])
 
 
@@ -177,11 +174,15 @@ class NumericCriticalPoint:
 @dataclass
 class CriticalOrbit:
     """A group orbit of critical lifts; the representative comes first and
-    carries the orientation sign; the per-lift frames are its pushforwards."""
+    carries the orientation sign; the per-lift frames are its pushforwards.
+    ``sphere_datum`` is the ``SphereMorseDatum`` that ``stabilize_all``
+    chose for an unstable orbit, by which ``quotient_to_datum`` stabilizes
+    it; None otherwise."""
 
     label: str
     points: list
     lift_elements: tuple  # group element index g with g @ rep == lift
+    sphere_datum: object = None
 
     @property
     def representative(self):
@@ -657,7 +658,7 @@ def _tangent_data(surface, reps):
     return eigvals, np.stack([v, _cross(n, v)], axis=1)
 
 
-def find_critical_orbits(surface, extra_seeds=None):
+def find_critical_orbits(surface):
     """Locate all critical points of f on the surface and organize them as
     group orbits, classified by index, stabilizer, and stability.
 
@@ -672,8 +673,8 @@ def find_critical_orbits(surface, extra_seeds=None):
     projected seed grid, at the ``_first_per_cell`` row of each cube of
     diameter ``dedup_tol`` (radii meet where grad F is radial), is kept in
     ``_level_store`` per seed count, radii and ``dedup_tol`` for every
-    surface with the same level jet; a search on such a surface projects
-    only its ``extra_seeds``, which are iterated as given.
+    surface with the same level jet, and a search on such a surface
+    projects nothing.
     """
     check_surface(surface)
     tols = surface.tolerances
@@ -686,9 +687,6 @@ def find_critical_orbits(surface, extra_seeds=None):
             _project_batch(surface, np.concatenate(
                 [r * dirs for r in tols.seed_radii])), tols.dedup_tol)
         starts.flags.writeable = False
-    if extra_seeds is not None:
-        starts = np.concatenate([starts, _project_batch(
-            surface, np.reshape(extra_seeds, (-1, 3)))])
 
     found = _newton_critical_points(surface, starts)
     found = found[_first_of_clusters(found, tols.dedup_tol)]
@@ -796,7 +794,10 @@ class FlowLineCounter:
 
     On a surface every flow line between orbits of adjacent index is a
     branch of a saddle's one-dimensional descending or ascending manifold,
-    so one census of 2 + 2 trajectories per saddle decides every count.
+    so one census of 2 + 2 trajectories per saddle decides every count.  An
+    unstable saddle is lowered to index 0 by ``quotient_to_datum``, so no
+    count reads a line into it: its census is its 2 descending
+    trajectories, read by ``descent_target``.
     Counts start at one representative per source orbit: every group orbit
     of flow lines meets the chosen lift exactly once because stabilizers
     are constant along flows and fix the descending directions of a stable
@@ -853,6 +854,16 @@ class FlowLineCounter:
         return flag * sum(sign for lift, sign in self._census[fi]
                           if self.lifts[lift][0] == ti)
 
+    def descent_target(self, saddle):
+        """The orbit that the descending branch of the index-1 orbit
+        ``saddle``'s representative reaches along +u, the first vector of
+        its frame; ``saddle`` may be unstable."""
+        if self._census is None:
+            self._census = self._saddle_census()
+        lift = next(lift for lift, sign in
+                    self._census[self._orbit_index(saddle)] if sign == 1)
+        return self.orbits[self.lifts[lift][0]]
+
     def _orbit_index(self, orbit):
         for i, o in enumerate(self.orbits):
             if o is orbit or o.label == getattr(orbit, "label", orbit):
@@ -867,9 +878,9 @@ class FlowLineCounter:
 
         Descending: both branches of each saddle representative along its
         unstable vector u; a hit on the captured minimum lift carries the
-        branch sign.  Ascending: both branches of every saddle lift along
-        a = n x u; a branch ending on a maximum's representative is a line
-        from it into that saddle lift.  Maxima frames are positively
+        branch sign.  Ascending: both branches of every stable saddle lift
+        along a = n x u; a branch ending on a maximum's representative is a
+        line from it into that saddle lift.  Maxima frames are positively
         oriented against n, so its sign is sign((-+a) x u . n), the arrival
         direction against u, which is +1 on the +a branch.
 
@@ -901,8 +912,9 @@ class FlowLineCounter:
                 if p is self.orbits[oi].representative:
                     starts.append(p.position + sign * offset * u)
                     branches.append((oi, lift, sign, False))
-                starts.append(p.position + sign * offset * a)
-                branches.append((oi, lift, sign, True))
+                if p.stable:
+                    starts.append(p.position + sign * offset * a)
+                    branches.append((oi, lift, sign, True))
         census = {oi: [] for oi in range(len(self.orbits))}
         ends = self._endpoints(_project_batch(s, np.array(starts)), branches)
         for (oi, lift, sign, up), end in zip(branches, ends):
@@ -1049,130 +1061,84 @@ class FlowLineCounter:
 
 
 # --------------------------------------------------------------------------
-# numerical stabilization
+# stabilization on the datum
 
-def stabilize_numeric(surface, point, orbits):
-    """Subtract an orbit of radial bumps to stabilize an index-1 point
-    whose descending line is reversed by its stabilizer.
-
-    The bump turns the point into a local minimum of the surface function
-    and creates two new index-1 points on the former descending line; when
-    the stabilizer swaps them they form one free orbit.  The modified
-    function stays group invariant because the bump is summed over the
-    whole orbit of centers.  Its width w is a quarter of the distance from
-    the centers to the nearest other critical lift, and its amplitude
-    2 lambda w^2, twice what flips the point's descending eigenvalue
-    -lambda.
-    """
-    return _bumped(surface, [_orbit_bump(point, orbits)])
-
-
-def _orbit_bump(point, orbits):
-    """Centers (the lifts of the point's orbit), width and amplitude of the
-    bumps that stabilize ``point``, by the rule on ``stabilize_numeric``."""
-    if point.index != 1 or point.stable:
+def stabilize_all(surface, orbits):
+    """Choose the sphere datum by which ``quotient_to_datum`` stabilizes
+    each unstable orbit on the datum: ``two_points_swap`` for an index-1
+    point whose descending line is reversed by the stabilizer, the only
+    profile handled; any other unstable orbit raises UnsupportedProfile.
+    f is not changed.  Returns the surface and a new list of the orbits in
+    which each unstable orbit is a copy carrying its datum in
+    ``sphere_datum``; the orbits given are not modified."""
+    if any(o.index != 1 for o in orbits if not o.stable):
         raise UnsupportedProfile(
             "numerical stabilization needs an index-1 point whose descending"
             " line is reversed by the stabilizer")
-
-    orbit = next((o for o in orbits if any(p is point for p in o.points)),
-                 None)
-    if orbit is None:
-        raise UnsupportedProfile("the point does not belong to the orbit list")
-    centers = np.array([p.position for p in orbit.points])
-
-    all_positions = np.concatenate(
-        [[p.position for p in o.points] for o in orbits])
-    d = np.linalg.norm(all_positions[None] - centers[:, None], axis=2)
-    nearest = float(d[d > 0].min())
-
-    width = 0.25 * nearest
-    return centers, width, 2.0 * abs(min(point.eigenvalues)) * width ** 2
+    swap = builtin_sphere_datum("two_points_swap")
+    return surface, [o if o.stable else CriticalOrbit(
+        o.label, o.points, o.lift_elements, swap) for o in orbits]
 
 
-def _bump_parts(x, centers, neg_w2):
-    """Offsets of the points ``x`` (3, n) from the ``centers`` (3, c, 1),
-    (3, c, n), and the Gaussians exp(|d|^2 / -w^2), (c, n)."""
-    diff = x[:, None] - centers
-    return diff, np.exp(np.add.reduce(diff * diff) / neg_w2)
-
-
-def _bumped(surface, bumps):
-    """The surface with f minus a bump a exp(|x - c|^2 / -w^2) per center c,
-    given as (centers, width w, amplitude a); its Morse jet evaluates every
-    center in one ``_bump_parts`` call, and a, 2a/w^2, 4a/w^4 are folded.
-
-    F, its group and its tolerances are those of ``surface``, so the
-    bumped surface shares its ``_level_store`` entry: the checked samples
-    of ``check_surface`` and the projected seed grid of
-    ``find_critical_orbits``.  Both are projections onto F = 0 alone."""
-    centers = np.concatenate([c for c, _, _ in bumps]).T[:, :, None]
-    w2 = np.concatenate([np.full((len(c), 1), w ** 2) for c, w, _ in bumps])
-    amps = np.concatenate([np.full((len(c), 1), a) for c, _, a in bumps])
-    neg_w2, two_a, four_a = -w2, 2.0 * amps / w2, 4.0 * amps / w2 ** 2
-
-    def morse_jet(x, order, value=True):
-        base = surface.morse_jet(x, order, value)
-        diff, gauss = _bump_parts(x, centers, neg_w2)
-        out = (base[0] - np.add.reduce(amps * gauss) if value else None,)
-        if order >= 1:
-            we = two_a * gauss
-            out += (base[1] + np.add.reduce(we * diff, axis=1),)
-        if order >= 2:
-            h = base[2] - np.add.reduce(
-                four_a * gauss * (diff[_ROWS] * diff[_COLUMNS]), axis=1)
-            h[_DIAGONAL] += np.add.reduce(we)
-            out += (h,)
-        return out
-
-    return dataclasses.replace(surface, name=surface.name + "+stabilized",
-                               morse_jet=morse_jet)
-
-
-def stabilize_all(surface, orbits):
-    """Stabilize every unstable orbit with the bumps of stabilize_numeric,
-    all subtracted as one bump, and rerun the critical-point search,
-    seeding it with each old representative plus points along its former
-    descending line where the new saddles appear; the orbit partition
-    supplies the other lifts."""
-    seeds = [o.representative.position for o in orbits]
-    bumps = []
-    for orbit in (o for o in orbits if not o.stable):
-        p = orbit.representative
-        bumps.append(_orbit_bump(p, orbits))
-        width, v = bumps[-1][1], p.negative_frame[0]
-        for t in (0.4, 0.8, 1.2, 1.6, 2.2, 3.0):
-            seeds.append(p.position + t * width * v)
-            seeds.append(p.position - t * width * v)
-    current = _bumped(surface, bumps) if bumps else surface
-    new_orbits = find_critical_orbits(current, extra_seeds=np.array(seeds))
-    return current, new_orbits
+def _filled(flow, born, flags):
+    """``flow`` with its placeholder count filled by the local model of
+    ``two_points_swap`` at an index-1 point p.  ``born`` maps each new
+    point q to (p, the orbit that p's descending branch along +u reaches).
+    q counts +1 into the lowered p, -1 into that orbit, and 0 into or out
+    of every other orbit: the old line from a maximum into p splits into
+    lines to q and to g q of opposite sign.  The count is then multiplied
+    by the target's orientation flag, as ``FlowLineCounter.count`` takes
+    both ends' flags; q's flag is +1."""
+    if flow.count is not None:
+        return flow
+    lowered, reached = born.get(flow.source, (None, None))
+    count = (flow.target == lowered) - (flow.target == reached)
+    return FlowCount(flow.source, flow.target,
+                     count * flags.get(flow.target, 1))
 
 
 # --------------------------------------------------------------------------
 # descent to the quotient datum
 
 def quotient_to_datum(surface, orbits, counter=None):
-    """Build the Morse datum of the quotient: one critical point per orbit with
-    the stabilizer order of its lifts, and one signed count per index-gap-1
-    pair of orbits.  Its coinvariant complex validates it and checks that
-    its boundary d squares to zero; the invariant boundary is S d S^-1, S
-    the diagonal of stabilizer orders, so it then does too."""
-    unstable = sorted(o.label for o in orbits if not o.stable)
-    if unstable:
-        raise UnstableEndpoint(f"unstable points: {', '.join(unstable)}")
+    """Build the Morse datum of the quotient: one critical point per orbit
+    with the stabilizer order of its lifts, and one signed count per
+    index-gap-1 pair of stable orbits.
+
+    An unstable orbit without a ``sphere_datum`` raises UnstableEndpoint.
+    One with it (``stabilize_all``) enters as a ``stable=False`` point at
+    which no count is formed, and ``stabilize_point`` then stabilizes it
+    with that datum; every placeholder this leaves is filled from the
+    census of the unstable surface by ``_filled``.  The coinvariant complex
+    validates the datum and checks that its boundary d squares to zero;
+    the invariant boundary is S d S^-1, S the diagonal of stabilizer
+    orders, so it then does too."""
+    untagged = sorted(o.label for o in orbits
+                      if not o.stable and o.sphere_datum is None)
+    if untagged:
+        raise UnstableEndpoint(f"unstable points: {', '.join(untagged)}")
     if counter is None:
         counter = FlowLineCounter(surface, orbits)
     points = tuple(CriticalPointRecord(
-        id=o.label, index=o.index, stab_order=o.stab_order, stable=True)
+        id=o.label, index=o.index, stab_order=o.stab_order, stable=o.stable)
         for o in orbits)
-    flows = []
-    for src in orbits:
-        for dst in orbits:
-            if src.index - dst.index == 1:
-                flows.append(FlowCount(src.label, dst.label,
-                                       counter.count(src, dst)))
-    datum = MorseDatum(points=points, flows=tuple(flows), ambient_dimension=2)
+    stable = [o for o in orbits if o.stable]
+    flows = tuple(FlowCount(src.label, dst.label, counter.count(src, dst))
+                  for src in stable for dst in stable
+                  if src.index - dst.index == 1)
+    datum = MorseDatum(points=points, flows=flows, ambient_dimension=2)
+    born = {}
+    for orbit in orbits:
+        if not orbit.stable:
+            sphere = orbit.sphere_datum
+            result = stabilize_point(
+                datum, local_data_for(datum, orbit.label, sphere), sphere)
+            datum = result.datum
+            ends = orbit.label, counter.descent_target(orbit).label
+            born.update(dict.fromkeys(result.new_point_ids, ends))
+    flags = {o.label: o.representative.orientation for o in orbits}
+    datum = MorseDatum(points=datum.points, ambient_dimension=2, flows=tuple(
+        _filled(f, born, flags) for f in datum.flows))
     try:
         coinvariant_complex(datum)
     except BoundarySquaredNonzero as exc:

@@ -4,7 +4,9 @@ sphere of reversed descending directions.
 
 The transform is pure bookkeeping on the datum: it never invents flow
 counts.  Every pair whose count the local modification could change is
-re-emitted as a placeholder to be filled numerically or by hand.
+re-emitted as a placeholder, to be filled by hand or, for a datum found
+numerically, by ``flow_numerics.quotient_to_datum`` from the census of
+the unstable surface.
 """
 
 from __future__ import annotations

