@@ -435,13 +435,13 @@ def _cross(a, b):
     return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
 
 
-def _velocity(surface, x, order=1):
+def _velocity(surface, x, order=1, value=True):
     """Negative gradient of f projected onto the tangent planes at the rows
-    of ``x`` (n, 3), and the jets of F and f up to ``order`` and |grad F|.
-    ``order`` is the one switch: values at order 2 only (``None`` at 1),
-    read only by a census step's first stage; its inner stages use 1."""
-    level = surface.level_jet(x.T, order, order == 2)
-    morse = surface.morse_jet(x.T, order, order == 2)
+    of ``x`` (n, 3), and the jets of F and f up to ``order`` and |grad F|;
+    the values are ``None`` with ``value=False``.  A census step's first
+    stage reads values at order 2, its inner stages neither."""
+    level = surface.level_jet(x.T, order, value)
+    morse = surface.morse_jet(x.T, order, value)
     g, gf = level[1], morse[1]
     level_norm = np.sqrt(np.add.reduce(g * g))
     n = g / level_norm
@@ -819,9 +819,10 @@ class FlowLineCounter:
     buy nothing the next step keeps.
 
     A branch also ends, before it is captured, once critical values decide
-    its end (``_value_rule``), which relies on the complete critical set
-    that ``find_critical_orbits`` checks; a saddle connection still reaches
-    its saddle and raises.
+    the orbit it ends in, or on an ascending branch the lift
+    (``_value_rule``), which relies on the complete critical set that
+    ``find_critical_orbits`` checks; a saddle connection still reaches its
+    saddle and raises.
     """
 
     def __init__(self, surface, orbits):
@@ -851,18 +852,22 @@ class FlowLineCounter:
             self._census = self._saddle_census()
         flag = (source.representative.orientation
                 * target.representative.orientation)
-        return flag * sum(sign for lift, sign in self._census[fi]
-                          if self.lifts[lift][0] == ti)
+        return flag * sum(sign for oi, sign in self._census[fi] if oi == ti)
 
     def descent_target(self, saddle):
         """The orbit that the descending branch of the index-1 orbit
         ``saddle``'s representative reaches along +u, the first vector of
-        its frame; ``saddle`` may be unstable."""
+        its frame; ``saddle`` may be unstable.  An orbit of another index
+        raises BadParams."""
+        si = self._orbit_index(saddle)
+        orbit = self.orbits[si]
+        if orbit.index != 1:
+            raise BadParams(f"descent_target needs an index-1 orbit, got"
+                            f" {orbit.label!r} of index {orbit.index}")
         if self._census is None:
             self._census = self._saddle_census()
-        lift = next(lift for lift, sign in
-                    self._census[self._orbit_index(saddle)] if sign == 1)
-        return self.orbits[self.lifts[lift][0]]
+        return self.orbits[next(oi for oi, sign in self._census[si]
+                                if sign == 1)]
 
     def _orbit_index(self, orbit):
         for i, o in enumerate(self.orbits):
@@ -873,14 +878,14 @@ class FlowLineCounter:
     # -- the census of saddle branches ---------------------------------------
 
     def _saddle_census(self):
-        """Per source orbit, the (target lift, sign) of every flow line
-        leaving its representative.
+        """Per source orbit, the (target orbit, sign) of every flow line
+        leaving its representative, all that ``count`` reads.
 
         Descending: both branches of each saddle representative along its
-        unstable vector u; a hit on the captured minimum lift carries the
-        branch sign.  Ascending: both branches of every stable saddle lift
-        along a = n x u; a branch ending on a maximum's representative is a
-        line from it into that saddle lift.  Maxima frames are positively
+        unstable vector u; the minimum orbit it ends in carries the branch
+        sign.  Ascending: both branches of every stable saddle lift along
+        a = n x u; a branch ending on a maximum's representative is a line
+        from it into the saddle's orbit.  Maxima frames are positively
         oriented against n, so its sign is sign((-+a) x u . n), the arrival
         direction against u, which is +1 on the +a branch.
 
@@ -926,26 +931,27 @@ class FlowLineCounter:
                         f"descending trajectory of {label!r} limits to an"
                         f" index-{hit.index} point: the pair is not"
                         " Morse-Smale")
-                census[oi].append((int(end), sign))
+                census[oi].append((ti, sign))
                 continue
             if hit.index <= 1:
                 raise BrokenFlowDetected(
                     f"ascending trajectory of {label!r} limits to an"
                     f" index-{hit.index} point: the pair is not Morse-Smale")
             if end in tops:
-                census[ti].append((lift, sign))
+                census[ti].append((oi, sign))
         return census
 
     def _endpoints(self, starts, branches):
         """Follow each start along the projected negative gradient, or
         against it on an ascending branch, until it is within ``dedup_tol``
         of a critical lift or the value rule (``_value_rule``) decides its
-        lift, all rows as one RK4 batch; returns the lift per start.  A row
-        that stalls farther than ``dedup_tol`` from every lift, escapes past
-        ``escape_radius`` or runs out of steps raises, naming its branch,
-        where it was and how far from the nearest lift.  Only the live rows
-        are kept, and they are cut down only on a step at which some row
-        ends."""
+        end, all rows as one RK4 batch; returns the lift per start (for a
+        descending row the value rule decides, a lift of the orbit it ends
+        in).  A row that stalls farther than ``dedup_tol`` from every lift,
+        escapes past ``escape_radius`` or runs out of steps raises, naming
+        its branch, where it was and how far from the nearest lift.  Only
+        the live rows are kept, and they are cut down only on a step at
+        which some row ends."""
         s = self.surface
         lifts = self.lift_positions
         capture = self.tols.dedup_tol
@@ -973,7 +979,7 @@ class FlowLineCounter:
             squared = np.add.reduce(diff * diff, axis=2)
             nearest = squared.argmin(axis=1)
             dmin = np.sqrt(squared[np.arange(len(x)), nearest])
-            k1, level, morse, level_norm = _velocity(s, x, 2)
+            k1, level, morse, level_norm = _velocity(s, x, 2, value=True)
 
             done = dmin < capture
             stranded = ~done & (_row_norms(k1) < _STALL_SPEED)
@@ -1008,9 +1014,9 @@ class FlowLineCounter:
             # bit for bit
             dt = sign * (1.5 / rate)[:, None]
             half = 0.5 * dt
-            k2 = _velocity(s, x + half * k1)[0]
-            k3 = _velocity(s, x + half * k2)[0]
-            k4 = _velocity(s, x + dt * k3)[0]
+            k2 = _velocity(s, x + half * k1, value=False)[0]
+            k3 = _velocity(s, x + half * k2, value=False)[0]
+            k4 = _velocity(s, x + dt * k3, value=False)[0]
             x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             x = x - _level_step(s, x)
         raise lost(f"{len(live)} trajectories failed to settle within the"
@@ -1030,20 +1036,22 @@ class FlowLineCounter:
     def _value_rule(self, direction, sources):
         """Per row of ``direction`` (1 descending, -1 ascending) and of
         ``sources`` (the row's saddle orbit), a limit and a target lift: a
-        row whose direction times f is below its limit ends at its target.
-        A row that cannot be decided so gets limit -inf and target -1.
+        row whose direction times f is below its limit ends at its target,
+        a descending row at some lift of its orbit.  A row that cannot be
+        decided so gets limit -inf and target -1.
 
-        Among the lifts outside the row's own orbit, the target is the lift
-        lowest in direction times f, the limit the second lowest such value
-        less ``stab_tol``; a row gets them only where there are two such
-        lifts and that gap exceeds ``stab_tol`` (the margin within which
-        ``check_surface`` calls two values of f equal).  Direction times f
-        falls strictly along a branch from its saddle's value, which every
-        lift of the saddle's orbit shares, so none of them can be its end;
-        every other orbit counts, even at that value.  f is read once, at
-        every lift; an orbit's lifts share it to roundoff, far below
-        ``stab_tol``, so only the lift of a one-lift orbit is ever a
-        target."""
+        Outside the row's own orbit the target is the lift lowest in
+        direction times f, and its candidate ends are the lifts of its orbit
+        on a descending row (whose count reads the orbit alone), itself on
+        an ascending one (whose count reads the representative).  The limit
+        is the lowest value at the other lifts less ``stab_tol``, given only
+        where that exceeds every candidate's by more than ``stab_tol``
+        (within which ``check_surface`` calls values of f equal).  Direction
+        times f falls strictly along a branch from its saddle's value, which
+        every lift of the saddle's orbit shares, so none of them can be its
+        end; every other orbit counts, even at that value.  f is read once,
+        at every lift; an orbit's lifts share it to roundoff, so an
+        ascending row into a multi-lift orbit is undecided."""
         limit = np.full(len(direction), -np.inf)
         target = np.full(len(direction), -1)
         values = self.surface.morse_jet(self.lift_positions.T, 0)[0]
@@ -1051,12 +1059,15 @@ class FlowLineCounter:
         margin = self.tols.stab_tol
         for d, oi in set(zip(direction.tolist(), sources.tolist())):
             others = np.flatnonzero(lift_orbits != oi)
+            if not len(others):
+                continue
             v = d * values[others]
-            order = np.argsort(v)
-            if len(v) > 1 and v[order[1]] - v[order[0]] > margin:
+            first = others[np.argmin(v)]
+            ends = (lift_orbits[others] == lift_orbits[first] if d == 1
+                    else others == first)
+            if not ends.all() and v[~ends].min() - v[ends].max() > margin:
                 rows = (direction == d) & (sources == oi)
-                limit[rows] = v[order[1]] - margin
-                target[rows] = others[order[0]]
+                limit[rows], target[rows] = v[~ends].min() - margin, first
         return limit, target
 
 

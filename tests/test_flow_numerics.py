@@ -674,6 +674,19 @@ class TestCounterReuse:
         with pytest.raises(BadParams, match=message):
             epsilon_run.counter.count(known, "nosuch")
 
+    @pytest.mark.parametrize("label, index", [("max0", 2), ("min0", 0)])
+    def test_descent_target_needs_a_saddle(self, torus_run, label, index):
+        # the census holds a maximum's ascending lines and no minimum
+        # entry: read as a descent, max0 gave saddle0 and min0 raised a
+        # bare StopIteration
+        counter = fn.FlowLineCounter(torus_run.surface, torus_run.orbits)
+        with pytest.raises(BadParams, match=(
+                f"descent_target needs an index-1 orbit, got '{label}' of"
+                f" index {index}")):
+            counter.descent_target(label)
+        assert counter._census is None
+        assert counter.descent_target("saddle0").label == "min0"
+
 
 class TestFrameConsistency:
     def test_lift_frames_are_pushforwards_of_the_representative(self, epsilon_run):
@@ -952,8 +965,9 @@ class TestCensusWork:
         # an arc-length step and a cap at the stiffest critical point took
         # 1,849 calls on the torus (tilt 0.25) and 1,053 on the stabilized
         # epsilon = 0.8 sphere; steps at the local rate took 797 and 249, and
-        # ending torus branches by critical values 73 (the epsilon sphere's
-        # extreme values are each shared by two lifts, so none ends early)
+        # ending branches by critical values 73 on the torus, and 41 on the
+        # epsilon sphere once descending branches were decided by orbit
+        # (min0's two lifts share the lowest value)
         run = request.getfixturevalue(run)
         calls = counted_velocity(monkeypatch)
         assert fn.quotient_to_datum(run.surface, run.orbits) == run.datum
@@ -1043,8 +1057,11 @@ class TestCensusWork:
         # read of f at the lifts takes no gradient.  Only the first of the
         # four computes f: the three inner stages read their velocity alone
         # (computing f too took 189 calls).  The census is the four
-        # descending trajectories of the two unstable poles, 62 steps (on
-        # the bumped surface it was 12 trajectories and 47 steps)
+        # descending trajectories of the two unstable poles, 10 steps; the
+        # south pole's two end at step 0 by the value rule, so every step
+        # takes two rows.  Decided by lift, not orbit, the rule ended none
+        # and the census took 62 steps (on the bumped surface it was 12
+        # trajectories and 47 steps)
         surface, counts = counted_fields(epsilon_run.surface, ("morse_jet",))
         steps = []
         rate = fn._local_rate
@@ -1056,12 +1073,12 @@ class TestCensusWork:
         monkeypatch.setattr(fn, "_local_rate", counted_rate)
         assert fn.quotient_to_datum(surface, epsilon_run.orbits) == (
             epsilon_run.datum)
-        assert len(steps) == 62
-        assert steps[0] == 4
+        assert len(steps) == 10
+        assert steps[0] == 2
         gradients = [value for (_, order), value in zip(
             counts["morse_jet"], counts["morse_jet", "value"]) if order >= 1]
-        assert len(gradients) == 4 * 62 + 1
-        assert gradients.count(True) == 63
+        assert len(gradients) == 4 * 10 + 1
+        assert gradients.count(True) == 11
 
 
 class TestCensusCorrection:
@@ -1211,8 +1228,8 @@ class TestValueRule:
         # a census row is up to |F| = 2e-4 off the surface; at every row
         # the rule decides, f there is within the slack |F| |grad f| /
         # |grad F| of f at the row projected to roundoff.  The rule decides
-        # 400 torus rows here, the largest ratio 0.99, and no row of the
-        # stabilized epsilon spheres, whose rows are all captured
+        # 400 torus rows here, the largest ratio 0.99, and the 80 pole rows
+        # of the stabilized epsilon spheres, the largest ratio 0.999
         # (the rule reads the jets of the step's first velocity batch, at
         # the rows that batch recorded)
         decided, batch = [], []
@@ -1295,28 +1312,74 @@ class TestValueRule:
         assert np.all(-morse(starts[rows]) >= limit[rows])
 
     # branches end within dedup_tol of a lift; ended at 1e-9, the
-    # antipodal census took 79 steps and the bumped epsilon sphere's 62
-    @pytest.mark.parametrize("make, steps", [
-        (antipodal_sphere_surface, 60), (None, 62)],
-        ids=["antipodal_sphere", "epsilon_sphere"])
-    def test_shared_extremes_decide_nothing(self, monkeypatch, epsilon_run,
-                                            make, steps):
-        if make is None:
-            surface, orbits = epsilon_run.surface, epsilon_run.orbits
-        else:
-            surface = make()
-            orbits = fn.find_critical_orbits(surface)
+    # antipodal census took 79 steps
+    @pytest.mark.parametrize("make, steps", [(antipodal_sphere_surface, 60)],
+                             ids=["antipodal_sphere"])
+    def test_shared_extremes_decide_nothing(self, monkeypatch, make, steps):
+        surface = make()
+        orbits = fn.find_critical_orbits(surface)
         surface, counts = counted_fields(surface, ("morse_jet",))
         calls = counted_velocity(monkeypatch)
         fn.quotient_to_datum(surface, orbits)
         assert len(calls) == 4 * steps + 1
         lifts = sum(len(o.points) for o in orbits)
         values = [n for n, order in counts["morse_jet"] if order == 0]
-        # f is read once, at the six lifts.  On the antipodal sphere every
-        # orbit has two lifts, so no value is unique and none decides; the
-        # epsilon poles' descending rows have min0's two lifts lowest
+        # f is read once, at the six lifts.  Every orbit has two lifts.  The
+        # saddle's two descending rows read only the orbit they end in, so
+        # min0, with max0's value above it, decides them at step 0; its
+        # four ascending rows must end at max0's representative, whose
+        # value the other lift of max0 shares, so none is decided and they
+        # are integrated to capture
         assert lifts == 6
         assert values == [6]
+        assert calls[:2] == [6, 4]
+
+    # integrated to capture, the descending pole rows took 244, 62 and 36
+    # steps, the lowest orbit outside each pole's own being min0 with two
+    # lifts
+    @pytest.mark.parametrize("epsilon, steps", [(0.55, 15), (0.8, 10),
+                                                (1.5, 9)])
+    def test_pole_rows_end_by_orbit(self, monkeypatch, epsilon, steps):
+        # the south pole's rows start below the north pole's value, the
+        # lowest outside min0, and end at step 0; the north pole's end once
+        # they pass below the south pole's.  Every pole row ends by the
+        # value rule, none at the capture radius
+        surface, orbits = surface_and_orbits("epsilon", epsilon)
+        surface, counts = counted_fields(surface, ("morse_jet",))
+        calls = counted_velocity(monkeypatch)
+        ended = []
+        passed = fn.FlowLineCounter._passed
+
+        def counted_passed(*args):
+            out = passed(*args)
+            ended.append(int(out.sum()))
+            return out
+
+        monkeypatch.setattr(fn.FlowLineCounter, "_passed",
+                            staticmethod(counted_passed))
+        fn.quotient_to_datum(surface, orbits)
+        assert len(calls) == 4 * steps + 1
+        assert calls[:2] == [4, 2]
+        assert ended[0] == 2
+        assert sum(ended) == 4
+        assert [n for n, order in counts["morse_jet"] if order == 0] == [6]
+
+    @pytest.mark.parametrize("epsilon", [
+        pytest.param(float(e), id=f"{e:.2f}")
+        for e in np.linspace(0.55, 1.5, 20)])
+    def test_descent_targets_equal_integrated_ones(self, epsilon):
+        # the orbit each pole's +u branch reaches, which fills the
+        # stabilized datum's counts, is the one reached with the rule off
+        surface, orbits = surface_and_orbits("epsilon", epsilon)
+        off = dataclasses.replace(
+            surface, tolerances=fn.Tolerances(stab_tol=100.0))
+        ruled, integrated = (fn.FlowLineCounter(s, orbits)
+                             for s in (surface, off))
+        poles = [o for o in orbits if not o.stable]
+        assert [o.label for o in poles] == ["south_pole", "north_pole"]
+        for pole in poles:
+            assert ruled.descent_target(pole) is integrated.descent_target(
+                pole)
 
     @pytest.mark.parametrize("delta, fires", [(2e-9, False), (1e-6, True)],
                              ids=["near_tie", "clear_gap"])
