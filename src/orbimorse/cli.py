@@ -23,6 +23,7 @@ from .morse_datum import (
     CriticalPointRecord,
     FlowCount,
     MorseDatum,
+    check_away_from_orders,
     coinvariant_complex,
     invariant_complex,
     orbifold_euler,
@@ -323,8 +324,11 @@ def _cmd_homology(args):
     if args.complex != "both":
         which = [w for w in which if w[0] == args.complex]
     prefix = args.complex == "both"
-    for name, builder in which:
-        groups = homology(builder(datum))
+    results = [(name, homology(builder(datum))) for name, builder in which]
+    if prefix:
+        # isomorphic over Z[1/N]: a free check of both eliminations
+        check_away_from_orders(datum, results[0][1], results[1][1])
+    for name, groups in results:
         if args.format == "table":
             print(f"[{name}]")
             print("\n".join(_homology_table(groups)))

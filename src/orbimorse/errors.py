@@ -5,6 +5,16 @@ map them uniformly to exit code 1; file-format problems derive from
 :class:`ParseError` and map to exit code 2.
 """
 
+__all__ = [
+    "OrbimorseError", "DimensionMismatch", "NotAComplex", "ShapeMismatch",
+    "ValidationFailure", "UnknownFlowCount", "UnstablePoint",
+    "BoundarySquaredNonzero", "LocalizedHomologyMismatch", "PointNotFound",
+    "PointAlreadyStable", "SphereCountMismatch", "UnknownBuiltin", "BadParams",
+    "SeedGridExhausted", "DegenerateCritical", "NonConvergentTrajectory",
+    "BrokenFlowDetected", "UnstableEndpoint", "UnsupportedProfile",
+    "InvalidComplex", "ParseError",
+]
+
 
 class OrbimorseError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -47,6 +57,14 @@ class UnstablePoint(OrbimorseError):
 
 class BoundarySquaredNonzero(OrbimorseError):
     """The boundary built from the given counts does not square to zero."""
+
+
+class LocalizedHomologyMismatch(OrbimorseError):
+    """The coinvariant and invariant homology of one datum differ away from
+    N, the lcm of its stabilizer orders: in a Betti number, or in the
+    p-primary torsion for a prime p not dividing N.  Over Z[1/N] the two
+    complexes are isomorphic, so this is a defect of the elimination, not
+    of the datum."""
 
 
 # --- stabilization -------------------------------------------------------

@@ -477,7 +477,9 @@ def rank(matrix):
 def composition(boundary_out, boundary_in):
     """``boundary_out @ boundary_in``.  When it is zero, it is recorded
     on ``boundary_out`` (immutable, so it cannot go stale), and a later
-    call on the pair returns it without forming the product again."""
+    call on the pair returns it without forming the product again.  Only
+    this function and ``_conjugate``, which carries a record over to a
+    scaled pair, write the record."""
     seen = boundary_out.__dict__.get("_zero_after", ())
     for into, product in seen:
         if into is boundary_in:
@@ -487,6 +489,35 @@ def composition(boundary_out, boundary_in):
         object.__setattr__(boundary_out, "_zero_after",
                            seen + ((boundary_in, product),))
     return product
+
+
+def _conjugate(boundaries, scales):
+    """The chain S ∂ S⁻¹ of the chain ``boundaries``, S diagonal.
+
+    ``boundaries[k]`` maps degree k to degree k - 1, ``boundaries[0]``
+    has no rows, and ``scales[k]`` holds the scale of each generator in
+    degree k, as in a ``FreeChainComplex``.  The entry x at row i and
+    column j of ``boundaries[k]`` becomes x * scales[k - 1][i] //
+    scales[k][j].  The caller makes every such quotient exact and
+    nonzero; for a Morse datum, ``validate``'s divisibility rule does.
+    Each pair of ``boundaries`` that ``composition`` has recorded as
+    composing to zero is recorded for the scaled pair too, with the same
+    zero product, since (S ∂ S⁻¹)(S ∂' S⁻¹) = S ∂∂' S⁻¹: the scaled chain
+    is verified without forming a product.
+    """
+    conjugates = []
+    lower = ()
+    for matrix, upper in zip(boundaries, scales):
+        conjugates.append(IntegerMatrix._of(matrix.rows, matrix.cols, tuple(
+            tuple((j, x * s // upper[j]) for j, x in pairs)
+            for pairs, s in zip(matrix.nonzeros, lower))))
+        lower = upper
+    for k in range(1, len(boundaries)):
+        for into, product in boundaries[k - 1].__dict__.get("_zero_after", ()):
+            if into is boundaries[k]:
+                object.__setattr__(conjugates[k - 1], "_zero_after",
+                                   ((conjugates[k], product),))
+    return conjugates
 
 
 def homology_at(boundary_out, boundary_in, degree=0):

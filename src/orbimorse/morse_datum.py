@@ -11,16 +11,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .chain_complex import FreeChainComplex, verify_complex
 from .errors import (
     BoundarySquaredNonzero,
+    LocalizedHomologyMismatch,
     PointNotFound,
     UnknownFlowCount,
     UnstablePoint,
     ValidationFailure,
 )
-from .exact_linalg import IntegerMatrix
+from .exact_linalg import IntegerMatrix, _conjugate
 
 __all__ = [
     "CriticalPointRecord",
@@ -31,6 +33,7 @@ __all__ = [
     "validate",
     "coinvariant_complex",
     "invariant_complex",
+    "check_away_from_orders",
     "orbifold_euler",
     "underlying_euler",
     "ratio_identity_check",
@@ -191,14 +194,13 @@ def _require_computable(datum):
         raise UnstablePoint(f"critical points not stable: {unstable}")
 
 
-def _boundaries(datum, weight=None):
-    """Unverified complex with one entry per flow: its count, or when
-    ``weight`` is given ``weight(source_point, target_point, count)``, at
-    the row of its target and the column of its source.  Generators keep
-    the datum's point order within each degree.
+def _boundaries(datum):
+    """Unverified complex with one entry per flow, its count, at the row of
+    its target and the column of its source.  Generators keep the datum's
+    point order within each degree.
 
     Each point's position in its degree is found once, and each flow
-    appends one ``(col, value)`` pair to its target's row.  The datum is
+    appends one ``(col, count)`` pair to its target's row.  The datum is
     valid (``_require_computable``): no pair repeats, every endpoint is a
     point and every flow drops the index by one, so the columns of a row
     are distinct and in range and the rows go to the matrix unchecked
@@ -209,47 +211,109 @@ def _boundaries(datum, weight=None):
     for p in datum.points:
         # p's row in the boundary out of the degree above p's
         row = []
-        place[p.id] = (len(generators[p.index]), p, row)
+        place[p.id] = (len(generators[p.index]), row)
         generators[p.index].append(p.id)
         rows[p.index].append(row)
     for f in datum.flows:
-        col, p, _ = place[f.source]
-        _, q, row = place[f.target]
-        row.append((col, f.count if weight is None else weight(p, q, f.count)))
+        place[f.target][1].append((place[f.source][0], f.count))
     return FreeChainComplex(0, generators, [
         IntegerMatrix._from_pairs(len(labels), pair_rows)
         for labels, pair_rows in zip(generators, [[]] + rows)])
 
 
-def _build_complex(datum, weight=None):
-    complex_ = _boundaries(datum, weight)
+def _verified(complex_):
+    """``complex_``, once ``verify_complex`` passes it; otherwise
+    ``BoundarySquaredNonzero`` naming the first nonzero entry of the
+    first failing square."""
     verdict = verify_complex(complex_)
     if not verdict:
         w = verdict.failures[0]
+        source = complex_.generators[w.degree][w.col]
+        target = complex_.generators[w.degree - 2][w.row]
         raise BoundarySquaredNonzero(
             f"boundary squared has entry {w.value} at degree {w.degree}, "
-            f"position ({w.row}, {w.col}); the input counts are inconsistent")
+            f"position ({w.row}, {w.col}), from {source!r} to {target!r}; "
+            f"the input counts are inconsistent")
     return complex_
+
+
+def _stored_coinvariant(datum):
+    """The verified raw-count complex of a computable datum.  It is built
+    and its squares formed once, then stored on the (immutable) datum, as
+    ``validate`` stores its report; a datum whose counts fail raises
+    ``BoundarySquaredNonzero`` and stores nothing."""
+    stored = datum.__dict__.get("_coinvariant")
+    if stored is None:
+        _require_computable(datum)
+        stored = _verified(_boundaries(datum))
+        object.__setattr__(datum, "_coinvariant", stored)
+    return stored
 
 
 def _stabilizer_ratio(p, q, c):
     """Count ``c`` of the flow p -> q times stab(q) / stab(p), an exact
-    quotient: both callers run ``_require_computable``, whose ``validate``
-    makes stab(p) divide stab(q) wherever ``c`` is nonzero."""
+    quotient: ``ratio_identity_check`` runs ``_require_computable``, whose
+    ``validate`` makes stab(p) divide stab(q) wherever ``c`` is nonzero."""
     return c * q.stab_order // p.stab_order
 
 
 def coinvariant_complex(datum):
-    """Chain complex whose boundary entries are the raw signed counts."""
-    _require_computable(datum)
-    return _build_complex(datum)
+    """Chain complex whose boundary entries are the raw signed counts.
+
+    It is built and checked for ``boundary^2 = 0`` once per datum and
+    stored on it; later calls return the stored complex."""
+    return _stored_coinvariant(datum)
 
 
 def invariant_complex(datum):
-    """Chain complex weighting each count by the stabilizer-order ratio
-    of target over source; divisibility makes every entry an integer."""
-    _require_computable(datum)
-    return _build_complex(datum, _stabilizer_ratio)
+    """Chain complex S ∂ S⁻¹ of the stored coinvariant complex ∂, with
+    S = diag(stab(p)): the count c of each flow p -> q becomes
+    c * stab(q) / stab(p), an integer by the divisibility rule.
+
+    The generators are the coinvariant complex's, and no flow is read
+    again.  Its squares are S ∂² S⁻¹, zero exactly when the coinvariant
+    ones are, so inconsistent counts raise ``BoundarySquaredNonzero``
+    naming the entry of the raw-count square; the invariant square holds
+    stab(r) / stab(p) times that entry at the same position.  The
+    verification forms no product (``exact_linalg._conjugate``)."""
+    coinvariant = _stored_coinvariant(datum)
+    orders = [[] for _ in coinvariant.generators]
+    for p in datum.points:
+        orders[p.index].append(p.stab_order)
+    return _verified(FreeChainComplex(0, coinvariant.generators, _conjugate(
+        coinvariant.boundaries, orders)))
+
+
+def check_away_from_orders(datum, coinvariant, invariant):
+    """Raise ``LocalizedHomologyMismatch`` unless ``coinvariant`` and
+    ``invariant``, the homology groups of ``datum``'s two complexes by
+    degree, agree away from N, the lcm of its stabilizer orders.
+
+    Over Z[1/N] the diagonal S = diag(stab(p)) is invertible, so the two
+    complexes are isomorphic there: in every degree their Betti numbers
+    are equal, and so is their p-primary torsion for every prime p not
+    dividing N.  The parts prime to N of a chain of invariant factors,
+    those > 1, are the invariant factors of that torsion, so the chains
+    are compared."""
+    n = lcm(*(p.stab_order for p in datum.points))
+    for co, inv in zip(coinvariant, invariant):
+        if (co.betti != inv.betti
+                or _prime_to(co.torsion, n) != _prime_to(inv.torsion, n)):
+            raise LocalizedHomologyMismatch(
+                f"in degree {co.degree} the coinvariant homology {co} and "
+                f"the invariant homology {inv} differ away from {n}; the "
+                f"elimination is at fault, not the datum")
+
+
+def _prime_to(factors, n):
+    """The part prime to ``n`` of each of ``factors``, those > 1."""
+    parts = []
+    for t in factors:
+        while (g := gcd(t, n)) > 1:
+            t //= g
+        if t > 1:
+            parts.append(t)
+    return parts
 
 
 def orbifold_euler(datum):

@@ -373,6 +373,54 @@ class TestHomologyCommand:
         assert main(["homology", path]) == 1
         assert "a" in capsys.readouterr().err
 
+    # a -> b with count 3 and orders 1, 2: the coinvariant H_0 is Z/3,
+    # the invariant one Z/6, and N = 2
+    TORSION_AT_THREE = json.dumps({
+        "schema_version": "1",
+        "points": [{"id": "a", "index": 1, "stab": 1},
+                   {"id": "b", "index": 0, "stab": 2}],
+        "flows": [{"from": "a", "to": "b", "count": 3}]})
+
+    def test_torsion_prime_to_the_orders_passes(self, tmp_path, capsys):
+        path = write_text(tmp_path, self.TORSION_AT_THREE, "torsion.json")
+        assert main(["homology", path, "--format", "machine"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "co 0 0 3", "co 1 0", "in 0 0 6", "in 1 0"]
+
+    @pytest.mark.parametrize("prime,code", [(3, 1), (2, 0)],
+                             ids=["prime-to-N", "dividing-N"])
+    def test_elimination_defect_away_from_the_orders(
+            self, tmp_path, capsys, monkeypatch, prime, code):
+        # the defective elimination drops the p-part of every torsion
+        # factor divisible by 6, so only the invariant Z/6 is hit: Z/2 is
+        # left when p = 3 and caught, since 3 does not divide N = 2; Z/3
+        # is left when p = 2, which agrees with Z/3 away from 2 and goes
+        # unseen by design
+        from orbimorse import chain_complex
+        from orbimorse.exact_linalg import HomologyGroup
+
+        real = chain_complex.homology_at
+
+        def dropping(out, into, degree=0):
+            group = real(out, into, degree)
+            torsion = []
+            for t in group.torsion:
+                while t % 6 == 0 and t % prime == 0:
+                    t //= prime
+                torsion.append(t)
+            return HomologyGroup(group.degree, group.betti,
+                                 tuple(t for t in torsion if t > 1))
+
+        monkeypatch.setattr(chain_complex, "homology_at", dropping)
+        path = write_text(tmp_path, self.TORSION_AT_THREE, "torsion.json")
+        assert main(["homology", path]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert "differ away from 2" in captured.err
+        else:
+            assert "Z/3" in captured.out and "Z/6" not in captured.out
+
 
 class TestEulerCommand:
     def test_teardrop(self, tmp_path, capsys):

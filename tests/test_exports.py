@@ -21,3 +21,25 @@ def test_all_names_resolve(name):
     missing = [n for n in getattr(module, "__all__", ())
                if not hasattr(module, n)]
     assert missing == []
+
+
+ERRORS = (
+    "OrbimorseError", "DimensionMismatch", "NotAComplex", "ShapeMismatch",
+    "ValidationFailure", "UnknownFlowCount", "UnstablePoint",
+    "BoundarySquaredNonzero", "LocalizedHomologyMismatch", "PointNotFound",
+    "PointAlreadyStable", "SphereCountMismatch", "UnknownBuiltin", "BadParams",
+    "SeedGridExhausted", "DegenerateCritical", "NonConvergentTrajectory",
+    "BrokenFlowDetected", "UnstableEndpoint", "UnsupportedProfile",
+    "InvalidComplex", "ParseError",
+)
+
+
+def test_every_error_type_is_exported():
+    from orbimorse import errors
+
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert set(errors.__all__) == defined == set(ERRORS)
+    assert all(issubclass(getattr(errors, name),
+                          (errors.OrbimorseError, errors.ParseError))
+               for name in ERRORS)

@@ -1,12 +1,16 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from orbimorse import morse_datum
-from orbimorse.chain_complex import FreeChainComplex, homology
+from orbimorse.chain_complex import FreeChainComplex, homology, verify_complex
+from orbimorse.exact_linalg import HomologyGroup, IntegerMatrix
 from orbimorse.errors import (
     BoundarySquaredNonzero,
+    LocalizedHomologyMismatch,
     UnknownFlowCount,
     UnstablePoint,
     ValidationFailure,
@@ -15,6 +19,7 @@ from orbimorse.morse_datum import (
     CriticalPointRecord,
     FlowCount,
     MorseDatum,
+    check_away_from_orders,
     coinvariant_complex,
     invariant_complex,
     orbifold_euler,
@@ -449,23 +454,14 @@ class TestBoundariesFromFlows:
         for _ in range(300):
             datum = random_complex_datum(rng)
             assert validate(datum).ok
-            by_id = {p.id: p for p in datum.points}
-            top = max(p.index for p in datum.points)
-            generators = [[p.id for p in datum.points if p.index == k]
-                          for k in range(top + 1)]
-            for build, value in [
-                    (coinvariant_complex, lambda p, q, c: c),
-                    (invariant_complex,
-                     lambda p, q, c: c * q.stab_order // p.stab_order)]:
-                reference = FreeChainComplex.from_incidences(generators, [
-                    (by_id[f.source].index, f.source, f.target,
-                     value(by_id[f.source], by_id[f.target], f.count))
-                    for f in datum.flows])
+            references = reference_complexes(datum)
+            for build, reference in zip(
+                    (coinvariant_complex, invariant_complex), references):
                 built = build(datum)
                 assert built == reference
                 assert hash(built) == hash(reference)
             zero_counts += any(f.count == 0 for f in datum.flows)
-            empty_degrees += not all(generators)
+            empty_degrees += not all(references[0].generators)
         assert zero_counts > 50 and empty_degrees > 50
 
     def test_ratio_entries_equal_the_triple_sum(self):
@@ -484,19 +480,25 @@ class TestBoundariesFromFlows:
 
     @pytest.mark.parametrize("make", [make_bean, double_suspension_datum],
                              ids=["bean", "double-suspension-rp2"])
-    def test_weighting_runs_once_per_flow(self, monkeypatch, make):
+    def test_weighting_runs_once_per_flow(self, make):
+        # the weight stab(q) / stab(p) is applied once per nonzero stored
+        # entry of the coinvariant complex, and never to a zero count
+        # (bean has one): each product c * stab(q) is recorded by q's order
         datum = make()
-        real = morse_datum._stabilizer_ratio
-        calls = []
+        products = []
 
-        def counted(p, q, c):
-            calls.append((p.id, q.id))
-            return real(p, q, c)
+        class Order(int):
+            def __rmul__(self, count):
+                products.append((count, int(self)))
+                return count * int(self)
 
-        monkeypatch.setattr(morse_datum, "_stabilizer_ratio", counted)
-        invariant_complex(datum)
-        assert sorted(calls) == sorted((f.source, f.target)
-                                       for f in datum.flows)
+        counted = MorseDatum(
+            [dataclasses.replace(p, stab_order=Order(p.stab_order))
+             for p in datum.points], datum.flows)
+        order = {p.id: p.stab_order for p in datum.points}
+        assert invariant_complex(counted) == invariant_complex(datum)
+        assert sorted(products) == sorted(
+            (f.count, order[f.target]) for f in datum.flows if f.count)
 
     def test_entries_are_the_flow_counts(self):
         rng = random.Random(2024)
@@ -520,3 +522,211 @@ class TestBoundariesFromFlows:
                     assert co.boundary(1)[i, j] == c
                     assert inv.boundary(1)[i, j] == (
                         c * order[target] // order[source])
+
+
+def inconsistent_datum():
+    """t -> m -> b with counts 1 and 1 and orders 1, 2, 4: the raw square
+    is 1 at (b, t), and the invariant one stab(b) / stab(t) = 4 times
+    that.  Built afresh for each use, since a datum stores its complex."""
+    return MorseDatum(
+        points=(CriticalPointRecord("t", 2, 1),
+                CriticalPointRecord("m", 1, 2),
+                CriticalPointRecord("b", 0, 4)),
+        flows=(FlowCount("t", "m", 1), FlowCount("m", "b", 1)))
+
+
+def reference_complexes(datum):
+    """The coinvariant and invariant complexes from ``from_incidences``,
+    one incidence per flow: c, and c * stab(q) / stab(p)."""
+    by_id = {p.id: p for p in datum.points}
+    generators = [[p.id for p in datum.points if p.index == k]
+                  for k in range(max(p.index for p in datum.points) + 1)]
+    return [FreeChainComplex.from_incidences(generators, [
+        (by_id[f.source].index, f.source, f.target,
+         weight(f.count, by_id[f.source].stab_order,
+                by_id[f.target].stab_order))
+        for f in datum.flows])
+        for weight in (lambda c, sp, sq: c, lambda c, sp, sq: c * sq // sp)]
+
+
+class TestOneBuildPerDatum:
+    @pytest.mark.parametrize("builders", [
+        (coinvariant_complex,), (invariant_complex,),
+        (coinvariant_complex, invariant_complex),
+        (invariant_complex, coinvariant_complex)],
+        ids=["co", "in", "co-then-in", "in-then-co"])
+    def test_inconsistent_counts_raise_from_every_builder(self, builders):
+        datum = inconsistent_datum()
+        # twice each: a datum whose counts fail stores nothing
+        for build in builders * 2:
+            with pytest.raises(BoundarySquaredNonzero, match=(
+                    r"entry 1 at degree 2, position \(0, 0\), "
+                    r"from 't' to 'b'")):
+                build(datum)
+
+    def test_named_entry_sits_where_the_invariant_square_is_scaled(self):
+        _, invariant = reference_complexes(inconsistent_datum())
+        (witness,) = verify_complex(invariant).failures
+        assert (witness.degree, witness.row, witness.col, witness.value) == (
+            2, 0, 0, 4)
+
+    @pytest.mark.parametrize("invariant_first", [False, True],
+                             ids=["co-first", "in-first"])
+    @pytest.mark.parametrize("make", [make_bean, double_suspension_datum],
+                             ids=["bean", "double-suspension-rp2"])
+    def test_one_product_per_boundary_pair(self, monkeypatch, make,
+                                           invariant_first):
+        datum = make()
+        real = IntegerMatrix.__matmul__
+        products = []
+
+        def counted(left, right):
+            products.append((left.rows, left.cols, right.cols))
+            return real(left, right)
+
+        monkeypatch.setattr(IntegerMatrix, "__matmul__", counted)
+        builders = [coinvariant_complex, invariant_complex]
+        if invariant_first:
+            builders.reverse()
+        complexes = [build(datum) for build in builders]
+        for complex_ in complexes:
+            homology(complex_)
+        assert len(products) == len(complexes[0].generators) - 1
+
+    def test_complex_is_stored_and_labels_shared(self, bean):
+        co = coinvariant_complex(bean)
+        inv = invariant_complex(bean)
+        assert coinvariant_complex(bean) is co
+        assert all(a is b for a, b in zip(inv.generators, co.generators))
+        assert invariant_complex(bean) == inv
+
+
+def invariant_factors(orders):
+    """Invariant factors (all > 1, each dividing the next) of the direct
+    sum of Z/n over n in ``orders``: each prime's powers, largest first,
+    go to the factors from the last one down."""
+    powers = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    length = max(map(len, powers.values()), default=0)
+    factors = [1] * length
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            factors[length - 1 - i] *= q
+    return tuple(factors)
+
+
+def planted_datum(rng, top=3):
+    """A direct sum of free points (Z in their degree) and pairs from
+    (k + 1, s) to (k, s * m) with count c (Z/|c| in the coinvariant
+    homology and Z/|c m| in the invariant one, where > 1), stabilizer
+    orders 1 to 6, mixed by changes of basis among points of equal index
+    and order, which keep the homology and the divisibility rule.
+    Returns the datum and both planted homologies, ((betti, torsion), ...)
+    by degree."""
+    points = []                # (index, order) by position
+    entries = {}               # (lower point, upper point) -> count
+    betti = [0] * (top + 1)
+    torsion = {"co": [[] for _ in betti], "in": [[] for _ in betti]}
+    for _ in range(rng.randint(3, 9)):
+        if rng.random() < 0.3:
+            k = rng.randint(0, top)
+            points.append((k, rng.randint(1, 6)))
+            betti[k] += 1
+            continue
+        k = rng.randint(0, top - 1)
+        s = rng.randint(1, 6)
+        m = rng.choice([m for m in range(1, 7) if s * m <= 6])
+        c = rng.choice((1, -1, 2, -2, 3, -3, 5, -5, 7, -7))
+        points += [(k + 1, s), (k, s * m)]
+        entries[(len(points) - 1, len(points) - 2)] = c
+        torsion["co"][k].append(abs(c))
+        torsion["in"][k].append(abs(c * m))
+    blocks = {}
+    for i, shape in enumerate(points):
+        blocks.setdefault(shape, []).append(i)
+    for members in blocks.values():
+        for _ in range(2 * len(members) if len(members) > 1 else 0):
+            i, j = rng.sample(members, 2)
+            a = rng.choice((1, -1, 2, -2))
+            # new basis vector e_j + a e_i
+            for (r, c), v in list(entries.items()):
+                if c == i:
+                    entries[(r, j)] = entries.get((r, j), 0) + a * v
+            for (r, c), v in list(entries.items()):
+                if r == j:
+                    entries[(i, c)] = entries.get((i, c), 0) - a * v
+    ids = [f"x{n}" for n in rng.sample(range(100), len(points))]
+    records = [CriticalPointRecord(ids[i], k, s)
+               for i, (k, s) in enumerate(points)]
+    flows = [FlowCount(ids[c], ids[r], v) for (r, c), v in entries.items()
+             if v]
+    rng.shuffle(records)
+    rng.shuffle(flows)
+    degrees = range(max(k for k, _ in points) + 1)
+    planted = [tuple((betti[k], invariant_factors(torsion[side][k]))
+                     for k in degrees) for side in ("co", "in")]
+    return MorseDatum(records, flows), planted
+
+
+def groups_of(homology_groups):
+    return tuple((g.betti, g.torsion) for g in homology_groups)
+
+
+class TestInvariantConjugate:
+    def test_random_datums_equal_the_reference_build(self):
+        rng = random.Random(20261022)
+        caught = 0
+        for _ in range(200):
+            datum, planted = planted_datum(rng)
+            references = reference_complexes(datum)
+            built = [coinvariant_complex(datum), invariant_complex(datum)]
+            assert built == references
+            found = [homology(c) for c in built]
+            assert [groups_of(g) for g in found] == planted == [
+                groups_of(homology(c)) for c in references]
+            check_away_from_orders(datum, *found)
+            # drop the invariant side's torsion at a prime not dividing N
+            n = math.lcm(*(p.stab_order for p in datum.points))
+            for k, group in enumerate(found[1]):
+                prime = next((q for q in (5, 7) if n % q
+                              and any(t % q == 0 for t in group.torsion)),
+                             None)
+                if prime is None:
+                    continue
+                dropped = list(found[1])
+                dropped[k] = HomologyGroup(group.degree, group.betti, tuple(
+                    t for t in group.torsion if t % prime))
+                with pytest.raises(LocalizedHomologyMismatch):
+                    check_away_from_orders(datum, found[0], dropped)
+                caught += 1
+        assert caught > 50
+
+
+class TestAwayFromOrders:
+    @pytest.mark.parametrize("co,inv,agree", [
+        ((0, (3,)), (0, (6,)), True),
+        ((0, (3,)), (0, (2,)), False),
+        ((0, (6,)), (0, (3,)), True),
+        ((1, ()), (0, (2,)), False),
+        ((0, (2, 12)), (0, (3,)), True),
+        ((0, (15,)), (0, (3,)), False),
+    ])
+    def test_groups_compared_away_from_two(self, co, inv, agree):
+        datum = MorseDatum(points=(CriticalPointRecord("a", 1, 1),
+                                   CriticalPointRecord("b", 0, 2)),
+                           flows=())
+        left, right = [[HomologyGroup(0, *g)] for g in (co, inv)]
+        if agree:
+            check_away_from_orders(datum, left, right)
+        else:
+            with pytest.raises(LocalizedHomologyMismatch,
+                               match="differ away from 2"):
+                check_away_from_orders(datum, left, right)
